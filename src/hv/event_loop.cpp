@@ -68,14 +68,29 @@ void EventLoop::post(Handler handler) {
 }
 
 void EventLoop::run_in_worker(Handler handler, sim::Nanos start_ts) {
-  sim::MutexLock lock(mu_);
-  ++workers_spawned_;
-  workers_.emplace_back(
-      [this, handler = std::move(handler), start_ts] {
-        sim::Actor worker_actor{name_ + "-worker", start_ts};
-        sim::ActorScope scope(worker_actor);
-        handler(worker_actor);
-      });
+  std::list<Worker> finished;
+  {
+    sim::MutexLock lock(mu_);
+    for (auto it = workers_.begin(); it != workers_.end();) {
+      const auto next = std::next(it);
+      if (it->done.load(std::memory_order_acquire)) {
+        finished.splice(finished.end(), workers_, it);
+      }
+      it = next;
+    }
+    ++workers_spawned_;
+    Worker& w = workers_.emplace_back();
+    w.thread = std::thread(
+        [this, &done = w.done, handler = std::move(handler), start_ts] {
+          {
+            sim::Actor worker_actor{name_ + "-worker", start_ts};
+            sim::ActorScope scope(worker_actor);
+            handler(worker_actor);
+          }
+          done.store(true, std::memory_order_release);
+        });
+  }
+  for (Worker& w : finished) w.thread.join();
 }
 
 void EventLoop::drain() {
@@ -84,13 +99,13 @@ void EventLoop::drain() {
 }
 
 void EventLoop::join_workers() {
-  std::vector<std::thread> workers;
+  std::list<Worker> workers;
   {
     sim::MutexLock lock(mu_);
     workers.swap(workers_);
   }
-  for (auto& w : workers) {
-    if (w.joinable()) w.join();
+  for (Worker& w : workers) {
+    if (w.thread.joinable()) w.thread.join();
   }
 }
 

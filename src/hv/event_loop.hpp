@@ -9,12 +9,13 @@
 // loop was held) the ablation bench A2 reports.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "sim/actor.hpp"
 #include "sim/thread_safety.hpp"
@@ -38,7 +39,8 @@ class EventLoop {
 
   /// Run `handler` on a fresh worker thread (QEMU's threaded mode): the
   /// loop keeps spinning. The worker's actor starts at `start_ts` (time the
-  /// handoff became visible).
+  /// handoff became visible). Workers that have finished are joined here,
+  /// outside mu_, so a long run never piles up exited threads.
   void run_in_worker(Handler handler, sim::Nanos start_ts) VPHI_EXCLUDES(mu_);
 
   /// Block until every posted handler so far has run.
@@ -85,7 +87,12 @@ class EventLoop {
   sim::Nanos blocked_time_ VPHI_GUARDED_BY(mu_) = 0;
   ThrottleFn throttle_ VPHI_GUARDED_BY(mu_);
   sim::Nanos throttled_time_ VPHI_GUARDED_BY(mu_) = 0;
-  std::vector<std::thread> workers_ VPHI_GUARDED_BY(mu_);
+  struct Worker {
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< set as the worker's last act
+  };
+  /// Nodes stay put while their thread runs (it holds `done` by address).
+  std::list<Worker> workers_ VPHI_GUARDED_BY(mu_);
   std::thread loop_thread_;
 };
 

@@ -1,6 +1,5 @@
 #include "service/job_service.hpp"
 
-#include <cstdlib>
 #include <limits>
 
 #include "sim/actor.hpp"
@@ -30,19 +29,6 @@ void HeadroomPublisher::publish(TenantMetrics& m, QuotaLedger& ledger,
 }
 
 JobService::JobService(JobServiceConfig cfg) : cfg_(std::move(cfg)) {}
-
-JobServiceConfig JobService::from_env() {
-  JobServiceConfig cfg;
-  if (const char* v = std::getenv("VPHI_TENANT_QUOTAS")) {
-    const std::string s(v);
-    cfg.enforce = !(s == "0" || s == "off" || s == "false");
-  }
-  if (const char* v = std::getenv("VPHI_TENANT_THROTTLE_NS")) {
-    const long long n = std::atoll(v);
-    if (n >= 0) cfg.throttle_ns = static_cast<sim::Nanos>(n);
-  }
-  return cfg;
-}
 
 JobService::TenantState& JobService::state_locked(const std::string& name) {
   auto it = tenants_.find(name);

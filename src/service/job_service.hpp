@@ -14,13 +14,6 @@
 // atomics, the per-tenant sums equal the aggregates bit-exactly — jobs
 // whose tenant cannot be resolved (malformed submissions) are charged to
 // the reserved "<invalid>" tenant so the identity survives even abuse.
-//
-// Env knobs (read by from_env(), the default constructor path):
-//   VPHI_TENANT_QUOTAS=0       disable quota enforcement (validation and
-//                              accounting still run; nothing is refused
-//                              for quota reasons)
-//   VPHI_TENANT_THROTTLE_NS=N  kRunFunction delay applied to tenants with
-//                              an exhausted card-ns window (default 50us)
 #pragma once
 
 #include <cstdint>
@@ -81,7 +74,7 @@ struct HeadroomPublisher {
 struct JobServiceConfig {
   JobLimits limits;
   /// false: quota dimensions never refuse or throttle (validation and
-  /// accounting still run). VPHI_TENANT_QUOTAS=0.
+  /// accounting still run).
   bool enforce = true;
   /// kRunFunction delay for tenants with an exhausted card-ns window.
   sim::Nanos throttle_ns = 50'000;
@@ -99,11 +92,8 @@ struct AdmitResult {
 
 class JobService {
  public:
-  JobService() : JobService(from_env()) {}
+  JobService() : JobService(JobServiceConfig{}) {}
   explicit JobService(JobServiceConfig cfg);
-
-  /// Build a config from the VPHI_TENANT_* environment knobs.
-  static JobServiceConfig from_env();
 
   /// Declare a tenant's contract. Re-registering replaces the spec but
   /// keeps the ledger's current window state.

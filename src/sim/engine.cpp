@@ -672,8 +672,8 @@ FleetResult run_fleet(const FleetConfig& requested) {
   if (profile) {
     // Scope-local labeled gauges: they retire immediately and fold into
     // the snapshot's retired aggregates, so the phase breakdown shows up
-    // in snapshot_json / VPHI_METRICS without keeping nondeterministic
-    // wall-clock instruments alive past the run.
+    // in snapshot_json without keeping nondeterministic wall-clock
+    // instruments alive past the run.
     for (std::uint32_t s = 0; s < S; ++s) {
       const std::string label = "shard=s" + std::to_string(s);
       for (std::size_t p = 0; p < 4; ++p) {

@@ -123,8 +123,9 @@ struct FleetConfig {
   Nanos duration_ns = 20 * kMillisecond;
   std::uint64_t seed = 42;
   /// Stamp per-request span events through sim::tracer(). Off by default:
-  /// a 1000-VM run would trace hundreds of thousands of requests through
-  /// the global tracer mutex.
+  /// every shard appends hundreds of thousands of records to the one span
+  /// log (under its mutex), and the log keeps each of them — tail sampling
+  /// filters the views, not the recording.
   bool trace_requests = false;
   /// Cross-shard SPSC ring capacity per (src, dst) pair; overflow spills
   /// to the mutex sidecar and counts as vphi.sim.channel.backpressure.

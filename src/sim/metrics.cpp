@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -448,37 +447,9 @@ std::size_t Registry::instrument_count() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-namespace {
-
-void dump_metrics_at_exit() {
-  const char* path = std::getenv("VPHI_METRICS");
-  if (path == nullptr || path[0] == '\0') return;
-  const std::string spec{path};
-  const std::string json = registry().snapshot_json();
-  if (spec == "1" || spec == "-" || spec == "stderr") {
-    std::fprintf(stderr, "%s\n", json.c_str());
-    return;
-  }
-  if (std::FILE* f = std::fopen(spec.c_str(), "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "vphi: cannot write VPHI_METRICS file %s\n",
-                 spec.c_str());
-  }
-}
-
-}  // namespace
-
 Registry& registry() {
-  static Registry* instance = [] {
-    auto* r = new Registry();  // leaked: instruments may outlive main()
-    if (const char* env = std::getenv("VPHI_METRICS");
-        env != nullptr && env[0] != '\0' && std::string{env} != "0") {
-      std::atexit(dump_metrics_at_exit);
-    }
-    return r;
-  }();
+  // Leaked: instruments may outlive main().
+  static Registry* instance = new Registry();
   return *instance;
 }
 

@@ -21,9 +21,6 @@
 // The full catalogue of registered names, their units and their owning
 // component lives in docs/OBSERVABILITY.md; treat those names as a stable
 // interface (benchmark JSON embeds them).
-//
-// Env knob: VPHI_METRICS=<path> writes the JSON snapshot to <path> at
-// process exit ("-" or "stderr" for stderr). Unset = no dump.
 #pragma once
 
 #include <atomic>
@@ -268,9 +265,9 @@ class Registry {
   std::vector<LatencyHistogram*> histograms_ VPHI_GUARDED_BY(mu_);
   std::uint64_t generation_ VPHI_GUARDED_BY(mu_) = 0;
   // Final values of destroyed instruments, folded in by name so snapshots
-  // taken after a Testbed tears down (bench JSON writers, the VPHI_METRICS
-  // exit dump) still cover the whole run. Labeled instruments fold into
-  // both the aggregate map and the name -> label -> value breakdown.
+  // taken after a Testbed tears down (bench JSON writers) still cover the
+  // whole run. Labeled instruments fold into both the aggregate map and
+  // the name -> label -> value breakdown.
   std::map<std::string, std::uint64_t> retired_counters_
       VPHI_GUARDED_BY(mu_);
   std::map<std::string, std::int64_t> retired_gauges_ VPHI_GUARDED_BY(mu_);

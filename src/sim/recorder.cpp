@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "sim/actor.hpp"
-#include "sim/json.hpp"
 
 namespace vphi::sim {
 namespace {
@@ -28,42 +27,10 @@ const char* level_letter(LogLevel l) noexcept {
   }
 }
 
-/// VPHI_FLIGHT parse, once: empty/unset/"1" -> default policy, "0" ->
-/// disabled, anything else -> dump file path prefix.
-struct FlightEnv {
-  bool disabled = false;
-  std::string path_prefix;
-};
-
-const FlightEnv& flight_env() {
-  static const FlightEnv env = [] {
-    FlightEnv e;
-    const char* v = std::getenv("VPHI_FLIGHT");
-    if (v == nullptr || v[0] == '\0' || std::strcmp(v, "1") == 0) return e;
-    if (std::strcmp(v, "0") == 0) {
-      e.disabled = true;
-      return e;
-    }
-    e.path_prefix = v;
-    return e;
-  }();
-  return env;
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "vphi: cannot write flight dump %s\n", path.c_str());
-  }
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder() {
   ring_.resize(kCapacity);  // the only allocation the recorder ever makes
-  if (flight_env().disabled) enabled_.store(false, std::memory_order_relaxed);
 }
 
 void FlightRecorder::clear() {
@@ -73,7 +40,15 @@ void FlightRecorder::clear() {
   overwritten_ = 0;
 }
 
-void FlightRecorder::append_locked(const Entry& e) {
+void FlightRecorder::record_log(LogLevel level, std::string_view component,
+                                std::string_view msg, Nanos ts) {
+  Entry e;
+  e.level = level;
+  e.ts = ts;
+  copy_trunc(e.actor, sizeof(e.actor), this_actor().name());
+  copy_trunc(e.component, sizeof(e.component), component);
+  copy_trunc(e.text, sizeof(e.text), msg);
+  MutexLock lock(mu_);
   if (count_ == kCapacity) {
     ++overwritten_;
     dropped_counter_.inc();
@@ -84,188 +59,95 @@ void FlightRecorder::append_locked(const Entry& e) {
   next_ = (next_ + 1) % kCapacity;
 }
 
-void FlightRecorder::record_span(TraceId id, TraceId parent, const char* op,
-                                 SpanEvent ev, Nanos ts) {
-  if (!enabled()) return;
-  Entry e;
-  e.kind = Entry::Kind::kSpan;
-  e.event = ev;
-  e.ts = ts;
-  e.trace = id;
-  e.parent = parent;
-  copy_trunc(e.actor, sizeof(e.actor), this_actor().name());
-  copy_trunc(e.text, sizeof(e.text), op != nullptr ? op : "");
-  MutexLock lock(mu_);
-  append_locked(e);
-}
-
-void FlightRecorder::record_log(LogLevel level, std::string_view component,
-                                std::string_view msg, Nanos ts) {
-  if (!enabled()) return;
-  Entry e;
-  e.kind = Entry::Kind::kLog;
-  e.level = level;
-  e.ts = ts;
-  copy_trunc(e.actor, sizeof(e.actor), this_actor().name());
-  copy_trunc(e.component, sizeof(e.component), component);
-  copy_trunc(e.text, sizeof(e.text), msg);
-  MutexLock lock(mu_);
-  append_locked(e);
-}
-
-std::string FlightRecorder::render_text(const std::vector<Entry>& window,
-                                        std::string_view reason, TraceId focus,
-                                        std::uint64_t seq,
-                                        std::uint64_t dropped) const {
-  std::string out;
-  out.reserve(256 + window.size() * 96);
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "=== vphi flight recorder dump #%llu ===\n",
-                static_cast<unsigned long long>(seq));
-  out += line;
-  out += "reason: ";
-  out.append(reason.data(), reason.size());
-  out += '\n';
-
-  if (focus != 0) {
-    // The ring may have wrapped past the focus request's early events; the
-    // tracer retains the complete chain, so print it from there.
-    std::snprintf(line, sizeof(line), "focus: trace %llu\n",
-                  static_cast<unsigned long long>(focus));
-    out += line;
-    for (const auto& r : tracer().requests()) {
-      if (r.id != focus) continue;
-      std::snprintf(line, sizeof(line),
-                    "--- focus span chain (op %s, %zu events) ---\n",
-                    r.op.c_str(), r.events.size());
-      out += line;
-      for (const auto& ev : r.events) {
-        std::snprintf(line, sizeof(line), "  [%12lld ns] %s\n",
-                      static_cast<long long>(ev.ts),
-                      span_event_name(ev.event));
-        out += line;
-      }
-      break;
-    }
-  }
-
-  std::snprintf(
-      line, sizeof(line),
-      "--- recent events (oldest first, %zu buffered, %llu overwritten) "
-      "---\n",
-      window.size(), static_cast<unsigned long long>(dropped));
-  out += line;
-  for (const Entry& e : window) {
-    if (e.kind == Entry::Kind::kSpan) {
-      std::snprintf(line, sizeof(line),
-                    "  [%12lld ns] %-20s span %-13s trace=%llu op=%s\n",
-                    static_cast<long long>(e.ts), e.actor,
-                    span_event_name(e.event),
-                    static_cast<unsigned long long>(e.trace), e.text);
-    } else {
-      std::snprintf(line, sizeof(line), "  [%12lld ns] %-20s log  %s %s: %s\n",
-                    static_cast<long long>(e.ts), e.actor,
-                    level_letter(e.level), e.component, e.text);
-    }
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "=== end dump #%llu ===\n",
-                static_cast<unsigned long long>(seq));
-  out += line;
-  return out;
-}
-
-std::string FlightRecorder::render_perfetto(const std::vector<Entry>& window,
-                                            std::string_view reason,
-                                            TraceId focus) const {
-  // Instant events on one track per actor; the window is small so a flat
-  // array with per-event thread_name metadata records keeps this simple.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  std::vector<std::string> actors;
-  auto tid_of = [&](const char* actor) {
-    const std::string name{actor};
-    for (std::size_t i = 0; i < actors.size(); ++i) {
-      if (actors[i] == name) return static_cast<int>(i + 1);
-    }
-    actors.push_back(name);
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(actors.size()) + ",\"args\":{\"name\":\"";
-    append_json_escaped(out, name);
-    out += "\"}}";
-    return static_cast<int>(actors.size());
-  };
-  for (const Entry& e : window) {
-    const int tid = tid_of(e.actor);
-    if (!first) out += ',';
-    first = false;
-    out += "{\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"ts\":" + std::to_string(static_cast<double>(e.ts) / 1e3) +
-           ",\"ph\":\"i\",\"s\":\"t\",\"name\":\"";
-    if (e.kind == Entry::Kind::kSpan) {
-      append_json_escaped(out, span_event_name(e.event));
-      out += "\",\"args\":{\"trace\":" + std::to_string(e.trace) + ",\"op\":\"";
-      append_json_escaped(out, e.text);
-      out += "\"}}";
-    } else {
-      append_json_escaped(out, e.component);
-      out += "\",\"args\":{\"level\":\"";
-      out += level_letter(e.level);
-      out += "\",\"msg\":\"";
-      append_json_escaped(out, e.text);
-      out += "\"}}";
-    }
-  }
-  out += ",{\"pid\":1,\"tid\":0,\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"name\":\"";
-  append_json_escaped(out, reason);
-  out += "\",\"args\":{\"focus\":" + std::to_string(focus) + "}}";
-  out += "]}";
-  return out;
-}
-
 FlightDump FlightRecorder::dump(std::string_view reason, TraceId focus) {
-  if (!enabled()) return {};  // VPHI_FLIGHT=0: fully out of the way
   // Every dump is an anomaly by definition: flag the focus chain so
-  // tail-based trace sampling keeps it in full. Called outside mu_ — the
-  // tracer takes its own lock and its funnels feed record_span under it.
+  // tail-based trace sampling keeps it in full.
   if (focus != 0) tracer().mark_anomaly(focus);
-  // Snapshot under the lock, render after releasing it: render_text reads
-  // the tracer (its own mutex), and the tracer's funnels feed this recorder
-  // while holding that mutex — holding both here would order the locks both
-  // ways round.
-  std::vector<Entry> window;
-  std::uint64_t dropped = 0;
+  std::vector<Entry> logs;
+  std::uint64_t overwritten = 0;
   {
     MutexLock lock(mu_);
-    window.reserve(count_);
+    logs.reserve(count_);
     const std::size_t start = (next_ + kCapacity - count_) % kCapacity;
     for (std::size_t i = 0; i < count_; ++i) {
-      window.push_back(ring_[(start + i) % kCapacity]);
+      logs.push_back(ring_[(start + i) % kCapacity]);
     }
-    dropped = overwritten_;
+    overwritten = overwritten_;
   }
+  std::vector<SpanRecord> spans = tracer().recent(kCapacity);
+  const std::optional<RequestTrace> chain = tracer().find_request(focus);
 
   FlightDump d;
   d.seq = dumps_.fetch_add(1, std::memory_order_relaxed) + 1;
   dump_counter_.inc();
   d.reason.assign(reason.data(), reason.size());
   d.focus = focus;
-  d.text = render_text(window, reason, focus, d.seq, dropped);
-  d.perfetto_json = render_perfetto(window, reason, focus);
 
-  const FlightEnv& env = flight_env();
-  if (!env.path_prefix.empty()) {
-    const std::string base = env.path_prefix + "." + std::to_string(d.seq);
-    write_file(base + ".txt", d.text);
-    write_file(base + ".json", d.perfetto_json);
+  std::string& out = d.text;
+  out.reserve(256 + (spans.size() + logs.size()) * 96);
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "=== vphi flight recorder dump #%llu ===\n",
+                static_cast<unsigned long long>(d.seq));
+  out += line;
+  out += "reason: ";
+  out.append(reason.data(), reason.size());
+  out += '\n';
+
+  if (focus != 0) {
+    std::snprintf(line, sizeof(line), "focus: trace %llu\n",
+                  static_cast<unsigned long long>(focus));
+    out += line;
   }
+  if (chain) {
+    std::snprintf(line, sizeof(line),
+                  "--- focus span chain (op %s, %zu events) ---\n",
+                  chain->op.c_str(), chain->events.size());
+    out += line;
+    for (const auto& ev : chain->events) {
+      std::snprintf(line, sizeof(line), "  [%12lld ns] %s\n",
+                    static_cast<long long>(ev.ts), span_event_name(ev.event));
+      out += line;
+    }
+  }
+
+  // One simulated-time axis: records from different actors arrive out of
+  // ts order, so sort each side, then merge (spans first on ties).
+  const auto by_ts = [](const auto& a, const auto& b) { return a.ts < b.ts; };
+  std::stable_sort(spans.begin(), spans.end(), by_ts);
+  std::stable_sort(logs.begin(), logs.end(), by_ts);
+  std::snprintf(
+      line, sizeof(line),
+      "--- recent events (oldest first, %zu buffered, %llu overwritten) "
+      "---\n",
+      spans.size() + logs.size(),
+      static_cast<unsigned long long>(overwritten));
+  out += line;
+  auto s = spans.begin();
+  auto l = logs.begin();
+  while (s != spans.end() || l != logs.end()) {
+    if (l == logs.end() || (s != spans.end() && s->ts <= l->ts)) {
+      std::snprintf(line, sizeof(line),
+                    "  [%12lld ns] %-20s span %-13s trace=%llu op=%s\n",
+                    static_cast<long long>(s->ts), s->actor,
+                    span_event_name(s->event),
+                    static_cast<unsigned long long>(s->id), s->op);
+      ++s;
+    } else {
+      std::snprintf(line, sizeof(line), "  [%12lld ns] %-20s log  %s %s: %s\n",
+                    static_cast<long long>(l->ts), l->actor,
+                    level_letter(l->level), l->component, l->text);
+      ++l;
+    }
+    out += line;
+  }
+  std::snprintf(line, sizeof(line), "=== end dump #%llu ===\n",
+                static_cast<unsigned long long>(d.seq));
+  out += line;
+
   if (d.seq <= kMaxStderrDumps) {
-    std::fwrite(d.text.data(), 1, d.text.size(), stderr);
+    std::fwrite(out.data(), 1, out.size(), stderr);
   }
-
   {
     MutexLock lock(mu_);
     last_ = d;
@@ -285,7 +167,7 @@ std::size_t FlightRecorder::entry_count() const {
 
 FlightRecorder& flight_recorder() {
   static FlightRecorder* instance = new FlightRecorder();  // leaked:
-  // span/log records may arrive from detached actors past main()'s end.
+  // log records may arrive from detached actors past main()'s end.
   return *instance;
 }
 

@@ -1,32 +1,27 @@
 // Always-on flight recorder: the last window of observability events,
 // retained for the moment something goes wrong.
 //
-// A fixed-size ring buffer of recent trace span events and log lines, each
-// stamped with the simulated timestamp and the recording actor's name.
-// Steady state allocates nothing: entries are preallocated fixed-width
-// slots, recording is a memcpy under a mutex, and the ring silently
-// overwrites its oldest entry when full. The recorder is a pure observer —
-// it never touches any actor's clock — so leaving it on does not move a
-// single simulated number.
+// The recorder owns a fixed-size ring of recent log lines, each stamped
+// with the simulated timestamp and the recording actor's name. Steady state
+// allocates nothing: entries are preallocated fixed-width slots, recording
+// is a memcpy under a mutex, and the ring silently overwrites its oldest
+// entry when full. Span events are not copied here: sim::Tracer's log is
+// the only place a span is stored, and a dump reads its newest records.
+// The recorder is a pure observer — it never touches any actor's clock —
+// so leaving it on does not move a single simulated number.
 //
 // When a failure fires (a frontend timeout, a backend validation error, an
-// injected fault, a watchdog stall), the owning component calls dump():
-// the window is snapshotted and rendered as an annotated text dump
-// (interleaving span events and log lines on one simulated-time axis) plus
-// a Perfetto/Chrome trace-event JSON of the same window. When the dump has
-// a focus request, its complete span chain is pulled from the tracer and
-// printed first — the ring may have wrapped past the request's early
-// events, the tracer has not.
+// injected fault, a watchdog stall), the owning component calls dump(): the
+// log ring and the tracer's last kCapacity span records are merged on one
+// simulated-time axis and rendered as an annotated text dump. When the dump
+// has a focus request, its complete span chain is looked up in the tracer
+// and printed first — the window may have moved past the request's early
+// events, the tracer's log has not.
 //
 // Span events only exist while sim::Tracer is enabled (an untraced request
 // has id 0 and records nothing); log lines only exist at or above the
-// VPHI_LOG level. The recorder interleaves whatever the two funnels emit.
-//
-// Env knob: VPHI_FLIGHT=0 disables the recorder entirely; =<path> writes
-// each dump to <path>.<n>.txt / <path>.<n>.json in addition to stderr;
-// unset or =1 keeps the default (record always, dump text to stderr, first
-// kMaxStderrDumps dumps only). The last dump is always retrievable
-// in-process via last_dump() regardless of the stderr cap.
+// VPHI_LOG level. The first kMaxStderrDumps dumps also go to stderr; the
+// last dump is always retrievable in-process via last_dump().
 #pragma once
 
 #include <atomic>
@@ -43,20 +38,19 @@
 
 namespace vphi::sim {
 
-/// One emitted dump: the annotated text and the Perfetto JSON of the
-/// window at trigger time.
+/// One emitted dump: the annotated text of the window at trigger time.
 struct FlightDump {
   std::uint64_t seq = 0;  ///< 1-based dump sequence number
   std::string reason;
   TraceId focus = 0;
   std::string text;
-  std::string perfetto_json;
 };
 
 class FlightRecorder {
  public:
-  /// Entries retained in the window. Power of two, sized so a multi-VM
-  /// pipelined burst's full recent history fits.
+  /// Log lines retained in the ring, and span records a dump reads from
+  /// the tracer. Power of two, sized so a multi-VM pipelined burst's full
+  /// recent history fits.
   static constexpr std::size_t kCapacity = 2048;
   /// Dumps written to stderr before going quiet (a probabilistic fault
   /// sweep would otherwise bury the test log); counting and last_dump()
@@ -68,29 +62,17 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Drop every buffered entry (tests; ids/dump counts are untouched).
+  /// Drop every buffered log line (tests; dump counts are untouched).
   void clear() VPHI_EXCLUDES(mu_);
 
-  /// Feed one span event (called from inside sim::Tracer's funnels).
-  void record_span(TraceId id, TraceId parent, const char* op, SpanEvent ev,
-                   Nanos ts) VPHI_EXCLUDES(mu_);
   /// Feed one emitted log line (called from sim::log_line).
   void record_log(LogLevel level, std::string_view component,
                   std::string_view msg, Nanos ts) VPHI_EXCLUDES(mu_);
 
-  /// Trigger: snapshot the window, render the annotated text + Perfetto
-  /// JSON, bump vphi.recorder.dumps, emit per the VPHI_FLIGHT policy and
-  /// return the dump. Never advances any actor's clock. The window is
-  /// snapshotted under mu_ and rendered after release: render_text reads
-  /// the tracer's lock, and the tracer's funnels feed record_span under it
-  /// — holding both here would order the two locks both ways.
+  /// Trigger: render the window's annotated text, bump vphi.recorder.dumps,
+  /// write the first kMaxStderrDumps to stderr and return the dump. Never
+  /// advances any actor's clock, and never holds its own lock while it
+  /// reads the tracer.
   FlightDump dump(std::string_view reason, TraceId focus = 0)
       VPHI_EXCLUDES(mu_);
 
@@ -99,31 +81,18 @@ class FlightRecorder {
   }
   /// Copy of the most recent dump (empty FlightDump when none happened).
   FlightDump last_dump() const VPHI_EXCLUDES(mu_);
-  /// Entries currently buffered (bounded by kCapacity).
+  /// Log lines currently buffered (bounded by kCapacity).
   std::size_t entry_count() const VPHI_EXCLUDES(mu_);
 
  private:
   struct Entry {
-    enum class Kind : std::uint8_t { kSpan, kLog };
-    Kind kind = Kind::kSpan;
-    SpanEvent event = SpanEvent::kSubmit;
     LogLevel level = LogLevel::kOff;
     Nanos ts = 0;
-    TraceId trace = 0;
-    TraceId parent = 0;
     char actor[24] = {};
     char component[16] = {};
-    char text[96] = {};  ///< op name (span) or message (log), truncated
+    char text[96] = {};  ///< the message, truncated
   };
 
-  void append_locked(const Entry& e) VPHI_REQUIRES(mu_);
-  std::string render_text(const std::vector<Entry>& window,
-                          std::string_view reason, TraceId focus,
-                          std::uint64_t seq, std::uint64_t dropped) const;
-  std::string render_perfetto(const std::vector<Entry>& window,
-                              std::string_view reason, TraceId focus) const;
-
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> dumps_{0};
 
   mutable Mutex mu_;
@@ -140,7 +109,8 @@ class FlightRecorder {
   metrics::Counter dropped_counter_{"vphi.recorder.entries_dropped"};
 };
 
-/// The process-global recorder both funnels (tracer, logger) feed.
+/// The process-global recorder sim::log_line feeds and every failure path
+/// dumps.
 FlightRecorder& flight_recorder();
 
 }  // namespace vphi::sim

@@ -4,13 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/actor.hpp"
 #include "sim/json.hpp"
-#include "sim/metrics.hpp"
-#include "sim/recorder.hpp"
 
 namespace vphi::sim {
 namespace {
@@ -26,18 +27,6 @@ constexpr int kTidRing = 3;
 constexpr int kTidBackend = 4;
 constexpr int kTidIrq = 5;
 constexpr int kTidCounters = 6;
-
-// Tail-sampling outcome counters, constructed on first tail decision so
-// runs that never enable tail sampling keep their snapshot name set
-// unchanged. Leaked for the same reason as the tracer itself.
-metrics::Counter& tail_kept_counter() {
-  static metrics::Counter* c = new metrics::Counter("vphi.trace.tail_kept");
-  return *c;
-}
-metrics::Counter& tail_dropped_counter() {
-  static metrics::Counter* c = new metrics::Counter("vphi.trace.tail_dropped");
-  return *c;
-}
 
 /// splitmix64: the healthy-chain lottery hash. Uniform over ids, cheap.
 std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -93,6 +82,33 @@ void sort_events(std::vector<TraceEv>& evs) {
                    });
 }
 
+template <std::size_t N>
+void copy_name(char (&dst)[N], std::string_view src) noexcept {
+  const std::size_t n = std::min(src.size(), N - 1);
+  std::memcpy(dst, src.data(), n);
+  dst[n] = '\0';
+}
+
+/// The tail decision for a request whose kComplete record was just read:
+/// count the outcome and return whether the chain stays in the views.
+bool keep_at_tail(const RequestTrace& req, Nanos complete_ts,
+                  const TracerConfig::Sample& s, Tracer::TailStats& tail) {
+  // events.front() is the kSubmit of the begin record; later records may
+  // be out of ts order but never precede it.
+  const Nanos latency = complete_ts - req.events.front().ts;
+  if (req.anomalous) {
+    ++tail.kept_anomalous;
+  } else if (s.latency_threshold_ns > 0 && latency >= s.latency_threshold_ns) {
+    ++tail.kept_slow;
+  } else if ((mix64(req.id) & 1023u) < s.keep_per_1024) {
+    ++tail.kept_sampled;
+  } else {
+    ++tail.dropped;
+    return false;
+  }
+  return true;
+}
+
 std::string g_trace_path;
 
 void write_trace_at_exit() {
@@ -136,20 +152,15 @@ void Tracer::set_config(const TracerConfig& cfg) {
   config_ = cfg;
 }
 
-TracerConfig Tracer::config() const {
-  MutexLock lock(mu_);
-  return config_;
-}
-
 void Tracer::mark_anomaly(TraceId id) {
   if (id == 0) return;
   MutexLock lock(mu_);
-  if (RequestTrace* req = find_locked(requests_, id)) req->anomalous = true;
+  anomalies_.push_back(id);
 }
 
 Tracer::TailStats Tracer::tail_stats() const {
   MutexLock lock(mu_);
-  return tail_;
+  return group_locked().tail;
 }
 
 void Tracer::record_counter(const std::string& track, Nanos ts,
@@ -164,122 +175,169 @@ void Tracer::record_counter(const std::string& track, Nanos ts,
   counter_evs_.push_back({idx, ts, value});
 }
 
-void Tracer::finalize_tail_locked(std::size_t index, Nanos complete_ts) {
-  RequestTrace& req = requests_[index];
-  // events.front() is the kSubmit begin_request stamped; later events may
-  // append out of order but never displace it.
-  const Nanos submit_ts =
-      req.events.empty() ? complete_ts : req.events.front().ts;
-  const Nanos latency = complete_ts - submit_ts;
-  const TracerConfig::Sample& s = config_.sample;
-  if (req.anomalous) {
-    ++tail_.kept_anomalous;
-    tail_kept_counter().inc();
-    return;
-  }
-  if (s.latency_threshold_ns > 0 && latency >= s.latency_threshold_ns) {
-    ++tail_.kept_slow;
-    tail_kept_counter().inc();
-    return;
-  }
-  if ((mix64(req.id) & 1023u) < s.keep_per_1024) {
-    ++tail_.kept_sampled;
-    tail_kept_counter().inc();
-    return;
-  }
-  ++tail_.dropped;
-  tail_dropped_counter().inc();
-  // Swap-pop: requests_ order only matters to find_locked's backward scan
-  // and the exports, which sort; neither needs allocation order preserved
-  // once the chain is gone.
-  requests_[index] = std::move(requests_.back());
-  requests_.pop_back();
-}
-
-RequestTrace* Tracer::find_locked(std::vector<RequestTrace>& v, TraceId id) {
-  for (auto it = v.rbegin(); it != v.rend(); ++it)
-    if (it->id == id) return &*it;
-  return nullptr;
+void Tracer::append(SpanRecord::Kind kind, TraceId id, TraceId parent,
+                    const char* op, SpanEvent ev, Nanos ts) {
+  SpanRecord r;
+  r.id = id;
+  r.parent = parent;
+  r.ts = ts;
+  r.event = ev;
+  r.kind = kind;
+  if (op != nullptr) copy_name(r.op, op);
+  copy_name(r.actor, this_actor().name());
+  MutexLock lock(mu_);
+  log_.push_back(r);
 }
 
 TraceId Tracer::begin_op(const char* name, Nanos ts) {
   if (!enabled()) return 0;
   const TraceId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(mu_);
-  ops_.push_back({id, 0, name, {{SpanEvent::kSubmit, ts}}});
-  flight_recorder().record_span(id, 0, name, SpanEvent::kSubmit, ts);
+  append(SpanRecord::Kind::kOp, id, 0, name, SpanEvent::kSubmit, ts);
   return id;
 }
 
 void Tracer::end_op(TraceId id, Nanos ts) {
   if (id == 0) return;
-  MutexLock lock(mu_);
-  if (RequestTrace* op = find_locked(ops_, id)) {
-    op->events.push_back({SpanEvent::kComplete, ts});
-    flight_recorder().record_span(id, 0, op->op.c_str(), SpanEvent::kComplete,
-                                  ts);
-  }
+  append(SpanRecord::Kind::kEvent, id, 0, nullptr, SpanEvent::kComplete, ts);
 }
 
 TraceId Tracer::begin_request(const char* op_name, Nanos ts) {
   if (!enabled()) return 0;
   const TraceId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(mu_);
-  requests_.push_back({id, t_current_op, op_name, {{SpanEvent::kSubmit, ts}}});
-  flight_recorder().record_span(id, t_current_op, op_name, SpanEvent::kSubmit,
-                                ts);
+  append(SpanRecord::Kind::kRequest, id, t_current_op, op_name,
+         SpanEvent::kSubmit, ts);
   return id;
 }
 
 void Tracer::record(TraceId id, SpanEvent ev, Nanos ts) {
   if (id == 0) return;  // the disabled / untraced fast path
-  MutexLock lock(mu_);
-  if (RequestTrace* req = find_locked(requests_, id)) {
-    req->events.push_back({ev, ts});
-    flight_recorder().record_span(id, req->parent, req->op.c_str(), ev, ts);
-    if (ev == SpanEvent::kComplete && config_.sample.tail) {
-      // The tail: the request's outcome is now known, decide keep/drop.
-      finalize_tail_locked(static_cast<std::size_t>(req - requests_.data()),
-                           ts);
-    }
-  }
-  // A record against a cleared trace is silently dropped: clear() may race
-  // with requests still in flight and that is fine.
+  append(SpanRecord::Kind::kEvent, id, 0, nullptr, ev, ts);
 }
 
 void Tracer::clear() {
   MutexLock lock(mu_);
-  requests_.clear();
-  ops_.clear();
+  log_.clear();
+  anomalies_.clear();
   counter_tracks_.clear();
   counter_evs_.clear();
-  tail_ = TailStats{};
+}
+
+Tracer::Chains Tracer::group_locked() const {
+  struct Slot {
+    bool op;
+    std::size_t index;
+  };
+  std::unordered_map<TraceId, Slot> where;
+  std::vector<TraceId> marked = anomalies_;
+  std::sort(marked.begin(), marked.end());
+  const TracerConfig::Sample& sample = config_.sample;
+  Chains out;
+  for (const SpanRecord& r : log_) {
+    if (r.kind != SpanRecord::Kind::kEvent) {
+      const bool op = r.kind == SpanRecord::Kind::kOp;
+      auto& chains = op ? out.ops : out.requests;
+      where.emplace(r.id, Slot{op, chains.size()});
+      chains.push_back({r.id, r.parent, r.op, {{SpanEvent::kSubmit, r.ts}}});
+      chains.back().anomalous =
+          !op && std::binary_search(marked.begin(), marked.end(), r.id);
+      continue;
+    }
+    // A record whose chain did not begin since the last clear() is ignored:
+    // clear() may race with requests still in flight and that is fine.
+    const auto it = where.find(r.id);
+    if (it == where.end()) continue;
+    const auto [op, index] = it->second;
+    RequestTrace& chain = (op ? out.ops : out.requests)[index];
+    if (chain.id == 0) continue;  // already filtered at its tail
+    chain.events.push_back({r.event, r.ts});
+    if (!op && r.event == SpanEvent::kComplete && sample.tail &&
+        !keep_at_tail(chain, r.ts, sample, out.tail)) {
+      chain.id = 0;
+    }
+  }
+  std::erase_if(out.requests, [](const RequestTrace& r) { return r.id == 0; });
+  for (auto& r : out.requests) sort_events(r.events);
+  for (auto& o : out.ops) sort_events(o.events);
+  return out;
 }
 
 std::size_t Tracer::request_count() const {
   MutexLock lock(mu_);
-  return requests_.size();
+  return group_locked().requests.size();
 }
 
 std::size_t Tracer::event_count() const {
   MutexLock lock(mu_);
+  const Chains chains = group_locked();
   std::size_t n = 0;
-  for (const auto& r : requests_) n += r.events.size();
-  for (const auto& o : ops_) n += o.events.size();
+  for (const auto& r : chains.requests) n += r.events.size();
+  for (const auto& o : chains.ops) n += o.events.size();
   return n;
 }
 
 std::vector<RequestTrace> Tracer::requests() const {
   MutexLock lock(mu_);
-  auto out = requests_;
-  for (auto& r : out) sort_events(r.events);
-  return out;
+  return group_locked().requests;
 }
 
 std::vector<RequestTrace> Tracer::ops() const {
   MutexLock lock(mu_);
-  auto out = ops_;
-  for (auto& o : out) sort_events(o.events);
+  return group_locked().ops;
+}
+
+std::optional<RequestTrace> Tracer::find_request(TraceId id) const {
+  if (id == 0) return std::nullopt;
+  MutexLock lock(mu_);
+  std::vector<TraceEv> events;
+  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+    if (it->id != id) continue;
+    if (it->kind == SpanRecord::Kind::kEvent) {
+      events.push_back({it->event, it->ts});
+      continue;
+    }
+    if (it->kind != SpanRecord::Kind::kRequest) return std::nullopt;
+    RequestTrace req{id, it->parent, it->op, std::move(events)};
+    req.events.push_back({SpanEvent::kSubmit, it->ts});
+    sort_events(req.events);
+    req.anomalous = std::find(anomalies_.begin(), anomalies_.end(), id) !=
+                    anomalies_.end();
+    return req;
+  }
+  return std::nullopt;
+}
+
+std::vector<SpanRecord> Tracer::recent(std::size_t n) const {
+  MutexLock lock(mu_);
+  const std::size_t first = log_.size() > n ? log_.size() - n : 0;
+  // Op name of every chain in the window. A chain's begin record precedes
+  // all its others, so names missing after the forward pass belong to
+  // chains begun before the window: walk back until all are found.
+  std::unordered_map<TraceId, const char*> op_of;
+  std::size_t missing = 0;
+  for (std::size_t i = first; i < log_.size(); ++i) {
+    const SpanRecord& r = log_[i];
+    const bool begin = r.kind != SpanRecord::Kind::kEvent;
+    if (op_of.try_emplace(r.id, begin ? r.op : nullptr).second && !begin) {
+      ++missing;
+    }
+  }
+  for (std::size_t i = first; i > 0 && missing > 0; --i) {
+    const SpanRecord& r = log_[i - 1];
+    if (r.kind == SpanRecord::Kind::kEvent) continue;
+    const auto it = op_of.find(r.id);
+    if (it != op_of.end() && it->second == nullptr) {
+      it->second = r.op;
+      --missing;
+    }
+  }
+  std::vector<SpanRecord> out;
+  out.reserve(log_.size() - first);
+  for (std::size_t i = first; i < log_.size(); ++i) {
+    const char* op = op_of[log_[i].id];
+    if (op == nullptr) continue;  // begun before the last clear()
+    out.push_back(log_[i]);
+    copy_name(out.back().op, op);
+  }
   return out;
 }
 
@@ -303,12 +361,12 @@ std::vector<Hop> Tracer::hop_breakdown() const {
 }
 
 std::string Tracer::chrome_trace_json() const {
-  const auto reqs = requests();
-  const auto op_spans = ops();
+  Chains chains;
   std::vector<std::string> counter_tracks;
   std::vector<CounterEv> counter_evs;
   {
     MutexLock lock(mu_);
+    chains = group_locked();
     counter_tracks = counter_tracks_;
     counter_evs = counter_evs_;
   }
@@ -331,7 +389,7 @@ std::string Tracer::chrome_trace_json() const {
     return a;
   };
 
-  for (const auto& o : op_spans) {
+  for (const auto& o : chains.ops) {
     if (o.events.empty()) continue;
     const Nanos t0 = o.events.front().ts;
     const Nanos t1 = o.events.back().ts;
@@ -343,7 +401,7 @@ std::string Tracer::chrome_trace_json() const {
     evs.push_back({kTidGuestOps, t0, std::move(j)});
   }
 
-  for (const auto& r : reqs) {
+  for (const auto& r : chains.requests) {
     for (std::size_t i = 0; i < r.events.size(); ++i) {
       const auto& e = r.events[i];
       if (i + 1 < r.events.size()) {

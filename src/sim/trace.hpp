@@ -25,6 +25,11 @@
 // parent, which is how a pipelined 64 MiB read shows up as one op umbrella
 // over four chunk requests.
 //
+// Storage: one append-only log of fixed-size SpanRecords under one mutex.
+// Recording appends and looks nothing up; every view — requests(),
+// hop_breakdown(), chrome_trace_json(), tail_stats() and the flight
+// recorder's dump window — is a read that groups the log by trace id.
+//
 // Exports: hop_breakdown() aggregates per-request deltas between
 // consecutive events (the simulated analogue of the paper's fig. 4b
 // table); chrome_trace_json() emits a Chrome "chrome://tracing" /
@@ -36,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +75,8 @@ struct TraceEv {
   Nanos ts;
 };
 
-/// Everything recorded for one request (or one guest-level op umbrella).
+/// Everything recorded for one request (or one guest-level op umbrella):
+/// a read-side view grouped from the tracer's log.
 struct RequestTrace {
   TraceId id = 0;
   TraceId parent = 0;  ///< enclosing op span, 0 if none
@@ -80,16 +87,34 @@ struct RequestTrace {
   bool anomalous = false;
 };
 
+/// One entry of the tracer's log, the only place a span is stored. Fixed
+/// size: recording copies names in (truncated) and allocates nothing but
+/// the log's amortized growth.
+struct SpanRecord {
+  enum class Kind : std::uint8_t {
+    kRequest,  ///< begin_request: kSubmit of a request chain
+    kOp,       ///< begin_op: kSubmit of an op umbrella
+    kEvent,    ///< record() or end_op(): one later point of a chain
+  };
+  TraceId id = 0;
+  TraceId parent = 0;  ///< kRequest: enclosing op span, 0 if none
+  Nanos ts = 0;
+  SpanEvent event = SpanEvent::kSubmit;
+  Kind kind = Kind::kEvent;
+  char op[22] = {};     ///< op name (begin records; filled by recent())
+  char actor[24] = {};  ///< name of the actor that recorded it
+};
+
 /// Tracer policy knobs (today: tail-based retention).
 struct TracerConfig {
-  /// Tail-based sampling: the keep/drop decision for a request's span
-  /// chain is made at its *tail* (kComplete), when the outcome is known.
-  /// A chain is kept when the request was marked anomalous (fault,
-  /// watchdog stall), when its end-to-end latency reached
-  /// latency_threshold_ns, or when it wins the keep_per_1024 lottery;
-  /// every other completed chain is erased on the spot, which is what
-  /// makes tracing affordable at 1000 VMs. Chains that never complete
-  /// (dropped requests) are always retained. Op umbrellas are exempt.
+  /// Tail-based sampling, a read-side filter: every view decides keep or
+  /// drop for a request's span chain at its *tail* (kComplete), when the
+  /// outcome is known. A chain is kept when the request was marked
+  /// anomalous (fault, watchdog stall), when its end-to-end latency
+  /// reached latency_threshold_ns, or when it wins the keep_per_1024
+  /// lottery; every other completed chain is left out of the views and
+  /// the exports. Chains that never complete (dropped requests) are always
+  /// retained. Op umbrellas are exempt.
   struct Sample {
     bool tail = false;
     Nanos latency_threshold_ns = 0;  ///< 0 = no latency criterion
@@ -117,20 +142,19 @@ class Tracer {
   void set_enabled(bool on) noexcept;
 
   void set_config(const TracerConfig& cfg) VPHI_EXCLUDES(mu_);
-  TracerConfig config() const VPHI_EXCLUDES(mu_);
 
   /// Flag a request as anomalous so tail sampling keeps its full chain.
   /// Called by FlightRecorder::dump for its focus request — every fault
-  /// dump and watchdog stall routes through there. No-op for id 0, for
-  /// unknown ids, and for chains already dropped.
+  /// dump and watchdog stall routes through there. No-op for id 0; ids
+  /// with no chain since the last clear() are never read.
   void mark_anomaly(TraceId id) VPHI_EXCLUDES(mu_);
 
-  /// Tail-sampling outcome counts since the last clear().
+  /// Tail-sampling outcome counts over the log since the last clear().
   struct TailStats {
     std::uint64_t kept_anomalous = 0;
     std::uint64_t kept_slow = 0;     ///< latency >= threshold
     std::uint64_t kept_sampled = 0;  ///< healthy, won the lottery
-    std::uint64_t dropped = 0;       ///< healthy, erased at the tail
+    std::uint64_t dropped = 0;       ///< healthy, filtered at the tail
   };
   TailStats tail_stats() const VPHI_EXCLUDES(mu_);
 
@@ -151,22 +175,28 @@ class Tracer {
   TraceId begin_request(const char* op_name, Nanos ts) VPHI_EXCLUDES(mu_);
 
   /// Record one span event. No-op (no lock, no allocation) when id == 0.
-  /// Lock order: tracer mu_ -> recorder mu_ (record() feeds the flight
-  /// recorder under the tracer lock; the recorder never calls back in —
-  /// FlightRecorder::dump renders outside its own lock for that reason).
   void record(TraceId id, SpanEvent ev, Nanos ts) VPHI_EXCLUDES(mu_);
 
   /// Drop everything recorded so far (ids remain unique process-wide).
+  /// Records arriving later for an id begun before the clear are ignored.
   void clear() VPHI_EXCLUDES(mu_);
 
   std::size_t request_count() const VPHI_EXCLUDES(mu_);
   std::size_t event_count() const VPHI_EXCLUDES(mu_);
 
-  /// Copy-out of all finished and in-flight request traces (op umbrellas
-  /// excluded), in allocation order.
+  /// All finished and in-flight request traces (op umbrellas excluded),
+  /// in allocation order.
   std::vector<RequestTrace> requests() const VPHI_EXCLUDES(mu_);
   /// Op umbrella spans, in allocation order.
   std::vector<RequestTrace> ops() const VPHI_EXCLUDES(mu_);
+  /// One request's chain, found by a backward walk of the log that stops
+  /// at its begin record; nullopt when no request `id` began since clear().
+  std::optional<RequestTrace> find_request(TraceId id) const
+      VPHI_EXCLUDES(mu_);
+  /// The newest `n` log records, oldest first, each with the op name of
+  /// its chain; records of chains begun before the last clear() are left
+  /// out. Feeds the flight recorder's dump window.
+  std::vector<SpanRecord> recent(std::size_t n) const VPHI_EXCLUDES(mu_);
 
   /// Aggregate consecutive-event deltas across all traced requests, ordered
   /// by pipeline position. Within each request, events are sorted by
@@ -182,32 +212,31 @@ class Tracer {
   bool write_chrome_trace(const std::string& path) const VPHI_EXCLUDES(mu_);
 
  private:
-  struct OpTls;
-  friend class TraceOpScope;
-
   struct CounterEv {
     std::uint32_t track = 0;  ///< index into counter_tracks_
     Nanos ts = 0;
     double value = 0.0;
   };
-
-  void finalize_tail_locked(std::size_t index, Nanos complete_ts)
-      VPHI_REQUIRES(mu_);
+  /// The views' common read: the log grouped into chains, tail filter
+  /// applied.
+  struct Chains {
+    std::vector<RequestTrace> requests;
+    std::vector<RequestTrace> ops;
+    TailStats tail;
+  };
+  Chains group_locked() const VPHI_REQUIRES(mu_);
+  void append(SpanRecord::Kind kind, TraceId id, TraceId parent,
+              const char* op, SpanEvent ev, Nanos ts) VPHI_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   std::atomic<bool> enabled_{false};
   std::atomic<TraceId> next_id_{1};
-  std::vector<RequestTrace> requests_ VPHI_GUARDED_BY(mu_);
-  std::vector<RequestTrace> ops_ VPHI_GUARDED_BY(mu_);
+  /// Append-only span log since the last clear(), in record order.
+  std::vector<SpanRecord> log_ VPHI_GUARDED_BY(mu_);
+  std::vector<TraceId> anomalies_ VPHI_GUARDED_BY(mu_);
   TracerConfig config_ VPHI_GUARDED_BY(mu_);
-  TailStats tail_ VPHI_GUARDED_BY(mu_);
   std::vector<std::string> counter_tracks_ VPHI_GUARDED_BY(mu_);
   std::vector<CounterEv> counter_evs_ VPHI_GUARDED_BY(mu_);
-  // id -> index maps rebuilt lazily would cost more than they save at the
-  // scale of a simulated workload; linear backward scan is fine because
-  // records overwhelmingly hit the most recent requests.
-  RequestTrace* find_locked(std::vector<RequestTrace>& v, TraceId id)
-      VPHI_REQUIRES(mu_);
 };
 
 Tracer& tracer();

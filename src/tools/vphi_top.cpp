@@ -302,9 +302,9 @@ int run(const Options& opts) {
   config.frontend.watchdog_min_samples = 16;
   Testbed bed{config};
 
-  // Tracing feeds the flight recorder, so a watchdog/fault dump carries the
-  // victim request's span chain. Observability never advances any clock, so
-  // the table's numbers are identical with this line removed.
+  // With tracing on, a watchdog/fault dump carries the victim request's span
+  // chain. Observability never advances any clock, so the table's numbers
+  // are identical with this line removed.
   sim::tracer().set_enabled(true);
 
   auto rounds = seeded_rounds(opts);
@@ -313,7 +313,7 @@ int run(const Options& opts) {
   // Tenant control plane: every VM is a tenant named after itself. Each
   // scif_send round is one admitted job; with --quota-bytes the per-window
   // byte budget caps how much a noisy VM can actually push.
-  auto svc_cfg = service::JobService::from_env();
+  service::JobServiceConfig svc_cfg;
   svc_cfg.default_spec.bytes_per_window = opts.quota_bytes;
   svc_cfg.default_spec.window_ns = sim::kSecond;
   service::JobService svc{svc_cfg};
@@ -406,7 +406,7 @@ int run(const Options& opts) {
                    static_cast<unsigned long long>(stalls));
       return 1;
     }
-    if (dumps < 1 && sim::flight_recorder().enabled()) {
+    if (dumps < 1) {
       std::fprintf(stderr, "vphi-top: watchdog fired without a recorder "
                            "dump\n");
       return 1;

@@ -132,6 +132,7 @@ bool Virtqueue::kick_prepare() {
   // The device's avail_event is not inside the freshly published range: it
   // is awake and draining, and will pick the entries up without a doorbell.
   suppressed_kicks_.inc();
+  notified_idx_ = avail_idx_;
   return false;
 }
 
@@ -151,6 +152,10 @@ void Virtqueue::kick(sim::Nanos visible_ts) {
     VPHI_LOG(kWarn, "virtio") << "kick at " << visible_ts << " delayed by "
                               << delay << "ns";
     visible_ts += delay;
+  }
+  {
+    sim::MutexLock lock(mu_);
+    notified_idx_ = avail_idx_;
   }
   avail_event_.raise(visible_ts);
 }
@@ -331,6 +336,18 @@ sim::Status Virtqueue::push_used(std::uint16_t head, std::uint32_t written,
 }
 
 void Virtqueue::shutdown() { avail_event_.close(); }
+
+bool Virtqueue::stranded(std::uint16_t pos) const {
+  sim::MutexLock lock(mu_);
+  // Distances from the device's consumption point (16-bit ring indices).
+  const auto published =
+      static_cast<std::uint16_t>(avail_idx_ - avail_consumed_);
+  const auto at = static_cast<std::uint16_t>(pos - avail_consumed_);
+  if (at >= published) return false;  // consumed (or never published)
+  auto covered = static_cast<std::uint16_t>(notified_idx_ - avail_consumed_);
+  if (covered > published) covered = 0;  // the device drained past it
+  return at >= covered;
+}
 
 std::uint16_t Virtqueue::free_descriptors() const {
   sim::MutexLock lock(mu_);

@@ -185,6 +185,12 @@ class Virtqueue {
   std::uint64_t truncated_chains() const { return truncated_chains_.value(); }
   /// Chains currently between add_buf and get_used (ring occupancy).
   std::uint16_t live_chains() const VPHI_EXCLUDES(mu_);
+  /// True while avail entry `pos` is published but neither consumed by the
+  /// device nor covered by a doorbell that reached it (or was elided
+  /// because the device was draining): the state a lost kick leaves
+  /// behind. The device never scans the ring unprompted, so such a chain
+  /// waits for a rescue kick however long anyone polls.
+  bool stranded(std::uint16_t pos) const VPHI_EXCLUDES(mu_);
 
  private:
   sim::Expected<std::uint16_t> alloc_desc_locked() VPHI_REQUIRES(mu_);
@@ -234,6 +240,9 @@ class Virtqueue {
   std::uint16_t avail_event_shadow_ VPHI_GUARDED_BY(mu_) = 0;
   /// Driver: avail_idx_ at last prepare.
   std::uint16_t kick_point_ VPHI_GUARDED_BY(mu_) = 0;
+  /// avail_idx_ when the device was last told (doorbell delivered, or
+  /// elided because it was draining); entries below it are not stranded.
+  std::uint16_t notified_idx_ VPHI_GUARDED_BY(mu_) = 0;
   /// Driver: "irq me past this idx".
   std::uint16_t used_event_shadow_ VPHI_GUARDED_BY(mu_) = 0;
   /// Device: used_idx_ at last irq.

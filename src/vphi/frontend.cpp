@@ -1,7 +1,6 @@
 #include "vphi/frontend.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -113,8 +112,6 @@ FrontendDriver::FrontendDriver(hv::Vm& vm, Config config)
       bytes_in_("vphi.fe.bytes_in", label_),
       zombie_chains_("vphi.fe.zombie_chains", label_),
       request_latency_("vphi.fe.request_latency_ns", label_),
-      watchdog_enabled_(config.watchdog),
-      watchdog_multiplier_(config.watchdog_multiplier),
       watchdog_stalls_("vphi.watchdog.stalls", label_),
       watchdog_budget_ns_("vphi.watchdog.budget_ns", label_),
       watchdog_armed_("vphi.watchdog.armed", label_) {
@@ -122,18 +119,6 @@ FrontendDriver::FrontendDriver(hv::Vm& vm, Config config)
   queues_.reserve(queues);
   for (std::uint16_t qi = 0; qi < queues; ++qi) {
     queues_.push_back(std::make_unique<QueueState>(vm.name(), qi));
-  }
-  if (const char* env = std::getenv("VPHI_WATCHDOG")) {
-    if (env[0] == '0' && env[1] == '\0') {
-      watchdog_enabled_ = false;
-    } else {
-      char* end = nullptr;
-      const double mult = std::strtod(env, &end);
-      if (end != env && mult > 0.0) {
-        watchdog_enabled_ = true;
-        watchdog_multiplier_ = mult;
-      }
-    }
   }
 }
 
@@ -225,7 +210,10 @@ void FrontendDriver::drain_used(std::uint16_t queue, sim::Nanos ts_floor) {
     // the new consumption index — and if the device raced a push in
     // between, loop and drain that too instead of waiting for an IRQ that
     // was already suppressed.
-    bool sleeper = false;
+    // A parked zombie counts too: its chain's completion must still reach
+    // this drain to recycle the buffers, and once the waiter that timed
+    // out has left nobody else may ever arm for it.
+    bool sleeper = !q.zombies.empty();
     for (const auto& [seq, p] : q.pending) {
       if (p.interrupt_wait && !p.completed) {
         sleeper = true;
@@ -247,10 +235,8 @@ sim::Nanos FrontendDriver::watchdog_budget_locked(QueueState& q) {
   q.watchdog_scan_tick = 0;
   const sim::Histogram h = request_latency_.snapshot();
   if (h.count() < config_.watchdog_min_samples) return q.watchdog_budget_cache;
-  const auto derived =
-      static_cast<sim::Nanos>(h.percentile(0.99) * watchdog_multiplier_);
-  q.watchdog_budget_cache =
-      std::max<sim::Nanos>(1, std::max(config_.watchdog_floor_ns, derived));
+  q.watchdog_budget_cache = std::max<sim::Nanos>(
+      1, static_cast<sim::Nanos>(h.percentile(0.99) * kWatchdogMultiplier));
   watchdog_budget_ns_.set(q.watchdog_budget_cache);
   // Armed the moment the first budget is derivable; set() is idempotent, so
   // the gauge flips 0 -> 1 exactly once and never back.
@@ -259,17 +245,14 @@ sim::Nanos FrontendDriver::watchdog_budget_locked(QueueState& q) {
 }
 
 void FrontendDriver::watchdog_scan_locked(QueueState& q) {
-  if (!watchdog_enabled_) return;
   const sim::Nanos budget = watchdog_budget_locked(q);
   if (budget <= 0) return;
-  // Age against the watermark — the newest time anywhere in the system —
-  // not this thread's clock: a stalled request is one the *simulation* has
-  // moved past, regardless of which actor noticed.
-  const sim::Nanos now = sim::watermark();
+  const sim::Actor& me = sim::this_actor();
+  const sim::Nanos now = me.now();
   for (auto& [seq, p] : q.pending) {
-    if (p.completed || p.stall_flagged) continue;
+    if (p.completed || p.stall_flagged || p.submitter != &me) continue;
     const sim::Nanos age = now - p.submit_ts;
-    if (age <= budget) continue;
+    if (age <= budget || !vm_->vq(q.index).stranded(p.avail_pos)) continue;
     p.stall_flagged = true;  // fires exactly once per request
     watchdog_stalls_.inc();
     VPHI_LOG(kWarn, "vphi-fe")
@@ -517,6 +500,9 @@ sim::Expected<FrontendDriver::Token> FrontendDriver::submit_once(
     }
     head = *posted;
     seq = q.next_seq++;
+    // add_buf runs under q.mu, so the entry just published is the newest.
+    const auto avail_pos =
+        static_cast<std::uint16_t>(vm_->vq(queue).avail_idx() - 1);
     Pending p;
     p.ticket = ticket;
     p.interrupt_wait = !polling;
@@ -532,6 +518,8 @@ sim::Expected<FrontendDriver::Token> FrontendDriver::submit_once(
     if (args.in_len > 0) p.gpas.push_back(in_guard.release());
     p.trace = trace;
     p.submit_ts = submit_ts;
+    p.submitter = &actor;
+    p.avail_pos = avail_pos;
     q.pending.emplace(seq, std::move(p));
     q.inflight[head] = seq;
     requests_.inc();

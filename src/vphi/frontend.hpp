@@ -92,20 +92,12 @@ struct FrontendConfig {
   /// bounce-and-rebuild behavior (ablation abl7 sweeps both).
   bool zero_copy = true;
 
-  /// Stall watchdog — a pure observer (never advances the simulated clock).
-  /// Flags any in-flight request whose age against the simulation
-  /// watermark exceeds a budget derived from the observed completion
-  /// latencies: max(watchdog_floor_ns, watchdog_multiplier * p99). The
-  /// watchdog arms only after watchdog_min_samples completions, so the
-  /// budget reflects this workload rather than a guess. Each flagged
-  /// request fires exactly once: vphi.watchdog.stalls increments and the
-  /// flight recorder dumps with that request as focus. Env override
-  /// VPHI_WATCHDOG: "0" disables, a positive number replaces the
-  /// multiplier.
-  bool watchdog = true;
-  double watchdog_multiplier = 8.0;
+  /// Stall watchdog (always on, a pure observer that never advances the
+  /// simulated clock): the budget derives from the observed completion
+  /// latencies, FrontendDriver::kWatchdogMultiplier * p99, and arms only
+  /// after this many completions, so it reflects this workload rather than
+  /// a guess.
   std::size_t watchdog_min_samples = 32;
-  sim::Nanos watchdog_floor_ns = 0;
 };
 
 class FrontendDriver {
@@ -114,6 +106,8 @@ class FrontendDriver {
 
   /// Maximum payload per request chain: one kmalloc'd bounce buffer.
   static constexpr std::size_t kMaxPayload = hv::kKmallocMaxSize;
+  /// Stall-watchdog budget as a multiple of the p99 completion latency.
+  static constexpr double kWatchdogMultiplier = 8.0;
 
   explicit FrontendDriver(hv::Vm& vm, Config config = {});
   ~FrontendDriver();
@@ -252,6 +246,10 @@ class FrontendDriver {
     sim::TraceId trace = 0;          ///< request trace context (0 = off)
     sim::Nanos submit_ts = 0;        ///< submit_once entry time
     bool stall_flagged = false;      ///< watchdog fired for this request
+    /// Identity of the submitting actor (compared, never dereferenced) and
+    /// the chain's avail ring slot: what the watchdog ages it by.
+    const sim::Actor* submitter = nullptr;
+    std::uint16_t avail_pos = 0;
   };
   struct OpCounters {
     OpCounters(Op op, const std::string& label);
@@ -329,14 +327,19 @@ class FrontendDriver {
   void on_irq(std::uint16_t queue, sim::Nanos irq_ts);
   void drain_used(std::uint16_t queue, sim::Nanos ts_floor);
   bool use_polling(std::size_t payload) const;
-  /// Watchdog sweep over one queue's pending map: flag (once) every
-  /// in-flight request older than the stall budget, bump
-  /// vphi.watchdog.stalls and dump the flight recorder focused on it. Pure
-  /// observer — reads sim::watermark(), never touches any actor clock.
+  /// Watchdog sweep over one queue's pending map: flag (once) every request
+  /// the calling actor submitted whose chain sits stranded on the avail
+  /// ring (see Virtqueue::stranded) for longer than the stall budget on
+  /// that actor's own clock; bump vphi.watchdog.stalls and dump the flight
+  /// recorder focused on it. Each vCPU is its own simulated timeline, so
+  /// no other actor's clock (nor the global watermark they push) can age
+  /// its requests; and a chain the device has been told about is merely
+  /// late while the device thread waits for a CPU, however long a poller
+  /// spins. Pure observer — never touches any actor clock.
   void watchdog_scan_locked(QueueState& q) VPHI_REQUIRES(q.mu);
-  /// Stall budget = max(floor, multiplier * p99(request_latency_)), armed
-  /// once min_samples completions exist; cached per queue and recomputed
-  /// every ~32 scans so the sweep stays cheap.
+  /// Stall budget = kWatchdogMultiplier * p99(request_latency_), armed once
+  /// min_samples completions exist; cached per queue and recomputed every
+  /// ~32 scans so the sweep stays cheap.
   sim::Nanos watchdog_budget_locked(QueueState& q) VPHI_REQUIRES(q.mu);
 
   /// RAII active-call marker so the destructor can drain callers that a VM
@@ -397,10 +400,7 @@ class FrontendDriver {
   /// submit-to-complete latency of every successful request.
   sim::metrics::LatencyHistogram request_latency_;
 
-  // Stall-watchdog knobs (per-queue cache lives in QueueState; instruments
-  // are atomic; enabled/multiplier are constant after the constructor).
-  bool watchdog_enabled_ = false;
-  double watchdog_multiplier_ = 8.0;
+  // Stall-watchdog instruments (the per-queue cache lives in QueueState).
   sim::metrics::Counter watchdog_stalls_;
   sim::metrics::Gauge watchdog_budget_ns_;
   sim::metrics::Gauge watchdog_armed_;

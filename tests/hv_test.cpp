@@ -299,6 +299,23 @@ TEST(EventLoop, WorkersRunConcurrentlyWithLoop) {
   EXPECT_EQ(loop.blocked_time(), 0u) << "workers never hold the loop";
 }
 
+// Finished workers are reaped as new ones start: a long run of short
+// worker handoffs never piles up unjoined threads until the process runs
+// out of them (std::system_error, EAGAIN).
+TEST(EventLoop, SequentialWorkersAreReapedAsTheyFinish) {
+  EventLoop loop{"qemu-test"};
+  constexpr int kWorkers = 40'000;
+  std::atomic<int> ran{0};
+  EXPECT_NO_THROW({
+    for (int i = 0; i < kWorkers; ++i) {
+      loop.run_in_worker([&ran](sim::Actor&) { ran.fetch_add(1); }, 0);
+    }
+  });
+  loop.join_workers();
+  EXPECT_EQ(ran.load(), kWorkers);
+  EXPECT_EQ(loop.workers_spawned(), static_cast<std::uint64_t>(kWorkers));
+}
+
 TEST(EventLoop, StopAfterPendingHandlersStillRunsThem) {
   EventLoop loop{"qemu-test"};
   std::atomic<int> ran{0};

@@ -3,14 +3,18 @@
 // stall watchdog's fire-exactly-once contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/fault.hpp"
 #include "sim/json.hpp"
+#include "sim/log.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recorder.hpp"
 #include "sim/trace.hpp"
@@ -105,6 +109,54 @@ TEST(FlightRecorder, InjectedFaultDumpCarriesFocusSpanChain) {
 
   sim::tracer().set_enabled(false);
   sim::tracer().clear();
+}
+
+// A dump's window reads the tracer's span records and the recorder's log
+// lines onto one simulated-time axis, whatever order they were recorded in.
+
+TEST(FlightRecorder, DumpWindowMergesSpansAndLogsInSimulatedTime) {
+  sim::tracer().set_enabled(true);
+  sim::tracer().clear();
+  sim::flight_recorder().clear();
+  const sim::LogLevel saved_level = sim::log_level();
+  sim::set_log_level(sim::LogLevel::kWarn);
+  sim::TraceId id = 0;
+  {
+    sim::Actor actor{"window", 6'000};
+    sim::ActorScope scope(actor);
+    id = sim::tracer().begin_request("send", 5'000);
+    sim::tracer().record(id, sim::SpanEvent::kBackendPop, 8'000);
+    VPHI_LOG(kWarn, "window-test") << "log at 6000";
+    sim::tracer().record(id, sim::SpanEvent::kKick, 5'500);
+    actor.advance(1'000);
+    VPHI_LOG(kWarn, "window-test") << "log at 7000";
+    sim::tracer().record(id, sim::SpanEvent::kComplete, 9'000);
+  }
+  const sim::FlightDump dump = sim::flight_recorder().dump("window", id);
+  sim::set_log_level(saved_level);
+  sim::tracer().set_enabled(false);
+  sim::tracer().clear();
+
+  const auto begin = dump.text.find("--- recent events");
+  ASSERT_NE(begin, std::string::npos) << dump.text;
+  std::vector<long long> stamps;
+  int spans = 0;
+  int logs = 0;
+  for (auto at = dump.text.find("\n  [", begin); at != std::string::npos;
+       at = dump.text.find("\n  [", at + 1)) {
+    const std::string line =
+        dump.text.substr(at + 1, dump.text.find('\n', at + 1) - at - 1);
+    stamps.push_back(std::stoll(line.substr(3)));
+    if (line.find(" span ") != std::string::npos) ++spans;
+    if (line.find(" log ") != std::string::npos) ++logs;
+  }
+  EXPECT_EQ(spans, 4) << dump.text;
+  EXPECT_EQ(logs, 2) << dump.text;
+  EXPECT_TRUE(std::is_sorted(stamps.begin(), stamps.end())) << dump.text;
+  std::string kick_line = "span kick          trace=";
+  kick_line += std::to_string(id);
+  kick_line += " op=send";
+  EXPECT_NE(dump.text.find(kick_line), std::string::npos) << dump.text;
 }
 
 // ---------------------------------------------------------------------------
@@ -272,9 +324,7 @@ TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
 
   EXPECT_EQ(fe.watchdog_stalls() - stalls_before, 1u);
   EXPECT_GT(fe.watchdog_budget(), 0);
-  if (sim::flight_recorder().enabled()) {
-    EXPECT_GT(sim::flight_recorder().dump_count(), dumps_before);
-  }
+  EXPECT_GT(sim::flight_recorder().dump_count(), dumps_before);
 
   // Healthy traffic afterwards must not re-fire the watchdog.
   if (epd2) guest.close(*epd2);
@@ -353,6 +403,108 @@ TEST(Watchdog, ArmedGaugeFlipsExactlyOnce) {
   EXPECT_TRUE(fe.watchdog_armed());
   const std::string snap = sim::metrics::registry().snapshot_json();
   EXPECT_NE(snap.find("\"vphi.watchdog.armed\":1"), std::string::npos);
+  sim::metrics::registry().reset();
+}
+
+// A healthy multi-queue run must never look stalled. Four polling vCPUs
+// hammer 4 KiB RMA chunks on four queues of 16 descriptors (abl7's
+// submission shape) with no fault armed: each vCPU runs its own simulated
+// timeline, so a vCPU that lags the others is not a stall.
+
+TEST(Watchdog, HealthyMultiQueuePollingRunNeverStalls) {
+  sim::metrics::registry().reset();
+  constexpr int kVcpus = 4;
+  constexpr std::size_t kWindow = 1024 * 1024;
+  constexpr std::size_t kCall = 128 * 1024;  // 32 chunk requests per call
+  constexpr int kCallsPerVcpu = 64;
+  TestbedConfig cfg{.card_backing_bytes = 64ull << 20,
+                    .vm_ram_bytes = 64ull << 20};
+  cfg.ring_size = 16;
+  cfg.num_queues = kVcpus;
+  cfg.frontend.scheme = WaitScheme::kPolling;
+  cfg.frontend.pipeline_window = 32;
+  cfg.frontend.rma_chunk = 4 * 1024;
+  cfg.backend_policy.classify = BackendPolicy::hybrid(0);
+  cfg.start_coi_daemon = false;
+  Testbed bed{cfg};
+  auto& guest = bed.vm(0).guest_scif();
+  auto& card = bed.card_provider();
+
+  // Guest endpoints open back to back, so epd % 4 puts one on each queue.
+  struct Client {
+    int epd = -1;
+    int card_epd = -1;
+    scif::RegOffset local = 0;
+    scif::RegOffset remote = 0;
+  };
+  std::vector<Client> clients(kVcpus);
+  {
+    sim::Actor setup{"mq-setup", sim::Actor::AtNow{}};
+    sim::ActorScope scope(setup);
+    for (int v = 0; v < kVcpus; ++v) {
+      Client& c = clients[static_cast<std::size_t>(v)];
+      const auto port = static_cast<scif::Port>(4'790 + v);
+      auto lep = card.open();
+      ASSERT_TRUE(lep);
+      ASSERT_TRUE(card.bind(*lep, port));
+      ASSERT_TRUE(sim::ok(card.listen(*lep, 1)));
+      auto server = std::async(std::launch::async, [&card, lep = *lep] {
+        sim::Actor a{"mq-srv", sim::Actor::AtNow{}};
+        sim::ActorScope srv_scope(a);
+        auto acc = card.accept(lep, SCIF_ACCEPT_SYNC);
+        return acc ? acc->epd : -1;
+      });
+      auto epd = guest.open();
+      ASSERT_TRUE(epd);
+      ASSERT_TRUE(sim::ok(guest.connect(*epd, PortId{bed.card_node(), port})));
+      c.epd = *epd;
+      c.card_epd = server.get();
+      ASSERT_GE(c.card_epd, 0);
+      auto dev = bed.card().memory().allocate(kWindow);
+      ASSERT_TRUE(dev);
+      auto remote = card.register_mem(
+          c.card_epd, bed.card().memory().at(*dev), kWindow, 0,
+          scif::SCIF_PROT_READ | scif::SCIF_PROT_WRITE, 0);
+      ASSERT_TRUE(remote);
+      c.remote = *remote;
+      auto buf = bed.vm(0).alloc_user_buffer(kWindow);
+      ASSERT_TRUE(buf);
+      auto local = guest.register_mem(
+          c.epd, *buf, kWindow, 0,
+          scif::SCIF_PROT_READ | scif::SCIF_PROT_WRITE, 0);
+      ASSERT_TRUE(local);
+      c.local = *local;
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> vcpus;
+  for (int v = 0; v < kVcpus; ++v) {
+    vcpus.emplace_back([&, v] {
+      sim::Actor actor{"mq-vcpu" + std::to_string(v), sim::Actor::AtNow{}};
+      sim::ActorScope scope(actor);
+      const Client& c = clients[static_cast<std::size_t>(v)];
+      for (int k = 0; k < kCallsPerVcpu; ++k) {
+        const std::size_t off = static_cast<std::size_t>(k % 8) * kCall;
+        const sim::Status st =
+            k % 2 == 0
+                ? guest.readfrom(c.epd, c.local + off, kCall, c.remote + off, 0)
+                : guest.writeto(c.epd, c.local + off, kCall, c.remote + off, 0);
+        if (!sim::ok(st)) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : vcpus) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  auto& fe = bed.vm(0).frontend();
+  EXPECT_TRUE(fe.watchdog_armed());  // the budget was live the whole run
+  EXPECT_EQ(sim::metrics::registry().counter_value("vphi.watchdog.stalls"), 0u);
+  {
+    sim::Actor teardown{"mq-teardown", sim::Actor::AtNow{}};
+    sim::ActorScope scope(teardown);
+    for (const Client& c : clients) guest.close(c.epd);
+  }
   sim::metrics::registry().reset();
 }
 

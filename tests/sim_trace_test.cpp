@@ -409,5 +409,144 @@ TEST(TailSampling, IncompleteChainsAreAlwaysRetained) {
   sim::metrics::registry().reset();
 }
 
+// ---------------------------------------------------------------------------
+// Golden views: a fixed synthetic trace with an op umbrella, out-of-order
+// appends within a chain, two counter tracks and a late record for an id
+// recorded before clear(). The expected requests(), hop sums and Chrome
+// trace bytes pin every read view of the tracer's log; ids are allocated
+// process-wide, so the expected text names them symbolically.
+
+std::string with_ids(
+    std::string s,
+    const std::vector<std::pair<std::string, sim::TraceId>>& ids) {
+  for (const auto& [name, id] : ids) {
+    for (auto at = s.find(name); at != std::string::npos;
+         at = s.find(name, at)) {
+      s.replace(at, name.size(), std::to_string(id));
+    }
+  }
+  return s;
+}
+
+TEST(TraceViews, GoldenSyntheticTrace) {
+  auto& tr = sim::tracer();
+  tr.set_enabled(true);
+  tr.clear();
+  sim::Actor actor{"golden", 1'000};
+  sim::ActorScope actor_scope(actor);
+
+  const sim::TraceId stale = tr.begin_request("stale", 10);
+  tr.record(stale, SpanEvent::kKick, 20);
+  tr.clear();
+
+  sim::TraceId op = 0;
+  sim::TraceId a = 0;
+  sim::TraceId b = 0;
+  {
+    sim::TraceOpScope umbrella("readfrom");  // opens at 1000
+    op = umbrella.id();
+    a = tr.begin_request("readfrom", 1'100);
+    b = tr.begin_request("readfrom", 1'150);
+    tr.record(a, SpanEvent::kAvailPublish, 1'200);
+    tr.record(b, SpanEvent::kBackendPop, 1'500);  // before its avail_publish
+    tr.record(b, SpanEvent::kAvailPublish, 1'250);
+    tr.record(a, SpanEvent::kKick, 1'300);
+    tr.record(stale, SpanEvent::kBackendPop, 1'320);  // pre-clear id
+    tr.record(a, SpanEvent::kBackendPop, 1'400);
+    tr.record_counter("ring.occupancy", 1'000, 2);
+    tr.record(a, SpanEvent::kComplete, 2'000);
+    tr.record(b, SpanEvent::kComplete, 2'100);
+    tr.record(b, SpanEvent::kUsedPublish, 2'100);  // ties sort by pipeline
+    tr.record_counter("vm0.bytes", 1'200, 0.25);
+    tr.record_counter("ring.occupancy", 1'500, 0.5);
+    actor.advance(1'500);  // the umbrella closes at 2500
+  }
+  const sim::TraceId c = tr.begin_request("open", 3'000);
+  tr.record(c, SpanEvent::kComplete, 3'400);
+  tr.record(c, SpanEvent::kKick, 3'050);
+
+  const auto dump_chains = [](const std::vector<sim::RequestTrace>& chains) {
+    std::string s;
+    for (const auto& r : chains) {
+      s += '#';
+      s += std::to_string(r.id);
+      s += ' ';
+      s += r.op;
+      s += " parent=";
+      s += std::to_string(r.parent);
+      s += ':';
+      for (const auto& ev : r.events) {
+        s += ' ';
+        s += sim::span_event_name(ev.event);
+        s += '@';
+        s += std::to_string(ev.ts);
+      }
+      s += '\n';
+    }
+    return s;
+  };
+  const std::string reqs = dump_chains(tr.requests());
+  const std::string ops = dump_chains(tr.ops());
+  std::string hops;
+  for (const auto& h : tr.hop_breakdown()) {
+    hops += std::string(sim::span_event_name(h.from)) + "->" +
+            sim::span_event_name(h.to) + " n=" +
+            std::to_string(h.ns.count()) + " sum=" +
+            std::to_string(static_cast<long long>(
+                h.ns.mean() * static_cast<double>(h.ns.count()))) +
+            "\n";
+  }
+  const std::vector<std::pair<std::string, sim::TraceId>> ids = {
+      {"OP", op}, {"RA", a}, {"RB", b}, {"RC", c}};
+  EXPECT_EQ(reqs, with_ids(
+      "#RA readfrom parent=OP: submit@1100 avail_publish@1200 kick@1300 backend_pop@1400 complete@2000\n"
+      "#RB readfrom parent=OP: submit@1150 avail_publish@1250 backend_pop@1500 used_publish@2100 complete@2100\n"
+      "#RC open parent=0: submit@3000 kick@3050 complete@3400\n",
+      ids));
+  EXPECT_EQ(ops, with_ids(
+      "#OP readfrom parent=0: submit@1000 complete@2500\n",
+      ids));
+  EXPECT_EQ(hops,
+      "submit->avail_publish n=2 sum=200\n"
+      "submit->kick n=1 sum=50\n"
+      "avail_publish->kick n=1 sum=100\n"
+      "avail_publish->backend_pop n=1 sum=250\n"
+      "kick->backend_pop n=1 sum=100\n"
+      "kick->complete n=1 sum=350\n"
+      "backend_pop->used_publish n=1 sum=600\n"
+      "backend_pop->complete n=1 sum=600\n"
+      "used_publish->complete n=1 sum=0\n");
+  EXPECT_EQ(tr.request_count(), 3u);
+  EXPECT_EQ(tr.event_count(), 15u);
+  EXPECT_EQ(tr.chrome_trace_json(), with_ids(
+      R"({"displayTimeUnit":"ms","traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"guest ops"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"frontend"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"virtio ring"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"backend"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"vIRQ"}},)"
+      R"({"pid":1,"tid":1,"ts":1.000000,"name":"readfrom","ph":"X","dur":1.500000,"args":{"trace":OP,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":1.200000,"name":"avail_publish\u2192kick","ph":"X","dur":0.100000,"args":{"trace":RA,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":1.400000,"name":"backend_pop\u2192complete","ph":"X","dur":0.600000,"args":{"trace":RA,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":2.000000,"name":"complete","ph":"i","s":"t","args":{"trace":RA,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":2.100000,"name":"used_publish\u2192complete","ph":"X","dur":0.000000,"args":{"trace":RB,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":2.100000,"name":"complete","ph":"i","s":"t","args":{"trace":RB,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":2,"ts":3.000000,"name":"submit\u2192kick","ph":"X","dur":0.050000,"args":{"trace":RC,"op":"open"}},)"
+      R"({"pid":1,"tid":2,"ts":3.050000,"name":"kick\u2192complete","ph":"X","dur":0.350000,"args":{"trace":RC,"op":"open"}},)"
+      R"({"pid":1,"tid":2,"ts":3.400000,"name":"complete","ph":"i","s":"t","args":{"trace":RC,"op":"open"}},)"
+      R"({"pid":1,"tid":3,"ts":1.100000,"name":"submit\u2192avail_publish","ph":"X","dur":0.100000,"args":{"trace":RA,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":3,"ts":1.150000,"name":"submit\u2192avail_publish","ph":"X","dur":0.100000,"args":{"trace":RB,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":3,"ts":1.500000,"name":"backend_pop\u2192used_publish","ph":"X","dur":0.600000,"args":{"trace":RB,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":4,"ts":1.250000,"name":"avail_publish\u2192backend_pop","ph":"X","dur":0.250000,"args":{"trace":RB,"op":"readfrom"}},)"
+      R"({"pid":1,"tid":4,"ts":1.300000,"name":"kick\u2192backend_pop","ph":"X","dur":0.100000,"args":{"trace":RA,"op":"readfrom"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"timeline counters"}},)"
+      R"({"pid":1,"tid":6,"ts":1.000000,"ph":"C","name":"ring.occupancy","args":{"value":2}},)"
+      R"({"pid":1,"tid":6,"ts":1.200000,"ph":"C","name":"vm0.bytes","args":{"value":0.25}},)"
+      R"({"pid":1,"tid":6,"ts":1.500000,"ph":"C","name":"ring.occupancy","args":{"value":0.5}}]})",
+      ids));
+
+  tr.clear();
+  tr.set_enabled(false);
+}
+
 }  // namespace
 }  // namespace vphi::core

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "virtio/device.hpp"
 #include "virtio/ring.hpp"
@@ -28,6 +29,31 @@ class FlatMem {
  private:
   std::vector<std::uint8_t> mem_;
 };
+
+// A published chain is stranded until a doorbell reaches the device: a
+// dropped kick leaves it so (the watchdog's stall signal), a delivered one
+// or the device consuming it clears it.
+TEST(Virtqueue, StrandedUntilDoorbellDelivered) {
+  FlatMem mem{4'096};
+  Virtqueue vq{8, mem.translator()};
+  BufferRef out{0, 8};
+  ASSERT_TRUE(vq.add_buf({&out, 1}, {}));
+  EXPECT_TRUE(vq.stranded(0));   // published, no doorbell yet
+  EXPECT_FALSE(vq.stranded(1));  // not published
+
+  sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
+  vq.kick(10);
+  sim::fault_injector().disarm_all();
+  EXPECT_TRUE(vq.stranded(0));  // the doorbell never arrived
+
+  vq.kick(20);  // rescue kick
+  EXPECT_FALSE(vq.stranded(0));
+  ASSERT_TRUE(vq.add_buf({&out, 1}, {}));
+  EXPECT_TRUE(vq.stranded(1));
+  ASSERT_TRUE(vq.try_pop_avail());
+  ASSERT_TRUE(vq.try_pop_avail());
+  EXPECT_FALSE(vq.stranded(1));  // the device consumed it unprompted
+}
 
 TEST(Virtqueue, PostPopCompleteRoundtrip) {
   FlatMem mem{4'096};

@@ -22,6 +22,8 @@
 
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
+#include "sim/recorder.hpp"
+#include "sim/trace.hpp"
 #include "tools/testbed.hpp"
 
 namespace vphi::core {
@@ -43,6 +45,12 @@ using FaultParam = std::tuple<WaitScheme, bool, int, int>;
 class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
  protected:
   void SetUp() override {
+    // Start every case from empty process-global observers: a gauge an
+    // earlier case leaked (folded into the registry's retired values when
+    // its testbed died) then fails only the case that leaked it.
+    sim::metrics::registry().reset();
+    sim::flight_recorder().clear();
+    sim::tracer().clear();
     TestbedConfig cfg;
     cfg.frontend.scheme = std::get<0>(GetParam());
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
