@@ -5,90 +5,20 @@
 
 namespace vphi::hv {
 
-GuestPhysMem::GuestPhysMem(std::uint64_t ram_bytes)
-    : ram_bytes_((ram_bytes + kPageSize - 1) / kPageSize * kPageSize),
-      ram_(std::make_unique<std::byte[]>(ram_bytes_)) {
-  free_blocks_[0] = ram_bytes_;
-}
-
 void* GuestPhysMem::translate(std::uint64_t gpa, std::uint64_t len) noexcept {
-  if (gpa >= ram_bytes_ || len > ram_bytes_ - gpa) return nullptr;
-  return ram_.get() + gpa;
-}
-
-sim::Expected<std::uint64_t> GuestPhysMem::gpa_of(
-    const void* host_ptr) const noexcept {
-  const auto* p = static_cast<const std::byte*>(host_ptr);
-  if (p < ram_.get() || p >= ram_.get() + ram_bytes_) {
-    return sim::Status::kBadAddress;
-  }
-  return static_cast<std::uint64_t>(p - ram_.get());
+  if (gpa >= ram_bytes() || len > ram_bytes() - gpa) return nullptr;
+  return ram_.at(gpa);
 }
 
 sim::Expected<std::uint64_t> GuestPhysMem::kmalloc(std::uint64_t len) {
+  sim::Expected<std::uint64_t> gpa = sim::Status::kNoMemory;  // over the cap
   if (sim::fault_injector().should_fire(sim::FaultSite::kKmallocNoMem)) {
     VPHI_LOG(kWarn, "guest-mem") << "kmalloc(" << len << ") -> injected ENOMEM";
-    kmalloc_failures_.fetch_add(1, std::memory_order_relaxed);
-    return sim::Status::kNoMemory;
+  } else if (len <= kKmallocMaxSize) {
+    gpa = ualloc(len);
   }
-  if (len > kKmallocMaxSize) {  // kmalloc cap
-    kmalloc_failures_.fetch_add(1, std::memory_order_relaxed);
-    return sim::Status::kNoMemory;
-  }
-  auto gpa = ualloc(len);
   if (!gpa) kmalloc_failures_.fetch_add(1, std::memory_order_relaxed);
   return gpa;
-}
-
-sim::Expected<std::uint64_t> GuestPhysMem::ualloc(std::uint64_t len) {
-  if (len == 0) return sim::Status::kInvalidArgument;
-  len = (len + kPageSize - 1) / kPageSize * kPageSize;
-  sim::MutexLock lock(mu_);
-  for (auto it = free_blocks_.begin(); it != free_blocks_.end(); ++it) {
-    if (it->second < len) continue;
-    const std::uint64_t gpa = it->first;
-    const std::uint64_t remainder = it->second - len;
-    free_blocks_.erase(it);
-    if (remainder > 0) free_blocks_[gpa + len] = remainder;
-    live_blocks_[gpa] = len;
-    return gpa;
-  }
-  return sim::Status::kNoMemory;
-}
-
-sim::Status GuestPhysMem::kfree(std::uint64_t gpa) {
-  sim::MutexLock lock(mu_);
-  auto it = live_blocks_.find(gpa);
-  if (it == live_blocks_.end()) return sim::Status::kInvalidArgument;
-  std::uint64_t len = it->second;
-  live_blocks_.erase(it);
-  auto next = free_blocks_.lower_bound(gpa);
-  if (next != free_blocks_.end() && next->first == gpa + len) {
-    len += next->second;
-    free_blocks_.erase(next);
-  }
-  auto prev = free_blocks_.lower_bound(gpa);
-  if (prev != free_blocks_.begin()) {
-    --prev;
-    if (prev->first + prev->second == gpa) {
-      prev->second += len;
-      return sim::Status::kOk;
-    }
-  }
-  free_blocks_[gpa] = len;
-  return sim::Status::kOk;
-}
-
-std::uint64_t GuestPhysMem::allocated_bytes() const {
-  sim::MutexLock lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [_, len] : live_blocks_) total += len;
-  return total;
-}
-
-std::uint64_t GuestPhysMem::allocation_count() const {
-  sim::MutexLock lock(mu_);
-  return live_blocks_.size();
 }
 
 }  // namespace vphi::hv

@@ -1,24 +1,22 @@
 // Guest physical memory.
 //
-// One contiguous host allocation backs a VM's RAM (exactly how QEMU mmaps
-// guest memory and registers it with KVM). Guest-physical addresses are
-// offsets into it; the backend's zero-copy access to ring buffers is the
-// translation gpa -> host pointer this class provides.
+// One anonymous host mapping backs a VM's RAM (sim::PageArena), exactly how
+// QEMU mmaps guest memory and registers it with KVM: pages materialise,
+// zeroed, when first touched. Guest-physical addresses are offsets into it;
+// the backend's zero-copy access to ring buffers is the translation
+// gpa -> host pointer this class provides.
 //
-// A kernel-style allocator on top models kmalloc: Linux caps physically
+// The arena's allocator models kmalloc on top: Linux caps physically
 // contiguous allocations at KMALLOC_MAX_SIZE (4 MiB on x86_64), the limit
 // that forces the vPHI frontend to chunk large transfers (Sec. III,
 // "Implementation details").
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 
+#include "sim/page_arena.hpp"
 #include "sim/status.hpp"
-#include "sim/thread_safety.hpp"
 
 namespace vphi::hv {
 
@@ -27,32 +25,36 @@ inline constexpr std::uint64_t kKmallocMaxSize = 4ull << 20;
 
 class GuestPhysMem {
  public:
-  static constexpr std::uint64_t kPageSize = 4'096;
+  static constexpr std::uint64_t kPageSize = sim::PageArena::kPageSize;
 
-  explicit GuestPhysMem(std::uint64_t ram_bytes);
+  explicit GuestPhysMem(std::uint64_t ram_bytes) : ram_(ram_bytes) {}
 
   GuestPhysMem(const GuestPhysMem&) = delete;
   GuestPhysMem& operator=(const GuestPhysMem&) = delete;
 
-  std::uint64_t ram_bytes() const noexcept { return ram_bytes_; }
+  std::uint64_t ram_bytes() const noexcept { return ram_.capacity(); }
 
   /// gpa -> host pointer; nullptr when [gpa, gpa+len) exceeds guest RAM.
   void* translate(std::uint64_t gpa, std::uint64_t len) noexcept;
   /// host pointer -> gpa; kBadAddress if outside guest RAM.
-  sim::Expected<std::uint64_t> gpa_of(const void* host_ptr) const noexcept;
+  sim::Expected<std::uint64_t> gpa_of(const void* host_ptr) const noexcept {
+    return ram_.offset_of(host_ptr);
+  }
 
   /// kmalloc: physically contiguous allocation, capped at KMALLOC_MAX_SIZE.
   /// Returns the gpa of the block.
-  sim::Expected<std::uint64_t> kmalloc(std::uint64_t len) VPHI_EXCLUDES(mu_);
-  sim::Status kfree(std::uint64_t gpa) VPHI_EXCLUDES(mu_);
+  sim::Expected<std::uint64_t> kmalloc(std::uint64_t len);
+  sim::Status kfree(std::uint64_t gpa) { return ram_.free(gpa); }
 
   /// User-space allocation (mmap stand-in): same arena, no kmalloc cap.
   /// Guest user buffers for SCIF benchmarks come from here. Freed with
   /// kfree.
-  sim::Expected<std::uint64_t> ualloc(std::uint64_t len) VPHI_EXCLUDES(mu_);
+  sim::Expected<std::uint64_t> ualloc(std::uint64_t len) {
+    return ram_.allocate(len);
+  }
 
-  std::uint64_t allocated_bytes() const VPHI_EXCLUDES(mu_);
-  std::uint64_t allocation_count() const VPHI_EXCLUDES(mu_);
+  std::uint64_t allocated_bytes() const { return ram_.used(); }
+  std::uint64_t allocation_count() const { return ram_.allocation_count(); }
   /// kmalloc requests denied (cap exceeded, arena exhausted, or injected
   /// ENOMEM via sim::FaultInjector).
   std::uint64_t kmalloc_failures() const noexcept {
@@ -60,14 +62,8 @@ class GuestPhysMem {
   }
 
  private:
-  std::uint64_t ram_bytes_;
-  std::unique_ptr<std::byte[]> ram_;
+  sim::PageArena ram_;  // offset == gpa
   std::atomic<std::uint64_t> kmalloc_failures_{0};
-  mutable sim::Mutex mu_;
-  std::map<std::uint64_t, std::uint64_t> free_blocks_
-      VPHI_GUARDED_BY(mu_);  // gpa -> len
-  std::map<std::uint64_t, std::uint64_t> live_blocks_
-      VPHI_GUARDED_BY(mu_);  // gpa -> len
 };
 
 }  // namespace vphi::hv

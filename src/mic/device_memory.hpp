@@ -1,61 +1,18 @@
-// Card-side GDDR memory: a real backing buffer with a first-fit arena
-// allocator on top. SCIF registered windows on the card and COI buffers live
-// here; RMA and mmap resolve to real pointers into this arena, so data
-// movement is byte-exact.
+// Card-side GDDR memory: one anonymous host mapping whose pages materialise,
+// zeroed, on first touch, with a first-fit allocator on top (sim::PageArena).
+// SCIF registered windows on the card and COI buffers live here; RMA and
+// mmap resolve to real pointers into it, so data movement is byte-exact.
 //
 // The simulated card advertises the full 6 GB of a 3120P, but the arena only
-// backs `backing_bytes` of it (configurable) so tests stay small;
-// allocations beyond the backing fail with kNoMemory exactly like exhausting
-// the real card would.
+// maps `backing_bytes` of it (configurable); allocations beyond that fail
+// with kNoMemory exactly like exhausting the real card would. Untouched
+// pages cost no host memory, so a large backing is cheap.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include "sim/thread_safety.hpp"
-
-#include "sim/status.hpp"
+#include "sim/page_arena.hpp"
 
 namespace vphi::mic {
 
-class DeviceMemory {
- public:
-  static constexpr std::uint64_t kPageSize = 4'096;
-
-  explicit DeviceMemory(std::uint64_t backing_bytes);
-
-  DeviceMemory(const DeviceMemory&) = delete;
-  DeviceMemory& operator=(const DeviceMemory&) = delete;
-
-  /// Allocate `len` bytes (rounded up to page size). Returns the device
-  /// offset of the block.
-  sim::Expected<std::uint64_t> allocate(std::uint64_t len);
-
-  /// Free a block previously returned by allocate(). Exact-offset match
-  /// required, like a device-side buddy allocator's API.
-  sim::Status free(std::uint64_t offset);
-
-  /// Host-visible pointer to device offset (valid for [offset, offset+len)
-  /// of an allocated block). Returns nullptr for out-of-range offsets.
-  void* at(std::uint64_t offset) noexcept;
-  const void* at(std::uint64_t offset) const noexcept;
-
-  /// True if [offset, offset+len) lies inside one allocated block.
-  bool covers(std::uint64_t offset, std::uint64_t len) const;
-
-  std::uint64_t capacity() const noexcept { return capacity_; }
-  std::uint64_t used() const;
-  std::uint64_t allocation_count() const;
-
- private:
-  std::uint64_t capacity_;
-  std::unique_ptr<std::byte[]> backing_;
-  mutable sim::Mutex mu_;
-  std::map<std::uint64_t, std::uint64_t> free_blocks_
-      VPHI_GUARDED_BY(mu_);  // offset -> len
-  std::map<std::uint64_t, std::uint64_t> live_blocks_
-      VPHI_GUARDED_BY(mu_);  // offset -> len
-};
+using DeviceMemory = sim::PageArena;
 
 }  // namespace vphi::mic

@@ -6,6 +6,7 @@
 #include "pcie/link.hpp"
 #include "scif/fabric.hpp"
 #include "scif/node.hpp"
+#include "sim/page_arena.hpp"
 
 namespace vphi::scif {
 
@@ -388,8 +389,10 @@ sim::Expected<RegOffset> Endpoint::register_mem(sim::Actor& actor, void* addr,
   const auto& m = node_->fabric().model();
   const std::uint64_t pages = (len + WindowTable::kPageSize - 1) / WindowTable::kPageSize;
   actor.advance(driver_entry_cost() + pages * m.pin_per_page_ns);
-  return windows_.add(static_cast<std::byte*>(addr), len, offset, prot, flags,
-                      guest_backed, prebuilt_sg);
+  auto added = windows_.add(static_cast<std::byte*>(addr), len, offset, prot,
+                            flags, guest_backed, prebuilt_sg);
+  if (added) sim::populate_pages(addr, len);  // pinning faults the pages in
+  return added;
 }
 
 sim::Status Endpoint::unregister_mem(RegOffset offset, std::size_t len) {

@@ -142,6 +142,36 @@ TEST_F(CoiFixture, BufferAllocFree) {
   EXPECT_EQ(bed_.card().memory().used(), used_before);
 }
 
+TEST_F(CoiFixture, WrappingBufferLengthIsRejected) {
+  BinaryImage image;
+  image.name = "wrap.mic";
+  image.bytes = 4'096;
+  image.entry_kernel = "noop";
+  sim::Actor actor{"host-coi"};
+  sim::ActorScope scope(actor);
+  auto process =
+      Process::create(bed_.host_provider(), bed_.card_node(), image, 1, {});
+  ASSERT_TRUE(process);
+  // Two buffers, so the one under test sits at a nonzero card offset and
+  // handle + len wraps past zero: the daemon must not read past the block.
+  auto first = process->alloc_buffer(4'096);
+  auto buffer = process->alloc_buffer(8'192);
+  ASSERT_TRUE(first && buffer);
+  ASSERT_GT(*buffer, 0u);
+  std::vector<std::uint8_t> buf(8'192);
+  EXPECT_EQ(process->read_buffer(*buffer, buf.data(), ~0ull),
+            Status::kBadAddress);
+  // The daemon keeps serving the same connection.
+  std::vector<std::uint8_t> data(8'192, 0x5a);
+  ASSERT_EQ(process->write_buffer(*buffer, data.data(), data.size()),
+            Status::kOk);
+  ASSERT_EQ(process->read_buffer(*buffer, buf.data(), buf.size()),
+            Status::kOk);
+  EXPECT_EQ(buf, data);
+  EXPECT_EQ(process->free_buffer(*buffer), Status::kOk);
+  EXPECT_EQ(process->free_buffer(*first), Status::kOk);
+}
+
 TEST_F(CoiFixture, OffloadFromInsideVm) {
   // The whole COI client stack running over GuestScifProvider — offload
   // mode from a VM, the paper's compatibility claim one level up.

@@ -108,11 +108,15 @@ TEST(WaitQueue, WakeAllTaxesConcurrentSleepers) {
     });
   }
   // Wait until every waiter is genuinely blocked, then complete one at a
-  // time so the wake-all churn is observable deterministically.
+  // time so the wake-all churn is observable deterministically: before the
+  // next completion, every later waiter has woken for this one in vain.
   while (wq.blocked_waiters() != kWaiters) std::this_thread::yield();
+  std::uint64_t expected_spurious = 0;
   for (int i = 0; i < kWaiters; ++i) {
     wq.complete(tickets[static_cast<std::size_t>(i)], 1'000);
-    while (wq.sleepers() > static_cast<std::size_t>(kWaiters - 1 - i)) {
+    expected_spurious += static_cast<std::uint64_t>(kWaiters - 1 - i);
+    while (wq.sleepers() > static_cast<std::size_t>(kWaiters - 1 - i) ||
+           wq.spurious_wakeups() < expected_spurious) {
       std::this_thread::yield();
     }
   }

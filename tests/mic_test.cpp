@@ -67,6 +67,17 @@ TEST(DeviceMemory, CoversChecksAllocatedRanges) {
   EXPECT_FALSE(mem.covers(*a + 8'192, 1));
 }
 
+TEST(DeviceMemory, CoversRejectsWrappingLength) {
+  // COI clients pass lengths straight through to covers(); offset + len
+  // must not wrap around into a "covered" range.
+  DeviceMemory mem{1 << 20};
+  auto a = mem.allocate(8'192);
+  ASSERT_TRUE(a);
+  EXPECT_FALSE(mem.covers(*a, ~0ull));
+  EXPECT_FALSE(mem.covers(*a + 8, ~0ull - 7));
+  EXPECT_FALSE(mem.covers(*a + 16'384, 0)) << "past the block's end";
+}
+
 TEST(DeviceMemory, DataIsReadableThroughAt) {
   DeviceMemory mem{1 << 20};
   auto a = mem.allocate(4'096);

@@ -3,6 +3,7 @@
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
 
+#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "sim/bus.hpp"
 #include "sim/channel.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/page_arena.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/status.hpp"
@@ -191,6 +193,38 @@ TEST(Expected, ValueAndError) {
   EXPECT_FALSE(bad);
   EXPECT_EQ(bad.status(), Status::kNoDevice);
   EXPECT_EQ(bad.value_or(-1), -1);
+}
+
+TEST(PageArena, FreshArenaReadsZero) {
+  PageArena arena{64ull << 20};
+  const auto* first = static_cast<const std::uint8_t*>(arena.at(0));
+  const auto* last =
+      static_cast<const std::uint8_t*>(arena.at(arena.capacity() - 1));
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(*first, 0u);
+  EXPECT_EQ(*last, 0u);
+  EXPECT_EQ(arena.at(arena.capacity()), nullptr);
+}
+
+TEST(PageArena, PopulateKeepsContents) {
+  PageArena arena{1 << 20};
+  auto* bytes = static_cast<std::uint8_t*>(arena.at(0));
+  bytes[5'000] = 0x5a;
+  populate_pages(bytes + 100, 64 * 1024);  // unaligned start
+  EXPECT_EQ(bytes[5'000], 0x5a);
+  EXPECT_EQ(bytes[100], 0u);
+  EXPECT_EQ(bytes[64 * 1024 + 99], 0u);
+}
+
+TEST(PageArena, OversizedArenaThrowsBadAlloc) {
+  EXPECT_THROW(PageArena{1ull << 62}, std::bad_alloc);
+}
+
+TEST(PageArena, OversizedAllocationFailsWithoutWrapping) {
+  PageArena arena{1 << 20};
+  EXPECT_EQ(arena.allocate(~0ull).status(), Status::kNoMemory);
+  EXPECT_EQ(arena.allocation_count(), 0u);
 }
 
 TEST(Summary, Moments) {

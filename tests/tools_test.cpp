@@ -2,6 +2,11 @@
 // guest user-buffer management, and frontend/backend statistics surfaces.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
+
 #include "sim/actor.hpp"
 #include "tools/testbed.hpp"
 
@@ -17,6 +22,25 @@ TEST(Testbed, DefaultConfigurationWiresEverything) {
   EXPECT_EQ(bed.vm_count(), 1u);
   EXPECT_NE(bed.coi_daemon(), nullptr);
   EXPECT_TRUE(bed.vm(0).frontend().probed());
+}
+
+// Resident set of this process in bytes (second field of /proc/self/statm).
+std::uint64_t resident_bytes() {
+  std::ifstream statm{"/proc/self/statm"};
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Testbed, DefaultTestbedOnlyPaysForTouchedPages) {
+  // 512 MiB of card memory plus 256 MiB of guest RAM are mapped, but pages
+  // materialise only when touched, so building the testbed stays small.
+  const std::uint64_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  Testbed bed{TestbedConfig{}};
+  const std::uint64_t after = resident_bytes();
+  EXPECT_LT(after, before + (64ull << 20));
 }
 
 TEST(Testbed, NoDaemonWhenDisabled) {
