@@ -4,6 +4,7 @@ namespace vphi::hv {
 
 EventLoop::EventLoop(std::string name)
     : name_(std::move(name)),
+      worker_name_(name_ + "-worker"),
       loop_actor_(name_ + "-loop"),
       loop_thread_([this] { loop_main(); }) {}
 
@@ -68,29 +69,43 @@ void EventLoop::post(Handler handler) {
 }
 
 void EventLoop::run_in_worker(Handler handler, sim::Nanos start_ts) {
-  std::list<Worker> finished;
+  std::uint64_t generation = 0;
   {
     sim::MutexLock lock(mu_);
-    for (auto it = workers_.begin(); it != workers_.end();) {
-      const auto next = std::next(it);
-      if (it->done.load(std::memory_order_acquire)) {
-        finished.splice(finished.end(), workers_, it);
-      }
-      it = next;
+    handoffs_.push_back(Handoff{std::move(handler), start_ts});
+    if (handoffs_.size() <= parked_) {
+      pool_cv_.notify_one();
+      return;
     }
     ++workers_spawned_;
-    Worker& w = workers_.emplace_back();
-    w.thread = std::thread(
-        [this, &done = w.done, handler = std::move(handler), start_ts] {
-          {
-            sim::Actor worker_actor{name_ + "-worker", start_ts};
-            sim::ActorScope scope(worker_actor);
-            handler(worker_actor);
-          }
-          done.store(true, std::memory_order_release);
-        });
+    generation = generation_;
   }
-  for (Worker& w : finished) w.thread.join();
+  // Start the thread with mu_ dropped: a burst of handoffs otherwise holds
+  // the parked workers off the queue for every pthread_create and grows
+  // the pool by hundreds of threads.
+  std::thread worker([this, generation] { worker_main(generation); });
+  sim::MutexLock lock(mu_);
+  workers_.push_back(std::move(worker));
+}
+
+void EventLoop::worker_main(std::uint64_t generation) {
+  for (;;) {
+    Handoff next;
+    {
+      sim::MutexLock lock(mu_);
+      while (handoffs_.empty() && generation == generation_) {
+        ++parked_;
+        pool_cv_.wait(mu_);
+        --parked_;
+      }
+      if (handoffs_.empty()) return;  // retired by join_workers()
+      next = std::move(handoffs_.front());
+      handoffs_.pop_front();
+    }
+    sim::Actor worker_actor{worker_name_, next.start_ts};
+    sim::ActorScope scope(worker_actor);
+    next.handler(worker_actor);
+  }
 }
 
 void EventLoop::drain() {
@@ -99,22 +114,19 @@ void EventLoop::drain() {
 }
 
 void EventLoop::join_workers() {
-  std::list<Worker> workers;
+  std::vector<std::thread> retired;
   {
     sim::MutexLock lock(mu_);
-    workers.swap(workers_);
+    ++generation_;
+    retired.swap(workers_);
   }
-  for (Worker& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
-  }
+  pool_cv_.notify_all();
+  for (std::thread& t : retired) t.join();
 }
 
 void EventLoop::stop() {
   {
     sim::MutexLock lock(mu_);
-    if (stopping_) {
-      // Already stopped; just make sure the thread is joined.
-    }
     stopping_ = true;
   }
   cv_.notify_all();

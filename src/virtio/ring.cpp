@@ -36,6 +36,8 @@ Virtqueue::Virtqueue(std::uint16_t size, MemTranslate translate,
   // error, not a recoverable condition.
   if (!is_pow2(size)) std::abort();
   table_.resize(size_);
+  owner_.resize(size_);
+  freed_ts_.resize(size_);
   avail_ring_.resize(size_);
   avail_publish_ts_.resize(size_);
   trace_by_head_.resize(size_);
@@ -56,12 +58,13 @@ sim::Expected<std::uint16_t> Virtqueue::alloc_desc_locked() {
   return d;
 }
 
-void Virtqueue::free_chain_locked(std::uint16_t head) {
+void Virtqueue::free_chain_locked(std::uint16_t head, sim::Nanos freed_ts) {
   std::uint16_t d = head;
   for (;;) {
     const bool has_next = (table_[d].flags & VIRTQ_DESC_F_NEXT) != 0;
     const std::uint16_t next = table_[d].next;
     table_[d] = Desc{};
+    freed_ts_[d] = freed_ts;
     table_[d].next = free_head_;
     free_head_ = d;
     ++num_free_;
@@ -83,7 +86,8 @@ bool Virtqueue::event_idx_enabled() const {
 sim::Expected<std::uint16_t> Virtqueue::add_buf(std::span<const BufferRef> out,
                                                 std::span<const BufferRef> in,
                                                 sim::Nanos publish_ts,
-                                                sim::TraceId trace) {
+                                                sim::TraceId trace,
+                                                const sim::Actor* submitter) {
   const std::size_t total = out.size() + in.size();
   if (total == 0) return sim::Status::kInvalidArgument;
   sim::MutexLock lock(mu_);
@@ -98,6 +102,7 @@ sim::Expected<std::uint16_t> Virtqueue::add_buf(std::span<const BufferRef> out,
     table_[*d].addr = ref.gpa;
     table_[*d].len = ref.len;
     table_[*d].flags = write ? VIRTQ_DESC_F_WRITE : std::uint16_t{0};
+    owner_[*d] = submitter;
     if (first) {
       head = *d;
       first = false;
@@ -160,12 +165,25 @@ void Virtqueue::kick(sim::Nanos visible_ts) {
   avail_event_.raise(visible_ts);
 }
 
+sim::Nanos Virtqueue::reuse_ts(std::uint16_t n,
+                               const sim::Actor* submitter) const {
+  sim::MutexLock lock(mu_);
+  if (n > num_free_) return 0;
+  sim::Nanos ts = 0;
+  std::uint16_t d = free_head_;
+  for (std::uint16_t i = 0; i < n; ++i) {
+    if (owner_[d] != submitter) ts = std::max(ts, freed_ts_[d]);
+    d = table_[d].next;
+  }
+  return ts;
+}
+
 std::optional<UsedElem> Virtqueue::get_used() {
   sim::MutexLock lock(mu_);
   if (used_consumed_ == used_idx_) return std::nullopt;
   UsedElem elem = used_ring_[used_consumed_ % size_];
   ++used_consumed_;
-  free_chain_locked(static_cast<std::uint16_t>(elem.id));
+  free_chain_locked(static_cast<std::uint16_t>(elem.id), elem.ts);
   if (live_chains_ > 0) {
     --live_chains_;
     inflight_gauge_.add(-1);

@@ -109,10 +109,12 @@ class Virtqueue {
   /// kick_ts when the doorbell itself is suppressed (EVENT_IDX). `trace`
   /// ties the chain to a request trace: the ring records kAvailPublish now,
   /// stamps popped Chains with it, and records kUsedPublish on completion.
+  /// `submitter` is the posting vCPU, remembered for reuse_ts().
   sim::Expected<std::uint16_t> add_buf(std::span<const BufferRef> out,
                                        std::span<const BufferRef> in,
                                        sim::Nanos publish_ts = 0,
-                                       sim::TraceId trace = 0)
+                                       sim::TraceId trace = 0,
+                                       const sim::Actor* submitter = nullptr)
       VPHI_EXCLUDES(mu_);
 
   /// Ask whether a doorbell is needed for the entries published since the
@@ -136,6 +138,13 @@ class Virtqueue {
   /// the arm raced a push_used whose interrupt was suppressed (the classic
   /// lost-wakeup edge). No-op returning false when EVENT_IDX is off.
   bool arm_used_event() VPHI_EXCLUDES(mu_);
+
+  /// Simulated time from which `submitter` may reuse the next `n`
+  /// descriptors on the free list: the latest completion that freed one
+  /// of them for another submitter (0 when fewer than `n` are free). On a
+  /// queue several vCPUs share, a vCPU behind that time waits for it.
+  sim::Nanos reuse_ts(std::uint16_t n, const sim::Actor* submitter) const
+      VPHI_EXCLUDES(mu_);
 
   // --- device (host) side -------------------------------------------------------
 
@@ -194,7 +203,8 @@ class Virtqueue {
 
  private:
   sim::Expected<std::uint16_t> alloc_desc_locked() VPHI_REQUIRES(mu_);
-  void free_chain_locked(std::uint16_t head) VPHI_REQUIRES(mu_);
+  void free_chain_locked(std::uint16_t head, sim::Nanos freed_ts)
+      VPHI_REQUIRES(mu_);
   std::optional<Chain> try_pop_avail_locked() VPHI_REQUIRES(mu_);
   /// Drain every ready avail entry under mu_ into `out`.
   void drain_avail_locked(std::vector<Chain>& out) VPHI_REQUIRES(mu_);
@@ -206,6 +216,10 @@ class Virtqueue {
   // events under mu_; the tracer never reaches back into the ring).
   mutable sim::Mutex mu_;
   std::vector<Desc> table_ VPHI_GUARDED_BY(mu_);
+  /// Per descriptor: who last posted it (compared, never dereferenced),
+  /// and the completion time that freed it.
+  std::vector<const sim::Actor*> owner_ VPHI_GUARDED_BY(mu_);
+  std::vector<sim::Nanos> freed_ts_ VPHI_GUARDED_BY(mu_);
   std::vector<std::uint16_t> avail_ring_ VPHI_GUARDED_BY(mu_);
   /// Parallel to avail_ring_.
   std::vector<sim::Nanos> avail_publish_ts_ VPHI_GUARDED_BY(mu_);

@@ -160,13 +160,18 @@ void BackendDevice::service_loop(std::uint16_t queue) {
 
       const ExecMode mode = policy_.classify(req.op, req.payload_len);
       {
+        // Build the counter's name only on its first request.
         sim::MutexLock lock(mu_);
-        op_counts_
-            .try_emplace(req.op,
-                         std::string("vphi.be.op.") + op_name(req.op) +
-                             ".requests",
-                         label_)
-            .first->second.inc();
+        auto it = op_counts_.find(req.op);
+        if (it == op_counts_.end()) {
+          it = op_counts_
+                   .try_emplace(req.op,
+                                std::string("vphi.be.op.") + op_name(req.op) +
+                                    ".requests",
+                                label_)
+                   .first;
+        }
+        it->second.inc();
       }
       if (mode == ExecMode::kWorker) {
         worker_requests_.inc();
@@ -178,7 +183,7 @@ void BackendDevice::service_loop(std::uint16_t queue) {
         if (transfer_op(req.op)) {
           // Same-endpoint transfers must not reorder: route through the
           // endpoint's FIFO runner instead of an independent worker.
-          dispatch_ordered(chain, req.epd, queue);
+          dispatch_ordered(std::move(chain), req.epd, queue);
           continue;
         }
         // Worker handoff: the loop spends a moment spawning/dispatching,
@@ -201,12 +206,13 @@ void BackendDevice::service_loop(std::uint16_t queue) {
   }
 }
 
-void BackendDevice::dispatch_ordered(const virtio::Chain& chain, int epd,
+void BackendDevice::dispatch_ordered(virtio::Chain chain, int epd,
                                      std::uint16_t queue) {
+  const sim::Nanos start_ts = chain.kick_ts + vm_->model().worker_handoff_ns;
   bool start_runner = false;
   {
     sim::MutexLock lock(ep_mu_);
-    ep_queues_[epd].push_back(QueuedChain{chain, queue});
+    ep_queues_[epd].push_back(QueuedChain{std::move(chain), queue});
     if (!ep_running_.contains(epd)) {
       ep_running_.insert(epd);
       start_runner = true;
@@ -234,8 +240,7 @@ void BackendDevice::dispatch_ordered(const virtio::Chain& chain, int epd,
       process_chain(actor, next.chain, next.queue);
     }
   };
-  vm_->qemu().run_in_worker(std::move(runner),
-                            chain.kick_ts + vm_->model().worker_handoff_ns);
+  vm_->qemu().run_in_worker(std::move(runner), start_ts);
 }
 
 void BackendDevice::reject_chain(const virtio::Chain& chain,
@@ -446,6 +451,13 @@ void BackendDevice::process_chain(sim::Actor& actor,
     const sim::Nanos exec_start = actor.now();
     execute(actor, req, out_payload, out_len, in_payload, in_capacity, resp);
     fabric_->charge_card_occupancy(vm_->name(), actor.now() - exec_start);
+    // stop() clears running_ before it closes every host endpoint, so a
+    // request that reaches the provider after the close finds its
+    // descriptor gone: report the teardown, not a bad guest descriptor.
+    if (response_status(resp) == sim::Status::kBadDescriptor &&
+        !running_.load()) {
+      set_status(resp, sim::Status::kShutDown);
+    }
   }
 
   auto& fi = sim::fault_injector();

@@ -107,8 +107,8 @@ class BackendDevice {
   /// endpoint, so independent workers would race and could complete chunk
   /// N+1's send before chunk N's — per-endpoint FIFO makes worker mode
   /// order-safe while still overlapping work across endpoints.
-  void dispatch_ordered(const virtio::Chain& chain, int epd,
-                        std::uint16_t queue) VPHI_EXCLUDES(ep_mu_);
+  void dispatch_ordered(virtio::Chain chain, int epd, std::uint16_t queue)
+      VPHI_EXCLUDES(ep_mu_);
   /// The guest is untrusted: check every header field against the actual
   /// chain geometry before dispatch. Returns kOk or the rejection status.
   /// `out_len` is the measured length of the readable payload segment;

@@ -491,9 +491,15 @@ sim::Expected<FrontendDriver::Token> FrontendDriver::submit_once(
     // releases the ring lock before drain_used takes q.mu, so that drain
     // blocks here until the entry exists (no lock-order cycle).
     sim::MutexLock lock(q.mu);
+    // The descriptors add_buf is about to take are usable only from the
+    // completion that freed them. On a queue several vCPUs share, that may
+    // be another vCPU's completion, later than this vCPU's clock. (q.mu
+    // keeps the free list unchanged until add_buf.)
+    actor.sync_to(vm_->vq(queue).reuse_ts(
+        static_cast<std::uint16_t>(n_out + n_in), &actor));
     const sim::Nanos publish_ts = actor.now() + m.virtio_enqueue_ns;
     auto posted = vm_->vq(queue).add_buf({out_refs, n_out}, {in_refs, n_in},
-                                         publish_ts, trace);
+                                         publish_ts, trace, &actor);
     if (!posted) {
       if (!polling) vm_->kernel().waitq().cancel(ticket);
       return posted.status();

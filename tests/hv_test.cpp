@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -303,9 +305,9 @@ TEST(EventLoop, WorkersRunConcurrentlyWithLoop) {
   EXPECT_EQ(loop.blocked_time(), 0u) << "workers never hold the loop";
 }
 
-// Finished workers are reaped as new ones start: a long run of short
-// worker handoffs never piles up unjoined threads until the process runs
-// out of them (std::system_error, EAGAIN).
+// Parked workers are reused: a long run of short worker handoffs starts a
+// handful of threads, not one per handoff (enough of those exhaust the
+// process's threads: std::system_error, EAGAIN).
 TEST(EventLoop, SequentialWorkersAreReapedAsTheyFinish) {
   EventLoop loop{"qemu-test"};
   constexpr int kWorkers = 40'000;
@@ -317,7 +319,71 @@ TEST(EventLoop, SequentialWorkersAreReapedAsTheyFinish) {
   });
   loop.join_workers();
   EXPECT_EQ(ran.load(), kWorkers);
-  EXPECT_EQ(loop.workers_spawned(), static_cast<std::uint64_t>(kWorkers));
+  EXPECT_LT(loop.workers_spawned(), 1'000u);
+}
+
+// A handler parked in a blocking call (scif_accept, scif_poll) holds its
+// thread; the next handoff must get another one, not queue behind it.
+TEST(EventLoop, ParkedHandlerDoesNotDelayLaterHandoff) {
+  EventLoop loop{"qemu-test"};
+  std::promise<void> warm;
+  loop.run_in_worker([&](sim::Actor&) { warm.set_value(); }, 0);
+  warm.get_future().wait();  // the pool now has a thread to reuse
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> second_ran;
+  std::future<void> second = second_ran.get_future();
+  loop.run_in_worker([released](sim::Actor&) { released.wait(); }, 0);
+  loop.run_in_worker([&](sim::Actor&) { second_ran.set_value(); }, 0);
+  EXPECT_EQ(second.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "second handoff waited behind the parked handler";
+  release.set_value();
+  loop.join_workers();
+}
+
+TEST(EventLoop, JoinWorkersRunsQueuedHandlersAndPoolRestarts) {
+  EventLoop loop{"qemu-test"};
+  constexpr int kHandoffs = 64;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < kHandoffs; ++i) {
+    loop.run_in_worker([&ran](sim::Actor&) { ran.fetch_add(1); }, 0);
+  }
+  loop.join_workers();
+  EXPECT_EQ(ran.load(), kHandoffs);
+
+  const std::uint64_t spawned = loop.workers_spawned();
+  loop.run_in_worker([&ran](sim::Actor&) { ran.fetch_add(1); }, 0);
+  loop.join_workers();
+  EXPECT_EQ(ran.load(), kHandoffs + 1);
+  EXPECT_EQ(loop.workers_spawned(), spawned + 1) << "a fresh pool thread";
+}
+
+// Every handler gets a fresh actor at its own handoff time, so a reused
+// thread carries no simulated time over from the handler it ran before.
+// The pair repeats until the later, earlier-stamped handoff lands on a
+// parked thread rather than a new one.
+TEST(EventLoop, ReusedWorkerStartsAtEachHandoffTime) {
+  EventLoop loop{"qemu-test"};
+  bool reused = false;
+  for (int attempt = 0; attempt < 1'000 && !reused; ++attempt) {
+    for (const sim::Nanos start_ts : {sim::Nanos{42'000}, sim::Nanos{7'000}}) {
+      const std::uint64_t spawned = loop.workers_spawned();
+      std::promise<sim::Nanos> seen;
+      loop.run_in_worker(
+          [&seen](sim::Actor& a) {
+            const sim::Nanos at_entry = a.now();
+            a.advance(1'000);
+            seen.set_value(at_entry);
+          },
+          start_ts);
+      EXPECT_EQ(seen.get_future().get(), start_ts);
+      reused = start_ts == 7'000 && loop.workers_spawned() == spawned;
+    }
+  }
+  EXPECT_TRUE(reused) << "no handoff ever reused a parked worker";
+  loop.join_workers();
 }
 
 TEST(EventLoop, StopAfterPendingHandlersStillRunsThem) {

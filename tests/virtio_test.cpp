@@ -55,6 +55,30 @@ TEST(Virtqueue, StrandedUntilDoorbellDelivered) {
   EXPECT_FALSE(vq.stranded(1));  // the device consumed it unprompted
 }
 
+// A freed descriptor carries the completion time that freed it, but only
+// into another submitter's clock: a vCPU reusing its own slots keeps its
+// timing, one taking a slot another vCPU freed waits for that completion.
+TEST(Virtqueue, ReuseWaitsForAnotherSubmittersCompletion) {
+  FlatMem mem{4'096};
+  Virtqueue vq{2, mem.translator()};
+  const sim::Actor a{"vcpu-a"};
+  const sim::Actor b{"vcpu-b"};
+  BufferRef out{0, 8};
+  auto head = vq.add_buf({&out, 1}, {}, 0, 0, &a);
+  ASSERT_TRUE(head);
+  EXPECT_EQ(vq.reuse_ts(1, &b), 0u) << "never-used descriptors are free";
+
+  ASSERT_TRUE(vq.try_pop_avail());
+  ASSERT_TRUE(sim::ok(vq.push_used(*head, 0, 7'000)));
+  ASSERT_TRUE(vq.get_used());
+  ASSERT_EQ(vq.free_descriptors(), 2);
+  // The free list hands out the freed descriptor first, then the unused one.
+  EXPECT_EQ(vq.reuse_ts(1, &a), 0u);
+  EXPECT_EQ(vq.reuse_ts(1, &b), 7'000u);
+  EXPECT_EQ(vq.reuse_ts(2, &b), 7'000u);
+  EXPECT_EQ(vq.reuse_ts(3, &b), 0u) << "more than are free";
+}
+
 TEST(Virtqueue, PostPopCompleteRoundtrip) {
   FlatMem mem{4'096};
   Virtqueue vq{8, mem.translator()};
