@@ -84,7 +84,10 @@ struct CostModel {
   Nanos wakeup_per_extra_sleeper_ns = 4'000;
 
   // Polling-mode alternative (ablation A1): the frontend spins on the used
-  // ring instead of sleeping. Detection granularity of the spin loop.
+  // ring instead of sleeping. One probe of the spin loop: the spin detects
+  // a completion at the first probe at or after its used-ring time (at
+  // least one probe), and that many probes are charged as vCPU burn — host
+  // iterations of the simulator's own loop cost nothing.
   Nanos poll_spin_ns = 200;
 
   // Pipelined transfers: cost of reaping an already-delivered completion

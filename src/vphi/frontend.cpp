@@ -1,6 +1,7 @@
 #include "vphi/frontend.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -627,51 +628,11 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
                             ticket, actor, config_.lost_request_grace)
                       : vm_->kernel().waitq().wait(ticket, actor);
     if (waited == sim::Status::kTimedOut) {
-      bool completed = false;
-      {
-        sim::MutexLock lock(q.mu);
-        auto it = q.pending.find(token.seq);
-        if (it != q.pending.end() && it->second.completed) {
-          // drain_used raced the wall-clock deadline: the chain is done,
-          // the buffers are ours again.
-          completed = true;
-          req = std::move(it->second);
-          q.pending.erase(it);
-        } else if (it != q.pending.end()) {
-          // Genuinely lost in the transport. Park the buffers and charge
-          // the simulated timeout the driver would have slept through.
-          req = std::move(it->second);
-          q.pending.erase(it);
-          forget_inflight_locked(q, head, token.seq);
-          q.zombies[head] = std::move(req.gpas);
-          zombie_chains_.add(1);
-        }
-      }
-      if (!completed) {
-        actor.sync_to(deadline);
-        // Rescue kick: if the doorbell was dropped (or suppressed along
-        // with it), the avail entry is still stranded in the ring —
-        // re-ring so the device processes it and its descriptors come
-        // back. Bypasses kick_prepare on purpose.
-        vm_->vq(queue).kick(actor.now());
-        // The parked zombie buffers are freed when the chain's used entry
-        // finally surfaces; make sure that completion reaches us even
-        // under interrupt suppression (no other waiter may ever arm).
-        if (vm_->vq(queue).arm_used_event()) drain_used(queue, 0);
-        VPHI_LOG(kWarn, "vphi-fe")
-            << "op " << op_name(op) << " head=" << head
-            << " timed out (lost request)";
-        sim::flight_recorder().dump(
-            std::string("frontend timeout (lost request): op ") + op_name(op),
-            req.trace);
-        return sim::Status::kTimedOut;
-      }
-      if (req.done_ts > deadline) {
-        actor.sync_to(deadline);
-        free_buffers(req);
-        return sim::Status::kTimedOut;
-      }
-      actor.sync_to(req.done_ts);
+      const sim::Status st =
+          claim_or_lose(actor, token, head, op, deadline, req);
+      if (!sim::ok(st)) return st;
+      // drain_used raced the wall-clock grace: resume at the completion.
+      actor.sync_to(std::min(req.done_ts, deadline));
     } else if (!sim::ok(waited)) {
       sim::MutexLock lock(q.mu);
       auto it = q.pending.find(token.seq);
@@ -683,99 +644,114 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
       }
       return waited;
     } else {
-      {
-        sim::MutexLock lock(q.mu);
-        auto it = q.pending.find(token.seq);
-        // The completion normally leaves the entry in place for this
-        // (sole) waiter — but a concurrent teardown path may have swept
-        // it. Moving from pending.end() would be undefined behavior, so a
-        // vanished entry is reported, not dereferenced.
-        if (it == q.pending.end()) return sim::Status::kNoSuchEntry;
-        req = std::move(it->second);
-        q.pending.erase(it);
-      }
-      if (deadline != 0 && req.done_ts > deadline) {
-        // The completion surfaced, but past the simulated deadline (e.g. a
-        // delayed doorbell): the driver would have given up at `deadline`.
-        VPHI_LOG(kWarn, "vphi-fe")
-            << "op " << op_name(op) << " head=" << head << " completed at "
-            << req.done_ts << " > deadline " << deadline;
-        sim::flight_recorder().dump(
-            std::string("frontend timeout (late completion): op ") +
-                op_name(op),
-            req.trace);
-        free_buffers(req);
-        return sim::Status::kTimedOut;
-      }
+      sim::MutexLock lock(q.mu);
+      auto it = q.pending.find(token.seq);
+      // The completion normally leaves the entry in place for this (sole)
+      // waiter — but a concurrent teardown path may have swept it. Moving
+      // from pending.end() would be undefined behavior, so a vanished
+      // entry is reported, not dereferenced.
+      if (it == q.pending.end()) return sim::Status::kNoSuchEntry;
+      req = std::move(it->second);
+      q.pending.erase(it);
     }
   } else {
-    // Busy-wait on the used ring; each probe costs poll_spin_ns of vCPU.
-    sim::Nanos burned = 0;
-    bool done = false;
-    bool timed_out = false;
+    // Busy-wait on the used ring. Host probes cost no simulated time: a
+    // backend thread waiting for a host CPU must not age this vCPU. Once
+    // the outcome is known, the spin is charged as a real one would run —
+    // poll_spin_ns per probe up to the first probe at or after the used
+    // entry's time (at least one), or up to the deadline if it is missed.
+    polled_waits_.inc();
+    const sim::Nanos spin_start = actor.now();
+    const auto grace_end =
+        std::chrono::steady_clock::now() + config_.lost_request_grace;
+    const auto completed = [&q, seq = token.seq] {
+      sim::MutexLock lock(q.mu);
+      auto it = q.pending.find(seq);
+      return it != q.pending.end() && it->second.completed;
+    };
     for (;;) {
       drain_used(queue, 0);
-      {
-        sim::MutexLock lock(q.mu);
-        auto it = q.pending.find(token.seq);
-        if (it != q.pending.end() && it->second.completed) {
-          done = true;
-          req = std::move(it->second);
-          q.pending.erase(it);
-        } else if (deadline != 0 && actor.now() >= deadline) {
-          // Deadline hit with the request still incomplete. The entry can
-          // already be gone (swept by a teardown path) — it->second was
-          // dereferenced here unconditionally once, which is undefined
-          // behavior on pending.end() and leaked the parked buffers'
-          // accounting; only park what is actually still tracked.
-          if (it != q.pending.end()) {
-            req = std::move(it->second);
-            q.pending.erase(it);
-            forget_inflight_locked(q, head, token.seq);
-            q.zombies[head] = std::move(req.gpas);
-            zombie_chains_.add(1);
-          }
-          timed_out = true;
-        }
-      }
-      actor.advance(m.poll_spin_ns);
-      burned += m.poll_spin_ns;
-      if (done) {
-        if (deadline != 0 && req.done_ts > deadline) {
-          actor.sync_to(deadline);
-          timed_out = true;
-        } else {
-          actor.sync_to(req.done_ts);
-        }
+      if (completed() || (deadline != 0 &&
+                          std::chrono::steady_clock::now() >= grace_end)) {
         break;
       }
-      if (timed_out) break;
       std::this_thread::yield();
     }
-    polled_waits_.inc();
-    poll_cpu_burn_ns_.inc(burned);
-    if (timed_out) {
-      if (!done) {
-        vm_->vq(queue).kick(actor.now());  // rescue a stranded chain
-        if (vm_->vq(queue).arm_used_event()) drain_used(queue, 0);
-      } else {
-        free_buffers(req);
-      }
-      VPHI_LOG(kWarn, "vphi-fe")
-          << "op " << op_name(op) << " head=" << head
-          << " timed out (polling)";
-      sim::flight_recorder().dump(
-          std::string("frontend timeout (polling): op ") + op_name(op),
-          req.trace);
-      return sim::Status::kTimedOut;
+    const sim::Status st =
+        claim_or_lose(actor, token, head, op, deadline, req);
+    if (sim::ok(st)) {
+      const sim::Nanos probes = std::max<sim::Nanos>(
+          1, (req.done_ts - spin_start + m.poll_spin_ns - 1) / m.poll_spin_ns);
+      const bool late = deadline != 0 && req.done_ts > deadline;
+      actor.sync_to(late ? deadline : spin_start + probes * m.poll_spin_ns);
     }
+    poll_cpu_burn_ns_.inc(actor.now() - spin_start);
+    if (!sim::ok(st)) return st;
+  }
+
+  if (deadline != 0 && req.done_ts > deadline) {
+    // The completion surfaced, but past the simulated deadline (e.g. a
+    // delayed doorbell): the driver would have given up at `deadline`.
+    VPHI_LOG(kWarn, "vphi-fe")
+        << "op " << op_name(op) << " head=" << head << " completed at "
+        << req.done_ts << " > deadline " << deadline;
+    sim::flight_recorder().dump(
+        std::string("frontend timeout (late completion): op ") + op_name(op),
+        req.trace);
+    free_buffers(req);
+    return sim::Status::kTimedOut;
   }
 
   // Both surviving paths resumed the guest context at actor.now(): after
   // the waitq wait (which charged IRQ visibility + ISR + wakeup-scheme
-  // costs) or after the poll loop synced to done_ts.
+  // costs) or after the charged spin.
   sim::tracer().record(req.trace, sim::SpanEvent::kWakeup, actor.now());
   return finish(actor, req);
+}
+
+sim::Status FrontendDriver::claim_or_lose(sim::Actor& actor, Token token,
+                                          std::uint16_t head, Op op,
+                                          sim::Nanos deadline, Pending& req) {
+  QueueState& q = queue_state(token.queue);
+  {
+    sim::MutexLock lock(q.mu);
+    auto it = q.pending.find(token.seq);
+    if (it != q.pending.end() && it->second.completed) {
+      req = std::move(it->second);
+      q.pending.erase(it);
+      return sim::Status::kOk;
+    }
+    // Genuinely lost in the transport. The waiter's clock stood still
+    // while it waited in real time: charge the simulated timeout it would
+    // have slept or spun through, and give the watchdog its look at the
+    // stranded chain while the entry still pends.
+    actor.sync_to(deadline);
+    watchdog_scan_locked(q);
+    // The entry can already be gone (swept by a teardown path); only park
+    // what is actually still tracked.
+    if (it != q.pending.end()) {
+      req = std::move(it->second);
+      q.pending.erase(it);
+      forget_inflight_locked(q, head, token.seq);
+      q.zombies[head] = std::move(req.gpas);
+      zombie_chains_.add(1);
+    }
+  }
+  // Rescue kick: if the doorbell was dropped (or suppressed along with it),
+  // the avail entry is still stranded in the ring — re-ring so the device
+  // processes it and its descriptors come back. Bypasses kick_prepare on
+  // purpose.
+  vm_->vq(token.queue).kick(actor.now());
+  // The parked zombie buffers are freed when the chain's used entry finally
+  // surfaces; make sure that completion reaches us even under interrupt
+  // suppression (no other waiter may ever arm).
+  if (vm_->vq(token.queue).arm_used_event()) drain_used(token.queue, 0);
+  VPHI_LOG(kWarn, "vphi-fe") << "op " << op_name(op) << " head=" << head
+                             << " timed out (lost request)";
+  sim::flight_recorder().dump(
+      std::string("frontend timeout (lost request): op ") + op_name(op),
+      req.trace);
+  return sim::Status::kTimedOut;
 }
 
 sim::Expected<FrontendDriver::TransactResult> FrontendDriver::finish(

@@ -63,10 +63,10 @@ struct FrontendConfig {
   /// that fail with kTimedOut or kIoError. Non-idempotent ops never retry.
   std::uint32_t max_retries = 2;
   /// Wall-clock escape hatch backing the simulated timeout: a *lost*
-  /// request never advances simulated time, so the interrupt waiter also
-  /// arms a real-time deadline. Legitimate completions always arrive
-  /// wall-fast (simulated delays cost no wall time), so this only fires
-  /// when the transport genuinely dropped the request.
+  /// request never advances simulated time, so both the sleeping and the
+  /// polling waiter also arm a real-time deadline. Legitimate completions
+  /// always arrive wall-fast (simulated delays cost no wall time), so this
+  /// only fires when the transport genuinely dropped the request.
   std::chrono::milliseconds lost_request_grace{100};
 
   /// Maximum chunks a pipelined bulk transfer keeps in flight at once
@@ -312,6 +312,14 @@ class FrontendDriver {
                                    const TransactArgs& args);
   /// wait() minus the failure accounting.
   sim::Expected<TransactResult> wait_once(sim::Actor& actor, Token token);
+  /// End a wait whose completion check stopped (either scheme): move a
+  /// completed request into `req` and return kOk. One still incomplete
+  /// after the real-time lost_request_grace is lost in the transport:
+  /// sync to `deadline`, run the watchdog over it, park its buffers as a
+  /// zombie, rescue-kick the queue and return kTimedOut.
+  sim::Status claim_or_lose(sim::Actor& actor, Token token,
+                            std::uint16_t head, Op op, sim::Nanos deadline,
+                            Pending& req);
   /// Response demux + copy-back + bounce-buffer free (the tail every
   /// completion path shares).
   sim::Expected<TransactResult> finish(sim::Actor& actor, Pending& req);

@@ -315,8 +315,9 @@ TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
   const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
 
   // Strand exactly one request: the next doorbell is swallowed, the polling
-  // wait keeps advancing simulated time, and once the request's age passes
-  // the latency-derived budget the watchdog must flag it — once.
+  // wait declares it lost after the real-time grace and syncs to its
+  // simulated deadline, and since that age passes the latency-derived
+  // budget the watchdog must flag it — once.
   sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
   auto epd2 = guest.open();  // idempotent: the bounded retry heals it
   EXPECT_TRUE(epd2);

@@ -536,6 +536,65 @@ TEST(VphiWaitSchemes, PollingBeatsInterruptLatency) {
   EXPECT_EQ(polling_bed.vm(0).frontend().interrupt_waits(), 0u);
 }
 
+// A polled wait is charged the probes a real spin makes up to the used
+// entry's simulated time, however long the host takes to produce it: a
+// send queued behind a blocked QEMU loop costs the guest exactly what an
+// unblocked one does, in latency and in burned vCPU.
+TEST(VphiWaitSchemes, PolledLatencyIgnoresHostDelay) {
+  TestbedConfig config;
+  config.frontend.scheme = WaitScheme::kPolling;
+  Testbed bed{config};
+  auto& card = bed.card_provider();
+  auto lep = card.open();
+  ASSERT_TRUE(card.bind(*lep, kPort));
+  ASSERT_TRUE(sim::ok(card.listen(*lep, 4)));
+  auto server = std::async(std::launch::async, [&] {
+    sim::Actor a{"srv"};
+    sim::ActorScope scope(a);
+    return card.accept(*lep, SCIF_ACCEPT_SYNC)->epd;
+  });
+  auto& guest = bed.vm(0).guest_scif();
+  auto epd = guest.open();
+  ASSERT_TRUE(sim::ok(guest.connect(*epd, PortId{bed.card_node(), kPort})));
+  server.get();
+  auto& fe = bed.vm(0).frontend();
+
+  struct Cost {
+    Nanos latency = 0;
+    Nanos burn = 0;
+  };
+  auto send_byte = [&](sim::Actor& vcpu) {
+    std::uint8_t b = 0;
+    const Nanos burn_before = fe.poll_cpu_burn();
+    const Nanos before = vcpu.now();
+    EXPECT_TRUE(guest.send(*epd, &b, 1, SCIF_SEND_BLOCK));
+    return Cost{vcpu.now() - before, fe.poll_cpu_burn() - burn_before};
+  };
+
+  sim::Actor app{"app", sim::Actor::AtNow{}};
+  sim::ActorScope scope(app);
+  send_byte(app);  // warm-up
+  const Cost unblocked = send_byte(app);
+
+  // Hold the QEMU loop: the send's handler queues behind this one.
+  std::promise<void> release;
+  bed.vm(0).vm().qemu().post(
+      [gate = release.get_future().share()](sim::Actor&) { gate.wait(); });
+  auto delayed_send = std::async(std::launch::async, [&, start = app.now()] {
+    sim::Actor vcpu{"vcpu", start};
+    sim::ActorScope vcpu_scope(vcpu);
+    return send_byte(vcpu);
+  });
+  while (fe.pending_requests() == 0) std::this_thread::yield();
+  for (int i = 0; i < 5'000; ++i) std::this_thread::yield();
+  release.set_value();
+  const Cost delayed = delayed_send.get();
+
+  EXPECT_GT(unblocked.burn, 0);
+  EXPECT_EQ(delayed.latency, unblocked.latency);
+  EXPECT_EQ(delayed.burn, unblocked.burn);
+}
+
 TEST(VphiWaitSchemes, HybridSwitchesOnThreshold) {
   TestbedConfig config;
   config.frontend.scheme = WaitScheme::kHybrid;
