@@ -28,7 +28,12 @@ sim::Status WaitQueue::wait_impl(
     std::uint64_t ticket, sim::Actor& actor,
     const std::chrono::steady_clock::time_point* real_deadline) {
   Completion c;
-  std::uint64_t my_spurious = 0;
+  // Interrupt times of the other requests' completions that woke us in
+  // vain. Only those inside our own sleep in simulated time are charged:
+  // host wake order can deliver one from before we slept or after our own
+  // interrupt.
+  std::vector<sim::Nanos> spurious_irqs;
+  const sim::Nanos slept_at = actor.now();
   {
     sim::MutexLock lock(mu_);
     std::uint64_t seen_generation = wake_generation_;
@@ -67,7 +72,7 @@ sim::Status WaitQueue::wait_impl(
       }
       if (wake_generation_ != seen_generation &&
           completed_.count(ticket) == 0 && !shutdown_) {
-        ++my_spurious;
+        spurious_irqs.push_back(last_irq_ts_);
         ++spurious_;
       }
       seen_generation = wake_generation_;
@@ -79,6 +84,11 @@ sim::Status WaitQueue::wait_impl(
   // requests' interrupts while we slept.
   const auto& m = *model_;
   const std::uint64_t extra = c.sleepers_at_irq > 0 ? c.sleepers_at_irq - 1 : 0;
+  const auto my_spurious = static_cast<std::uint64_t>(
+      std::count_if(spurious_irqs.begin(), spurious_irqs.end(),
+                    [&](sim::Nanos ts) {
+                      return ts >= slept_at && ts <= c.irq_ts;
+                    }));
   actor.sync_to(c.irq_ts);
   actor.advance(m.guest_irq_handler_ns + m.guest_wakeup_scheme_ns +
                 extra * m.wakeup_per_extra_sleeper_ns +
@@ -93,7 +103,14 @@ void WaitQueue::complete(std::uint64_t ticket, sim::Nanos irq_ts) {
     // no longer in sleeping_: drop the completion instead of parking it in
     // completed_ forever.
     if (sleeping_.count(ticket) == 0) return;
-    completed_[ticket] = Completion{irq_ts, sleeping_.size()};
+    auto [it, fresh] =
+        completed_.try_emplace(ticket, Completion{irq_ts, sleeping_.size()});
+    if (!fresh) {
+      // A re-stamp before the waiter sleeps: nobody new to wake.
+      it->second.irq_ts = std::max(it->second.irq_ts, irq_ts);
+      return;
+    }
+    last_irq_ts_ = irq_ts;
     ++wake_generation_;
   }
   cv_.notify_all();  // wake_up_all: every sleeper checks the ring

@@ -38,7 +38,9 @@ class WaitQueue {
 
   /// Sleep until complete(ticket) arrives. Applies the waiting-scheme cost
   /// to `actor`: resume time is irq visibility + ISR entry + wakeup scheme
-  /// + a tax for every other sleeper woken spuriously by our interrupt.
+  /// + a tax for every other sleeper woken spuriously by our interrupt
+  /// + a tax for every other interrupt that woke us in vain between our
+  /// sleep and our own interrupt in simulated time.
   /// Returns kShutDown if the queue was torn down first.
   sim::Status wait(std::uint64_t ticket, sim::Actor& actor)
       VPHI_EXCLUDES(mu_);
@@ -57,6 +59,8 @@ class WaitQueue {
 
   /// ISR side: the response for `ticket` became visible at `irq_ts`.
   /// Completions for unknown (cancelled / timed-out) tickets are dropped.
+  /// A second call for a ticket not yet waited on re-stamps it no earlier
+  /// than the first, and wakes nobody.
   void complete(std::uint64_t ticket, sim::Nanos irq_ts) VPHI_EXCLUDES(mu_);
 
   /// Deregister a prepared ticket that will never be waited on (e.g. the
@@ -91,6 +95,8 @@ class WaitQueue {
   std::map<std::uint64_t, Completion> completed_ VPHI_GUARDED_BY(mu_);
   std::uint64_t spurious_ VPHI_GUARDED_BY(mu_) = 0;
   std::uint64_t wake_generation_ VPHI_GUARDED_BY(mu_) = 0;
+  /// Interrupt time of the completion behind the newest wake generation.
+  sim::Nanos last_irq_ts_ VPHI_GUARDED_BY(mu_) = 0;
   std::size_t blocked_ VPHI_GUARDED_BY(mu_) = 0;
   bool shutdown_ VPHI_GUARDED_BY(mu_) = false;
 };

@@ -137,7 +137,6 @@ void FleetTenantPolicy::on_complete(std::uint32_t vm, std::uint32_t bytes,
   ++slice.completed;
   if (cfg_.collect_latencies) slice.latencies.push_back(latency_ns);
   tm_[t]->completed.inc();
-  tm_[t]->latency.record(latency_ns);
   if (cfg_.slo != nullptr) {
     cfg_.slo->record_completion(vm, latency_ns, trace, now);
   }

@@ -16,16 +16,6 @@ void HeadroomPublisher::publish(TenantMetrics& m, QuotaLedger& ledger,
     m.bytes_headroom.add(h - bytes);
     bytes = h;
   }
-  if (spec.card_ns_per_window != 0) {
-    const auto h = static_cast<std::int64_t>(ledger.card_ns_headroom(now));
-    m.card_ns_headroom.add(h - card_ns);
-    card_ns = h;
-  }
-  if (spec.max_inflight != 0) {
-    const auto h = static_cast<std::int64_t>(ledger.inflight_headroom());
-    m.inflight_headroom.add(h - inflight);
-    inflight = h;
-  }
 }
 
 JobService::JobService(JobServiceConfig cfg) : cfg_(std::move(cfg)) {}
@@ -108,14 +98,6 @@ void JobService::complete(const std::string& tenant, sim::Nanos now) {
   it->second.ledger.on_complete();
   it->second.metrics->completed.inc();
   it->second.pub.publish(*it->second.metrics, it->second.ledger, now);
-}
-
-void JobService::record_latency(const std::string& tenant,
-                                sim::Nanos latency_ns) {
-  sim::MutexLock lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return;
-  it->second.metrics->latency.record(latency_ns);
 }
 
 void JobService::on_occupancy(const std::string& tenant, sim::Nanos busy_ns) {

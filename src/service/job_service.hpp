@@ -40,12 +40,7 @@ struct TenantMetrics {
         preempted("vphi.tenant.preempted", "tenant=" + tenant),
         completed("vphi.tenant.completed", "tenant=" + tenant),
         bytes_headroom("vphi.tenant.quota.bytes_headroom",
-                       "tenant=" + tenant),
-        card_ns_headroom("vphi.tenant.quota.card_ns_headroom",
-                         "tenant=" + tenant),
-        inflight_headroom("vphi.tenant.quota.inflight_headroom",
-                          "tenant=" + tenant),
-        latency("vphi.tenant.request_latency_ns", "tenant=" + tenant) {}
+                       "tenant=" + tenant) {}
 
   sim::metrics::Counter admitted;
   sim::metrics::Counter rejected;
@@ -53,20 +48,15 @@ struct TenantMetrics {
   sim::metrics::Counter preempted;
   sim::metrics::Counter completed;
   sim::metrics::Gauge bytes_headroom;
-  sim::metrics::Gauge card_ns_headroom;
-  sim::metrics::Gauge inflight_headroom;
-  sim::metrics::LatencyHistogram latency;
 };
 
-/// Publishes a ledger's quota headroom into the tenant gauges by
-/// *deltas*, never set(): several publishers (one per VM slice in the
-/// fleet policy) can then feed one gauge from different shard threads and
-/// the folded value stays order-independent (docs/DETERMINISM.md rule 4).
-/// Unlimited dimensions publish nothing and the gauge reads 0.
+/// Publishes a ledger's byte headroom into the tenant gauge by *deltas*,
+/// never set(): several publishers (one per VM slice in the fleet policy)
+/// can then feed one gauge from different shard threads and the folded
+/// value stays order-independent (docs/DETERMINISM.md rule 4). An
+/// unlimited byte window publishes nothing and the gauge reads 0.
 struct HeadroomPublisher {
   std::int64_t bytes = 0;
-  std::int64_t card_ns = 0;
-  std::int64_t inflight = 0;
 
   void publish(TenantMetrics& m, QuotaLedger& ledger, sim::Nanos now);
 };
@@ -108,10 +98,6 @@ class JobService {
 
   /// Job finished (or its connection died): release the inflight slot.
   void complete(const std::string& tenant, sim::Nanos now)
-      VPHI_EXCLUDES(mu_);
-
-  /// Record a request latency under the tenant's histogram.
-  void record_latency(const std::string& tenant, sim::Nanos latency_ns)
       VPHI_EXCLUDES(mu_);
 
   /// Occupancy listener (wire to scif::Fabric::set_occupancy_listener):

@@ -64,11 +64,6 @@ sim::Nanos QuotaLedger::card_ns_headroom(sim::Nanos now) {
              : static_cast<sim::Nanos>(limit - card_ns_used_);
 }
 
-std::uint32_t QuotaLedger::inflight_headroom() const {
-  if (spec_.max_inflight == 0) return kUnlimitedInflight;
-  return inflight_ >= spec_.max_inflight ? 0 : spec_.max_inflight - inflight_;
-}
-
 sim::Nanos QuotaLedger::window_refill_ns(sim::Nanos now) const {
   if (spec_.window_ns == 0) return now;
   if (now < window_start_) return window_start_;

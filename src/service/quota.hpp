@@ -62,7 +62,6 @@ class QuotaLedger {
   /// sentinel maxima below). Rolls the window as a side effect.
   std::uint64_t bytes_headroom(sim::Nanos now);
   sim::Nanos card_ns_headroom(sim::Nanos now);
-  std::uint32_t inflight_headroom() const;
 
   /// First simulated instant at or after `now` when the current window's
   /// byte/card-ns charges are forgotten — what a throttled caller should
@@ -73,7 +72,6 @@ class QuotaLedger {
   const TenantSpec& spec() const noexcept { return spec_; }
 
   static constexpr std::uint64_t kUnlimitedBytes = ~std::uint64_t{0};
-  static constexpr std::uint32_t kUnlimitedInflight = ~std::uint32_t{0};
 
  private:
   void roll(sim::Nanos now);

@@ -69,7 +69,6 @@ double SloMonitor::window_burn(const TenantState& t, std::size_t buckets,
 }
 
 void SloMonitor::evaluate(sim::Nanos now) {
-  evals_.inc();
   while (now >= next_bucket_end_) {
     next_bucket_end_ += fast_window_ns_;
 
@@ -111,10 +110,6 @@ void SloMonitor::evaluate(sim::Nanos now) {
       std::uint64_t fast_events = 0;
       t.burn_fast = window_burn(t, 1, &fast_events);
       t.burn_slow = window_burn(t, slow_buckets_, nullptr);
-      t.burn_fast_gauge.set(
-          static_cast<std::int64_t>(std::llround(t.burn_fast * 100.0)));
-      t.burn_slow_gauge.set(
-          static_cast<std::int64_t>(std::llround(t.burn_slow * 100.0)));
 
       const bool firing = t.burn_fast >= spec_.burn_threshold &&
                           t.burn_slow >= spec_.burn_threshold &&

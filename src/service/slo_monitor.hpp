@@ -120,16 +120,11 @@ class SloMonitor {
     explicit TenantState(const std::string& tenant_name)
         : name(tenant_name),
           alerts_counter("vphi.slo.alerts", "tenant=" + tenant_name),
-          bad_counter("vphi.slo.bad", "tenant=" + tenant_name),
-          burn_fast_gauge("vphi.slo.burn_fast_x100", "tenant=" + tenant_name),
-          burn_slow_gauge("vphi.slo.burn_slow_x100", "tenant=" + tenant_name) {
-    }
+          bad_counter("vphi.slo.bad", "tenant=" + tenant_name) {}
 
     std::string name;
     sim::metrics::Counter alerts_counter;
     sim::metrics::Counter bad_counter;
-    sim::metrics::Gauge burn_fast_gauge;
-    sim::metrics::Gauge burn_slow_gauge;
 
     std::vector<Bucket> history;  ///< cumulative, one per fast window
     double burn_fast = 0.0;
@@ -152,7 +147,6 @@ class SloMonitor {
   std::vector<VmCell> cells_;  ///< one per VM
   std::vector<std::unique_ptr<TenantState>> tenants_;
 
-  sim::metrics::Counter evals_{"vphi.slo.evals"};
   std::uint64_t alerts_total_ = 0;
 };
 

@@ -13,6 +13,20 @@ constexpr std::uint64_t page_round(std::uint64_t len) {
          PageArena::kPageSize;
 }
 
+constexpr std::uintptr_t kHugePageSize = 2ull << 20;
+
+/// madvise the 2 MiB-aligned interior of a block. Only a block of at least
+/// 2 MiB can have one; smaller blocks are left alone.
+void advise_huge(std::byte* block, std::uint64_t len, int advice) noexcept {
+  const auto start = reinterpret_cast<std::uintptr_t>(block);
+  const std::uintptr_t first =
+      (start + kHugePageSize - 1) & ~(kHugePageSize - 1);
+  const std::uintptr_t last = (start + len) & ~(kHugePageSize - 1);
+  if (last > first) {
+    ::madvise(reinterpret_cast<void*>(first), last - first, advice);
+  }
+}
+
 }  // namespace
 
 // mmap rejects a zero length, so a size that wraps when rounded up to a page
@@ -39,6 +53,8 @@ Expected<std::uint64_t> PageArena::allocate(std::uint64_t len) {
     free_blocks_.erase(it);
     if (remainder > 0) free_blocks_[offset + len] = remainder;
     live_blocks_[offset] = len;
+    // Large blocks fault 2 MiB at a time, as QEMU madvises guest RAM.
+    advise_huge(base_ + offset, len, MADV_HUGEPAGE);
     return offset;
   }
   return Status::kNoMemory;
@@ -50,6 +66,8 @@ Status PageArena::free(std::uint64_t offset) {
   if (it == live_blocks_.end()) return Status::kInvalidArgument;
   std::uint64_t len = it->second;
   live_blocks_.erase(it);
+  // Small blocks carved from this range later keep faulting 4 KiB pages.
+  advise_huge(base_ + offset, len, MADV_NOHUGEPAGE);
 
   // Coalesce with the next free block if adjacent.
   auto next = free_blocks_.lower_bound(offset);

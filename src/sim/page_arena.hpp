@@ -2,7 +2,11 @@
 // top. It backs both the card's GDDR (mic::DeviceMemory) and a VM's guest RAM
 // (hv::GuestPhysMem). The kernel supplies a zeroed page the first time one is
 // touched, so the arena reads as all zero while a testbed pays only for the
-// pages it uses -- the way QEMU mmaps guest RAM.
+// pages it uses -- the way QEMU mmaps guest RAM. Like QEMU's guest RAM, a
+// block of 2 MiB or more is madvised for transparent huge pages over its
+// 2 MiB-aligned interior while it is allocated, so registering a large
+// window faults 2 MiB pages instead of 512 small ones each. A kernel with
+// THP off ignores the advice.
 //
 // Offsets are byte offsets into the mapping. Blocks are page-rounded, freed
 // by exact offset, and coalesced with their free neighbours.

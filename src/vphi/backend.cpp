@@ -208,17 +208,20 @@ void BackendDevice::service_loop(std::uint16_t queue) {
 
 void BackendDevice::dispatch_ordered(virtio::Chain chain, int epd,
                                      std::uint16_t queue) {
-  const sim::Nanos start_ts = chain.kick_ts + vm_->model().worker_handoff_ns;
-  bool start_runner = false;
+  const sim::Nanos kick_ts = chain.kick_ts;
+  sim::Nanos start_ts = kick_ts + vm_->model().worker_handoff_ns;
   {
     sim::MutexLock lock(ep_mu_);
-    ep_queues_[epd].push_back(QueuedChain{std::move(chain), queue});
-    if (!ep_running_.contains(epd)) {
-      ep_running_.insert(epd);
-      start_runner = true;
-    }
+    EndpointRunner& ep = ep_runners_[epd];
+    ep.chains.push_back(QueuedChain{std::move(chain), queue});
+    if (ep.running) return;
+    ep.running = true;
+    // The host-side queue ran dry, but in simulated time the last runner
+    // may still be busy: a chain kicked before it went idle waits for it
+    // and starts with no new handoff, so one endpoint's chunks never
+    // overlap in simulated time.
+    if (kick_ts < ep.idle_ts) start_ts = ep.idle_ts;
   }
-  if (!start_runner) return;
   // One runner worker per active endpoint. It drains the queue in FIFO
   // order on a single actor, so consecutive chunks of a pipelined stream
   // execute back to back (one handoff amortized over the whole burst)
@@ -228,14 +231,14 @@ void BackendDevice::dispatch_ordered(virtio::Chain chain, int epd,
       QueuedChain next;
       {
         sim::MutexLock lock(ep_mu_);
-        auto it = ep_queues_.find(epd);
-        if (it == ep_queues_.end() || it->second.empty()) {
-          if (it != ep_queues_.end()) ep_queues_.erase(it);
-          ep_running_.erase(epd);
+        EndpointRunner& ep = ep_runners_[epd];
+        if (ep.chains.empty()) {
+          ep.running = false;
+          ep.idle_ts = actor.now();
           return;
         }
-        next = std::move(it->second.front());
-        it->second.pop_front();
+        next = std::move(ep.chains.front());
+        ep.chains.pop_front();
       }
       process_chain(actor, next.chain, next.queue);
     }
@@ -522,9 +525,18 @@ void BackendDevice::execute(sim::Actor& actor, const RequestHeader& req,
       resp.ret0 = *epd;
       return;
     }
-    case Op::kClose:
+    case Op::kClose: {
+      {
+        // An idle runner's entry dies with its endpoint.
+        sim::MutexLock lock(ep_mu_);
+        auto it = ep_runners_.find(req.epd);
+        if (it != ep_runners_.end() && !it->second.running) {
+          ep_runners_.erase(it);
+        }
+      }
       set_status(resp, p.close(req.epd));
       return;
+    }
     case Op::kBind: {
       auto port = p.bind(req.epd, static_cast<scif::Port>(req.arg0));
       if (!port) {

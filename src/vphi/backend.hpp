@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -163,9 +162,13 @@ class BackendDevice {
     virtio::Chain chain;
     std::uint16_t queue = 0;
   };
+  struct EndpointRunner {
+    std::deque<QueuedChain> chains;
+    bool running = false;
+    sim::Nanos idle_ts = 0;  ///< runner actor's clock when it last went idle
+  };
   sim::Mutex ep_mu_;
-  std::map<int, std::deque<QueuedChain>> ep_queues_ VPHI_GUARDED_BY(ep_mu_);
-  std::set<int> ep_running_ VPHI_GUARDED_BY(ep_mu_);
+  std::map<int, EndpointRunner> ep_runners_ VPHI_GUARDED_BY(ep_mu_);
 
   // scif_mmap bookkeeping: wire cookie -> live host mapping.
   sim::Mutex map_mu_;

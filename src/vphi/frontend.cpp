@@ -196,13 +196,14 @@ void FrontendDriver::drain_used(std::uint16_t queue, sim::Nanos ts_floor) {
       q.inflight.erase(owner);
       auto it = q.pending.find(seq);
       if (it == q.pending.end()) continue;  // owner gave up (timed out)
-      it->second.completed = true;
-      it->second.done_ts = std::max(used->ts, ts_floor);
-      it->second.written = used->len;
+      Pending& p = it->second;
+      p.completed = true;
+      p.used_ts = used->ts;
+      p.done_ts = std::max(used->ts, ts_floor);
+      charge_virq(p);
+      p.written = used->len;
       q.completions.inc();
-      if (it->second.interrupt_wait) {
-        vm_->kernel().waitq().complete(it->second.ticket, it->second.done_ts);
-      }
+      if (p.interrupt_wait) vm_->kernel().waitq().complete(p.ticket, p.done_ts);
     }
     // EVENT_IDX re-arm (the NAPI pattern): this drain consumed the used
     // index the sleeping waiters' used_event pointed at, so completions
@@ -243,6 +244,13 @@ sim::Nanos FrontendDriver::watchdog_budget_locked(QueueState& q) {
   // the gauge flips 0 -> 1 exactly once and never back.
   watchdog_armed_.set(1);
   return q.watchdog_budget_cache;
+}
+
+void FrontendDriver::charge_virq(Pending& p) const {
+  if (p.interrupt_wait && p.completed && p.used_ts > p.armed_ts) {
+    p.done_ts =
+        std::max(p.done_ts, p.used_ts + vm_->model().irq_inject_ns);
+  }
 }
 
 void FrontendDriver::watchdog_scan_locked(QueueState& q) {
@@ -602,6 +610,15 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
       fast_reaps_.inc();
     } else {
       path = p.interrupt_wait ? Path::kInterrupt : Path::kPolling;
+      if (p.interrupt_wait) {
+        // The arm below happens now in simulated time. An entry another
+        // drain already reaped (a sibling's recheck, an earlier chunk's
+        // wait) may need its vIRQ charge now that the arm time is known;
+        // re-completing moves the ticket's wakeup to the new stamp.
+        p.armed_ts = actor.now();
+        charge_virq(p);
+        if (p.completed) vm_->kernel().waitq().complete(p.ticket, p.done_ts);
+      }
       ticket = p.ticket;
       deadline = p.deadline;
       op = p.op;
@@ -620,8 +637,9 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
     interrupt_waits_.inc();
     // Arm-then-recheck (EVENT_IDX): arm used_event so the next completion
     // interrupts us; while the arm reports used entries already pending
-    // (their interrupt was coalesced away before we armed), drain them
-    // ourselves instead of sleeping on an IRQ that will never come.
+    // (their interrupt was suppressed before we armed in host time), drain
+    // them ourselves instead of sleeping on an IRQ that will never come.
+    // charge_virq keeps the wakeup where simulated time puts it.
     while (vm_->vq(queue).arm_used_event()) drain_used(queue, 0);
     const sim::Status waited =
         deadline != 0 ? vm_->kernel().waitq().wait_for(

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -233,6 +234,9 @@ class FrontendDriver {
     bool interrupt_wait = true;
     bool completed = false;
     sim::Nanos done_ts = 0;
+    sim::Nanos used_ts = 0;      ///< used-ring time of the completion
+    /// When the interrupt waiter armed used_event; unarmed until it waits.
+    sim::Nanos armed_ts = std::numeric_limits<sim::Nanos>::max();
     std::uint32_t written = 0;
     // Everything wait() needs to finish the request the submit started.
     Op op = Op::kOpen;
@@ -334,6 +338,11 @@ class FrontendDriver {
   /// waiters.
   void on_irq(std::uint16_t queue, sim::Nanos irq_ts);
   void drain_used(std::uint16_t queue, sim::Nanos ts_floor);
+  /// An interrupt waiter armed before its entry was pushed, in simulated
+  /// time, wakes on that entry's vIRQ: stamp it at the used time plus
+  /// irq_inject_ns, whichever host thread drained it. An entry pushed at
+  /// or before the arm was coalesced and stays free, as EVENT_IDX intends.
+  void charge_virq(Pending& p) const;
   bool use_polling(std::size_t payload) const;
   /// Watchdog sweep over one queue's pending map: flag (once) every request
   /// the calling actor submitted whose chain sits stranded on the avail

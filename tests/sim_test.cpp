@@ -3,8 +3,11 @@
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <new>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -225,6 +228,84 @@ TEST(PageArena, OversizedAllocationFailsWithoutWrapping) {
   PageArena arena{1 << 20};
   EXPECT_EQ(arena.allocate(~0ull).status(), Status::kNoMemory);
   EXPECT_EQ(arena.allocation_count(), 0u);
+}
+
+/// The bracketed word of the kernel's THP mode ("always", "madvise" or
+/// "never"); "never" where the kernel has no THP.
+std::string thp_mode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(f, line);
+  const auto open = line.find('[');
+  const auto close = line.find(']');
+  if (open == std::string::npos || close < open) return "never";
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// THPeligible of the /proc/self/smaps mapping that holds `p`, or -1 when
+/// the kernel does not report it.
+int thp_eligible(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("THPeligible:", 0) == 0) {
+      return std::stoi(line.substr(12));
+    }
+  }
+  return -1;
+}
+
+TEST(PageArena, BlocksOfTwoMiBGetHugePagesWhileAllocated) {
+  constexpr std::uint64_t kHuge = 2ull << 20;
+  constexpr std::uint64_t kBig = 6ull << 20;
+  PageArena arena{16ull << 20};
+  auto big = arena.allocate(kBig);
+  auto small = arena.allocate(1ull << 20);
+  ASSERT_TRUE(big);
+  ASSERT_TRUE(small);
+  auto* bytes = static_cast<std::uint8_t*>(arena.at(*big));
+  // The block's 2 MiB-aligned interior starts `lead` bytes in and is at
+  // least 4 MiB long.
+  const auto addr = reinterpret_cast<std::uintptr_t>(bytes);
+  const std::uint64_t lead = (kHuge - addr % kHuge) % kHuge;
+  const std::uint8_t* interior = bytes + lead;
+
+  // The advice changes how pages fault, not what they hold.
+  bytes[lead + 10] = 0x5a;
+  populate_pages(bytes, kBig);
+  EXPECT_EQ(bytes[lead + 10], 0x5a);
+  EXPECT_EQ(bytes[0], 0u);
+  EXPECT_EQ(bytes[kBig - 1], 0u);
+
+  const std::string mode = thp_mode();
+  const bool thp = mode != "never" && thp_eligible(interior) >= 0;
+  if (thp) {
+    EXPECT_EQ(thp_eligible(interior), 1);
+    EXPECT_EQ(thp_eligible(interior + 2 * kHuge - 1), 1);
+    // Under "always" every anonymous mapping is eligible anyway.
+    if (mode == "madvise") {
+      EXPECT_EQ(thp_eligible(arena.at(*small)), 0) << "1 MiB block";
+    }
+  }
+
+  // Free the large block and carve a small one from its old interior.
+  ASSERT_EQ(arena.free(*big), Status::kOk);
+  if (lead > 0) {
+    ASSERT_EQ(*arena.allocate(lead), 0u);
+  }
+  auto carved = arena.allocate(64 * 1024);
+  ASSERT_TRUE(carved);
+  ASSERT_EQ(arena.at(*carved), interior);
+  EXPECT_EQ(interior[10], 0x5a);  // freeing drops nothing either
+  if (thp) {
+    EXPECT_EQ(thp_eligible(interior), 0);
+  }
 }
 
 TEST(Summary, Moments) {

@@ -195,6 +195,77 @@ TEST_F(TraceTest, PipelinedWindowWorkerModeOrdering) {
   sink.wait();
 }
 
+TEST_F(TraceTest, EndpointRunnerNeverOverlapsChainsInSimulatedTime) {
+  // A pipelined 4 KiB RMA walk in worker mode: all chunks of the endpoint
+  // go through its FIFO runner. The runner's host queue drains and
+  // refills as host threads race, but in simulated time each chunk starts
+  // only after the endpoint's previous chunk published its completion.
+  TestbedConfig cfg;
+  cfg.frontend.scheme = WaitScheme::kPolling;
+  cfg.frontend.pipeline_window = 16;
+  cfg.frontend.rma_chunk = 4'096;
+  cfg.backend_policy.classify = BackendPolicy::all_worker();
+  make_bed(cfg);
+
+  constexpr std::size_t kWindow = 256 * 1024;  // 64 chunks per walk
+  constexpr int kWalks = 8;
+  constexpr scif::Port kPort = 7'800;
+  constexpr int kProt = scif::SCIF_PROT_READ | scif::SCIF_PROT_WRITE;
+  auto& card = bed_->card_provider();
+  auto lep = card.open();
+  ASSERT_TRUE(lep);
+  ASSERT_TRUE(card.bind(*lep, kPort));
+  ASSERT_TRUE(sim::ok(card.listen(*lep, 1)));
+  auto accepted = std::async(std::launch::async, [&card, lep = *lep] {
+    sim::Actor a{"card", sim::Actor::AtNow{}};
+    sim::ActorScope scope(a);
+    auto acc = card.accept(lep, SCIF_ACCEPT_SYNC);
+    return acc ? acc->epd : -1;
+  });
+  auto epd = guest().open();
+  ASSERT_TRUE(epd);
+  ASSERT_TRUE(
+      sim::ok(guest().connect(*epd, scif::PortId{bed_->card_node(), kPort})));
+  const int card_epd = accepted.get();
+  ASSERT_GE(card_epd, 0);
+
+  auto dev_off = bed_->card().memory().allocate(kWindow);
+  ASSERT_TRUE(dev_off);
+  auto remote = card.register_mem(
+      card_epd, bed_->card().memory().at(*dev_off), kWindow, 0, kProt, 0);
+  ASSERT_TRUE(remote);
+  auto buf = bed_->vm(0).alloc_user_buffer(kWindow);
+  ASSERT_TRUE(buf);
+  auto local = guest().register_mem(*epd, *buf, kWindow, 0, kProt, 0);
+  ASSERT_TRUE(local);
+
+  sim::tracer().clear();  // trace exactly the walks
+  for (int walk = 0; walk < kWalks; ++walk) {
+    const sim::Status st =
+        walk % 2 == 0 ? guest().readfrom(*epd, *local, kWindow, *remote,
+                                         scif::SCIF_RMA_SYNC)
+                      : guest().writeto(*epd, *local, kWindow, *remote,
+                                        scif::SCIF_RMA_SYNC);
+    ASSERT_EQ(st, sim::Status::kOk) << "walk " << walk;
+  }
+
+  // Trace ids follow submission order, which is the runner's FIFO order.
+  std::size_t chunks = 0;
+  sim::Nanos prev_used = 0;
+  for (const auto& req : sim::tracer().requests()) {
+    if (req.op != "readfrom" && req.op != "writeto") continue;
+    const auto m = event_map(req);
+    ASSERT_TRUE(m.count(SpanEvent::kBackendPop));
+    ASSERT_TRUE(m.count(SpanEvent::kUsedPublish));
+    EXPECT_GE(m.at(SpanEvent::kBackendPop), prev_used)
+        << "chunk " << chunks << " started before its predecessor finished";
+    prev_used = m.at(SpanEvent::kUsedPublish);
+    ++chunks;
+  }
+  EXPECT_EQ(chunks, kWalks * kWindow / 4'096);
+  guest().close(*epd);
+}
+
 TEST_F(TraceTest, DisabledTracingAllocatesNothing) {
   TestbedConfig cfg;
   make_bed(cfg);
