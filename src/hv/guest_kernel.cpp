@@ -7,10 +7,10 @@ namespace vphi::hv {
 
 // --- WaitQueue ---------------------------------------------------------------
 
-std::uint64_t WaitQueue::prepare() {
+std::uint64_t WaitQueue::prepare(const sim::Actor* owner) {
   sim::MutexLock lock(mu_);
   const std::uint64_t ticket = next_ticket_++;
-  sleeping_.insert(ticket);
+  sleeping_.emplace(ticket, owner);
   return ticket;
 }
 
@@ -83,7 +83,6 @@ sim::Status WaitQueue::wait_impl(
   // sleeper our interrupt woke, plus our own spurious wakeups from other
   // requests' interrupts while we slept.
   const auto& m = *model_;
-  const std::uint64_t extra = c.sleepers_at_irq > 0 ? c.sleepers_at_irq - 1 : 0;
   const auto my_spurious = static_cast<std::uint64_t>(
       std::count_if(spurious_irqs.begin(), spurious_irqs.end(),
                     [&](sim::Nanos ts) {
@@ -91,7 +90,7 @@ sim::Status WaitQueue::wait_impl(
                     }));
   actor.sync_to(c.irq_ts);
   actor.advance(m.guest_irq_handler_ns + m.guest_wakeup_scheme_ns +
-                extra * m.wakeup_per_extra_sleeper_ns +
+                c.others_at_irq * m.wakeup_per_extra_sleeper_ns +
                 my_spurious * m.wakeup_per_extra_sleeper_ns);
   return sim::Status::kOk;
 }
@@ -103,8 +102,8 @@ void WaitQueue::complete(std::uint64_t ticket, sim::Nanos irq_ts) {
     // no longer in sleeping_: drop the completion instead of parking it in
     // completed_ forever.
     if (sleeping_.count(ticket) == 0) return;
-    auto [it, fresh] =
-        completed_.try_emplace(ticket, Completion{irq_ts, sleeping_.size()});
+    auto [it, fresh] = completed_.try_emplace(
+        ticket, Completion{irq_ts, other_sleepers_locked(ticket)});
     if (!fresh) {
       // A re-stamp before the waiter sleeps: nobody new to wake.
       it->second.irq_ts = std::max(it->second.irq_ts, irq_ts);
@@ -114,6 +113,24 @@ void WaitQueue::complete(std::uint64_t ticket, sim::Nanos irq_ts) {
     ++wake_generation_;
   }
   cv_.notify_all();  // wake_up_all: every sleeper checks the ring
+}
+
+std::size_t WaitQueue::other_sleepers_locked(std::uint64_t ticket) const {
+  const sim::Actor* own = sleeping_.at(ticket);
+  std::size_t n = 0;
+  for (auto it = sleeping_.begin(); it != sleeping_.end(); ++it) {
+    const sim::Actor* o = it->second;
+    if (it->first == ticket) continue;
+    if (o == nullptr) {
+      ++n;  // an ownerless ticket is a sleeper of its own
+      continue;
+    }
+    // Another owner counts once, at its first ticket. A queue holds a few
+    // sleepers at most, so the rescan is cheap and allocates nothing.
+    const auto same = [o](const auto& e) { return e.second == o; };
+    if (o != own && std::none_of(sleeping_.begin(), it, same)) ++n;
+  }
+  return n;
 }
 
 void WaitQueue::cancel(std::uint64_t ticket) {

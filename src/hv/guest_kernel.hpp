@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "hv/guest_mem.hpp"
@@ -34,11 +33,15 @@ class WaitQueue {
 
   /// Register as a sleeper; returns the ticket the ISR completes later.
   /// Must be called before the request is kicked (no lost-wakeup window).
-  std::uint64_t prepare() VPHI_EXCLUDES(mu_);
+  /// `owner` is the submitting vCPU: its own pipelined tickets are one
+  /// sleeper, not several. A ticket with no owner is a sleeper of its own.
+  std::uint64_t prepare(const sim::Actor* owner = nullptr)
+      VPHI_EXCLUDES(mu_);
 
   /// Sleep until complete(ticket) arrives. Applies the waiting-scheme cost
   /// to `actor`: resume time is irq visibility + ISR entry + wakeup scheme
-  /// + a tax for every other sleeper woken spuriously by our interrupt
+  /// + a tax for every other sleeper (other owner) our interrupt woke
+  /// spuriously
   /// + a tax for every other interrupt that woke us in vain between our
   /// sleep and our own interrupt in simulated time.
   /// Returns kShutDown if the queue was torn down first.
@@ -78,8 +81,14 @@ class WaitQueue {
  private:
   struct Completion {
     sim::Nanos irq_ts = 0;
-    std::size_t sleepers_at_irq = 0;
+    /// Other sleepers our interrupt woke: distinct owners other than ours,
+    /// plus each other ticket that has no owner.
+    std::size_t others_at_irq = 0;
   };
+
+  /// The `others_at_irq` of a completion for `ticket`, now.
+  std::size_t other_sleepers_locked(std::uint64_t ticket) const
+      VPHI_REQUIRES(mu_);
 
   /// Shared loop behind wait()/wait_for(); `real_deadline` null = unbounded.
   sim::Status wait_impl(
@@ -91,7 +100,8 @@ class WaitQueue {
   mutable sim::Mutex mu_;
   sim::CondVar cv_;
   std::uint64_t next_ticket_ VPHI_GUARDED_BY(mu_) = 1;
-  std::set<std::uint64_t> sleeping_ VPHI_GUARDED_BY(mu_);
+  /// Prepared tickets not yet waited on, with their owners.
+  std::map<std::uint64_t, const sim::Actor*> sleeping_ VPHI_GUARDED_BY(mu_);
   std::map<std::uint64_t, Completion> completed_ VPHI_GUARDED_BY(mu_);
   std::uint64_t spurious_ VPHI_GUARDED_BY(mu_) = 0;
   std::uint64_t wake_generation_ VPHI_GUARDED_BY(mu_) = 0;

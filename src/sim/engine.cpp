@@ -331,325 +331,331 @@ FleetResult run_fleet(const FleetConfig& requested) {
                                            on_epoch_end);
   std::vector<ShardOut> outs(S);
 
-  std::vector<std::thread> threads;
-  threads.reserve(S);
-  for (std::uint32_t s = 0; s < S; ++s) {
-    threads.emplace_back([&, s] {
-      ShardScope shard_scope(s, kEpochNs);
-      Actor actor("fleet-shard-" + std::to_string(s), Actor::AtNow{});
-      ActorScope actor_scope(actor);
-      ShardMetrics& m = *sm[s];
-      ShardOut& out = outs[s];
+  // One shard's whole run. The calling thread runs shard 0 and S - 1
+  // spawned threads run the rest; the scopes below save and restore the
+  // caller's thread-locals (bound shard, bound actor, current op span).
+  auto run_shard = [&](std::uint32_t s) {
+    ShardScope shard_scope(s, kEpochNs);
+    Actor actor("fleet-shard-" + std::to_string(s), Actor::AtNow{});
+    ActorScope actor_scope(actor);
+    TraceOpDetach no_op_parent;
+    ShardMetrics& m = *sm[s];
+    ShardOut& out = outs[s];
 
-      // This shard's VMs are v with v % S == s (local index v / S); its
-      // cards are c with c % S == s (indexed globally, only ours used).
-      std::vector<VmState> vms;
-      for (std::uint32_t v = s; v < cfg.vms; v += S) {
-        vms.push_back(VmState{TrafficStream(cfg.seed, v, cfg.traffic), 0});
+    // This shard's VMs are v with v % S == s (local index v / S); its
+    // cards are c with c % S == s (indexed globally, only ours used).
+    // Every stream points at the one cfg.traffic.
+    std::vector<VmState> vms;
+    vms.reserve((cfg.vms - s + S - 1) / S);
+    for (std::uint32_t v = s; v < cfg.vms; v += S) {
+      vms.push_back(VmState{TrafficStream(cfg.seed, v, cfg.traffic), 0});
+    }
+    std::vector<Nanos> card_free(cfg.cards, 0);
+
+    std::priority_queue<Ev, std::vector<Ev>, EvAfter> pq;
+    std::uint64_t seq = 0;
+    // Per-lane sends this epoch. Whether a concrete try_push hits a full
+    // ring depends on how far the receiver's drain has raced ahead, so
+    // the backpressure *metric* counts the deterministic model instead:
+    // events beyond ring capacity sent down one lane within one epoch.
+    // The mechanical spill below keeps transport lossless either way.
+    std::vector<std::uint64_t> lane_pushed(S, 0);
+
+    auto send = [&](std::uint32_t dst, Ev ev) {
+      ev.src_shard = s;
+      ev.seq = seq++;
+      if (dst == s) {
+        pq.push(ev);
+        return;
       }
-      std::vector<Nanos> card_free(cfg.cards, 0);
+      m.sent.inc();
+      if (++lane_pushed[dst] > cfg.channel_capacity) m.backpressure.inc();
+      Lane& lane = *lanes[s * S + dst];
+      if (!lane.ring.try_push(ev)) {
+        MutexLock lock(lane.mu);
+        lane.spill.push_back(ev);
+      }
+    };
 
-      std::priority_queue<Ev, std::vector<Ev>, EvAfter> pq;
-      std::uint64_t seq = 0;
-      // Per-lane sends this epoch. Whether a concrete try_push hits a full
-      // ring depends on how far the receiver's drain has raced ahead, so
-      // the backpressure *metric* counts the deterministic model instead:
-      // events beyond ring capacity sent down one lane within one epoch.
-      // The mechanical spill below keeps transport lossless either way.
-      std::vector<std::uint64_t> lane_pushed(S, 0);
+    auto schedule_arrival = [&](std::uint32_t vm, Nanos ts) {
+      if (ts >= duration) return;
+      Ev ev;
+      ev.kind = kArrival;
+      ev.vm = vm;
+      ev.ts = ts;
+      send(s, ev);
+    };
 
-      auto send = [&](std::uint32_t dst, Ev ev) {
-        ev.src_shard = s;
-        ev.seq = seq++;
-        if (dst == s) {
-          pq.push(ev);
-          return;
-        }
-        m.sent.inc();
-        if (++lane_pushed[dst] > cfg.channel_capacity) m.backpressure.inc();
-        Lane& lane = *lanes[s * S + dst];
-        if (!lane.ring.try_push(ev)) {
-          MutexLock lock(lane.mu);
-          lane.spill.push_back(ev);
-        }
-      };
+    // Submit one admitted request: identical to the pre-control-plane
+    // inline path when origin == now (the no-hooks schedule must stay
+    // bit-identical — the abl8 baselines pin it). A throttled retry
+    // passes its original arrival time as `origin`, so the recorded
+    // latency includes the throttle wait.
+    auto submit_job = [&](std::uint32_t vmi, std::uint32_t bytes,
+                          Nanos origin, Nanos now) {
+      const Nanos submit_ts = now + kSubmitNs;
+      TraceId id = 0;
+      if (cfg.trace_requests) {
+        id = tracer().begin_request("fleet", now);
+        tracer().record(id, SpanEvent::kKick, submit_ts);
+      }
+      outstanding.fetch_add(1, std::memory_order_relaxed);
+      m.requests.inc();
+      m.bytes.inc(bytes);
+      ++out.requests;
+      Ev db;
+      db.kind = kDoorbell;
+      db.vm = vmi;
+      db.card = vmi % cfg.cards;
+      db.bytes = bytes;
+      db.ts = submit_ts + kDoorbellNs;
+      db.submit_ts = origin;
+      db.trace = id;
+      send(db.card % S, db);
+    };
 
-      auto schedule_arrival = [&](std::uint32_t vm, Nanos ts) {
-        if (ts >= duration) return;
-        Ev ev;
-        ev.kind = kArrival;
-        ev.vm = vm;
-        ev.ts = ts;
-        send(s, ev);
-      };
-
-      // Submit one admitted request: identical to the pre-control-plane
-      // inline path when origin == now (the no-hooks schedule must stay
-      // bit-identical — the abl8 baselines pin it). A throttled retry
-      // passes its original arrival time as `origin`, so the recorded
-      // latency includes the throttle wait.
-      auto submit_job = [&](std::uint32_t vmi, std::uint32_t bytes,
-                            Nanos origin, Nanos now) {
-        const Nanos submit_ts = now + kSubmitNs;
-        TraceId id = 0;
-        if (cfg.trace_requests) {
-          id = tracer().begin_request("fleet", now);
-          tracer().record(id, SpanEvent::kKick, submit_ts);
-        }
-        outstanding.fetch_add(1, std::memory_order_relaxed);
-        m.requests.inc();
-        m.bytes.inc(bytes);
-        ++out.requests;
-        Ev db;
-        db.kind = kDoorbell;
-        db.vm = vmi;
-        db.card = vmi % cfg.cards;
-        db.bytes = bytes;
-        db.ts = submit_ts + kDoorbellNs;
-        db.submit_ts = origin;
-        db.trace = id;
-        send(db.card % S, db);
-      };
-
-      // Run admission for a drawn request. Returns true when the VM's loop
-      // is carried forward by the submission or a scheduled retry; false
-      // means the request was rejected and (closed loop) the caller must
-      // think-reschedule to keep the VM alive.
-      auto admit_or_queue = [&](std::uint32_t vmi, std::uint32_t bytes,
-                                Nanos origin, Nanos now) -> bool {
-        AdmitDecision dec;
-        if (cfg.hooks.admit) dec = cfg.hooks.admit(vmi, bytes, now);
-        switch (dec.action) {
-          case AdmitAction::kAdmit:
-            submit_job(vmi, bytes, origin, now);
-            return true;
-          case AdmitAction::kThrottle: {
-            const Nanos defer = dec.defer_ns > 0 ? dec.defer_ns : 1;
-            Ev rt;
-            rt.kind = kRetry;
-            rt.vm = vmi;
-            rt.bytes = bytes;
-            rt.ts = now + defer;
-            rt.submit_ts = origin;
-            if (rt.ts >= duration) {
-              // No runway left to retry in — drop like a reject.
-              ++out.rejected;
-              return false;
-            }
-            ++out.throttled;
-            send(s, rt);
-            return true;
-          }
-          case AdmitAction::kReject:
-          default:
+    // Run admission for a drawn request. Returns true when the VM's loop
+    // is carried forward by the submission or a scheduled retry; false
+    // means the request was rejected and (closed loop) the caller must
+    // think-reschedule to keep the VM alive.
+    auto admit_or_queue = [&](std::uint32_t vmi, std::uint32_t bytes,
+                              Nanos origin, Nanos now) -> bool {
+      AdmitDecision dec;
+      if (cfg.hooks.admit) dec = cfg.hooks.admit(vmi, bytes, now);
+      switch (dec.action) {
+        case AdmitAction::kAdmit:
+          submit_job(vmi, bytes, origin, now);
+          return true;
+        case AdmitAction::kThrottle: {
+          const Nanos defer = dec.defer_ns > 0 ? dec.defer_ns : 1;
+          Ev rt;
+          rt.kind = kRetry;
+          rt.vm = vmi;
+          rt.bytes = bytes;
+          rt.ts = now + defer;
+          rt.submit_ts = origin;
+          if (rt.ts >= duration) {
+            // No runway left to retry in — drop like a reject.
             ++out.rejected;
             return false;
-        }
-      };
-
-      // Serve the card's queue head if the card is idle and a job is
-      // runnable; otherwise arrange the kCardFree wakeup that will. Safe
-      // to call redundantly — a stale wakeup finds the card busy or the
-      // queue empty and does nothing.
-      auto dispatch_card = [&](std::uint32_t card, Nanos now) {
-        Nanos& free_at = card_free[card];
-        if (free_at > now) return;  // the kCardFree at free_at re-enters
-        Nanos ready = 0;
-        auto job = scheds[card]->next(now, &ready);
-        if (!job) {
-          if (ready > now) {
-            Ev p;
-            p.kind = kCardFree;
-            p.card = card;
-            p.ts = ready;
-            send(s, p);
           }
-          return;
+          ++out.throttled;
+          send(s, rt);
+          return true;
         }
-        if (job->trace != 0) {
-          tracer().record(job->trace, SpanEvent::kBackendPop, now);
-        }
-        const Nanos finish = now + job->service_ns;
-        free_at = finish;
-        actor.sync_to(finish);
-        if (job->trace != 0) {
-          tracer().record(job->trace, SpanEvent::kUsedPublish, finish);
-        }
-        Ev cp;
-        cp.kind = kCompletion;
-        cp.vm = job->vm;
-        cp.bytes = job->bytes;
-        cp.ts = finish + kCompletionNs;
-        cp.submit_ts = job->submit_ts;
-        cp.trace = job->trace;
-        send(cp.vm % S, cp);
-        Ev fr;
-        fr.kind = kCardFree;
-        fr.card = card;
-        fr.ts = finish;
-        send(s, fr);
-      };
-
-      // Seed every VM's first arrival.
-      for (std::uint32_t v = s, li = 0; v < cfg.vms; v += S, ++li) {
-        schedule_arrival(v, vms[li].stream.next_gap(0));
+        case AdmitAction::kReject:
+        default:
+          ++out.rejected;
+          return false;
       }
+    };
 
-      auto handle = [&](const Ev& ev) {
-        m.events.inc();
-        actor.sync_to(ev.ts);
-        out.last_ts = std::max(out.last_ts, ev.ts);
-        switch (ev.kind) {
-          case kArrival: {
-            VmState& vm = vms[ev.vm / S];
-            bool submitted = false;
-            if (!vm.stream.in_storm(ev.ts) && ev.ts >= vm.offline_until) {
-              const Nanos down = vm.stream.maybe_disconnect();
-              if (down > 0) {
-                vm.offline_until = ev.ts + down;
-                m.disconnects.inc();
-                m.dropped.inc();
-              } else {
-                const std::uint32_t bytes = vm.stream.next_bytes();
-                submitted = admit_or_queue(ev.vm, bytes, ev.ts, ev.ts);
-              }
-            } else {
+    // Serve the card's queue head if the card is idle and a job is
+    // runnable; otherwise arrange the kCardFree wakeup that will. Safe
+    // to call redundantly — a stale wakeup finds the card busy or the
+    // queue empty and does nothing.
+    auto dispatch_card = [&](std::uint32_t card, Nanos now) {
+      Nanos& free_at = card_free[card];
+      if (free_at > now) return;  // the kCardFree at free_at re-enters
+      Nanos ready = 0;
+      auto job = scheds[card]->next(now, &ready);
+      if (!job) {
+        if (ready > now) {
+          Ev p;
+          p.kind = kCardFree;
+          p.card = card;
+          p.ts = ready;
+          send(s, p);
+        }
+        return;
+      }
+      if (job->trace != 0) {
+        tracer().record(job->trace, SpanEvent::kBackendPop, now);
+      }
+      const Nanos finish = now + job->service_ns;
+      free_at = finish;
+      actor.sync_to(finish);
+      if (job->trace != 0) {
+        tracer().record(job->trace, SpanEvent::kUsedPublish, finish);
+      }
+      Ev cp;
+      cp.kind = kCompletion;
+      cp.vm = job->vm;
+      cp.bytes = job->bytes;
+      cp.ts = finish + kCompletionNs;
+      cp.submit_ts = job->submit_ts;
+      cp.trace = job->trace;
+      send(cp.vm % S, cp);
+      Ev fr;
+      fr.kind = kCardFree;
+      fr.card = card;
+      fr.ts = finish;
+      send(s, fr);
+    };
+
+    // Seed every VM's first arrival.
+    for (std::uint32_t v = s, li = 0; v < cfg.vms; v += S, ++li) {
+      schedule_arrival(v, vms[li].stream.next_gap(0));
+    }
+
+    auto handle = [&](const Ev& ev) {
+      m.events.inc();
+      actor.sync_to(ev.ts);
+      out.last_ts = std::max(out.last_ts, ev.ts);
+      switch (ev.kind) {
+        case kArrival: {
+          VmState& vm = vms[ev.vm / S];
+          bool submitted = false;
+          if (!vm.stream.in_storm(ev.ts) && ev.ts >= vm.offline_until) {
+            const Nanos down = vm.stream.maybe_disconnect();
+            if (down > 0) {
+              vm.offline_until = ev.ts + down;
+              m.disconnects.inc();
               m.dropped.inc();
+            } else {
+              const std::uint32_t bytes = vm.stream.next_bytes();
+              submitted = admit_or_queue(ev.vm, bytes, ev.ts, ev.ts);
             }
-            if (cfg.traffic.open_loop) {
-              schedule_arrival(ev.vm, ev.ts + vm.stream.next_gap(ev.ts));
-            } else if (!submitted) {
-              // Closed loop: a dropped arrival reschedules itself, or the
-              // VM's loop would die with the disconnect.
-              schedule_arrival(ev.vm, std::max(ev.ts, vm.offline_until) +
-                                          vm.stream.next_think());
-            }
-            break;
+          } else {
+            m.dropped.inc();
           }
-          case kDoorbell: {
-            if (queued) {
-              CardJob job;
-              job.vm = ev.vm;
-              job.bytes = ev.bytes;
-              job.enqueue_ns = ev.ts;
-              job.ready_ns = ev.ts;
-              job.submit_ts = ev.submit_ts;
-              job.service_ns = service_ns(ev.bytes);
-              job.seq = ev.seq;
-              job.trace = ev.trace;
-              scheds[ev.card]->enqueue(job);
-              dispatch_card(ev.card, ev.ts);
-              break;
-            }
-            if (ev.trace != 0) {
-              tracer().record(ev.trace, SpanEvent::kBackendPop, ev.ts);
-            }
-            Nanos& free_at = card_free[ev.card];
-            const Nanos start = std::max(ev.ts, free_at);
-            const Nanos finish = start + service_ns(ev.bytes);
-            free_at = finish;
-            actor.sync_to(finish);
-            if (ev.trace != 0) {
-              tracer().record(ev.trace, SpanEvent::kUsedPublish, finish);
-            }
-            Ev cp;
-            cp.kind = kCompletion;
-            cp.vm = ev.vm;
-            cp.bytes = ev.bytes;
-            cp.ts = finish + kCompletionNs;
-            cp.submit_ts = ev.submit_ts;
-            cp.trace = ev.trace;
-            send(cp.vm % S, cp);
-            break;
+          if (cfg.traffic.open_loop) {
+            schedule_arrival(ev.vm, ev.ts + vm.stream.next_gap(ev.ts));
+          } else if (!submitted) {
+            // Closed loop: a dropped arrival reschedules itself, or the
+            // VM's loop would die with the disconnect.
+            schedule_arrival(ev.vm, std::max(ev.ts, vm.offline_until) +
+                                        vm.stream.next_think());
           }
-          case kCompletion: {
-            if (ev.trace != 0) {
-              tracer().record(ev.trace, SpanEvent::kComplete, ev.ts);
-            }
-            m.latency.record(ev.ts - ev.submit_ts);
-            ++out.completed;
-            outstanding.fetch_sub(1, std::memory_order_relaxed);
-            if (cfg.hooks.on_complete) {
-              cfg.hooks.on_complete(ev.vm, ev.bytes, service_ns(ev.bytes),
-                                    ev.ts - ev.submit_ts, ev.ts, ev.trace);
-            }
-            if (!cfg.traffic.open_loop) {
-              VmState& vm = vms[ev.vm / S];
-              schedule_arrival(ev.vm, ev.ts + vm.stream.next_think());
-            }
-            break;
-          }
-          case kRetry: {
-            // Re-run admission with the already-drawn payload. Storm and
-            // churn checks do not re-run: the request was already born.
-            const bool carried =
-                admit_or_queue(ev.vm, ev.bytes, ev.submit_ts, ev.ts);
-            if (!carried && !cfg.traffic.open_loop) {
-              VmState& vm = vms[ev.vm / S];
-              schedule_arrival(ev.vm, ev.ts + vm.stream.next_think());
-            }
-            break;
-          }
-          case kCardFree:
+          break;
+        }
+        case kDoorbell: {
+          if (queued) {
+            CardJob job;
+            job.vm = ev.vm;
+            job.bytes = ev.bytes;
+            job.enqueue_ns = ev.ts;
+            job.ready_ns = ev.ts;
+            job.submit_ts = ev.submit_ts;
+            job.service_ns = service_ns(ev.bytes);
+            job.seq = ev.seq;
+            job.trace = ev.trace;
+            scheds[ev.card]->enqueue(job);
             dispatch_card(ev.card, ev.ts);
             break;
-          default:
-            break;
+          }
+          if (ev.trace != 0) {
+            tracer().record(ev.trace, SpanEvent::kBackendPop, ev.ts);
+          }
+          Nanos& free_at = card_free[ev.card];
+          const Nanos start = std::max(ev.ts, free_at);
+          const Nanos finish = start + service_ns(ev.bytes);
+          free_at = finish;
+          actor.sync_to(finish);
+          if (ev.trace != 0) {
+            tracer().record(ev.trace, SpanEvent::kUsedPublish, finish);
+          }
+          Ev cp;
+          cp.kind = kCompletion;
+          cp.vm = ev.vm;
+          cp.bytes = ev.bytes;
+          cp.ts = finish + kCompletionNs;
+          cp.submit_ts = ev.submit_ts;
+          cp.trace = ev.trace;
+          send(cp.vm % S, cp);
+          break;
         }
-      };
-
-      // Phase timers (VPHI_ENGINE_PROFILE): steady_now_ns() only when the
-      // profiler is armed, so the default path pays a branch per phase.
-      ShardProfile& sp = prof[s];
-      std::uint64_t w0 = 0;
-      auto phase_mark = [&](std::uint64_t ShardProfile::* field) {
-        if (!profile) return;
-        const std::uint64_t w1 = steady_now_ns();
-        sp.*field += w1 - w0;
-        w0 = w1;
-      };
-
-      for (std::uint64_t e = 0;; ++e) {
-        const Nanos t1 = static_cast<Nanos>(e + 1) * kEpochNs;
-        std::fill(lane_pushed.begin(), lane_pushed.end(), 0);
-        if (profile) w0 = steady_now_ns();
-        // Drain inbound lanes, fixed src order; the queue key restores the
-        // deterministic total order. (Ring pass and spill pass are split
-        // so the profiler can attribute them separately; both land in the
-        // same queue, so the split cannot change the execution order.)
-        for (std::uint32_t src = 0; src < S; ++src) {
-          Lane& lane = *lanes[src * S + s];
-          while (auto in = lane.ring.try_pop()) pq.push(*in);
+        case kCompletion: {
+          if (ev.trace != 0) {
+            tracer().record(ev.trace, SpanEvent::kComplete, ev.ts);
+          }
+          m.latency.record(ev.ts - ev.submit_ts);
+          ++out.completed;
+          outstanding.fetch_sub(1, std::memory_order_relaxed);
+          if (cfg.hooks.on_complete) {
+            cfg.hooks.on_complete(ev.vm, ev.bytes, service_ns(ev.bytes),
+                                  ev.ts - ev.submit_ts, ev.ts, ev.trace);
+          }
+          if (!cfg.traffic.open_loop) {
+            VmState& vm = vms[ev.vm / S];
+            schedule_arrival(ev.vm, ev.ts + vm.stream.next_think());
+          }
+          break;
         }
-        phase_mark(&ShardProfile::drain_ns);
-        for (std::uint32_t src = 0; src < S; ++src) {
-          Lane& lane = *lanes[src * S + s];
-          MutexLock lock(lane.mu);
-          for (const Ev& in : lane.spill) pq.push(in);
-          lane.spill.clear();
+        case kRetry: {
+          // Re-run admission with the already-drawn payload. Storm and
+          // churn checks do not re-run: the request was already born.
+          const bool carried =
+              admit_or_queue(ev.vm, ev.bytes, ev.submit_ts, ev.ts);
+          if (!carried && !cfg.traffic.open_loop) {
+            VmState& vm = vms[ev.vm / S];
+            schedule_arrival(ev.vm, ev.ts + vm.stream.next_think());
+          }
+          break;
         }
-        phase_mark(&ShardProfile::spill_ns);
-        // Execute this epoch. Events arriving cross-shard for later epochs
-        // may already sit in the queue; the ts bound leaves them alone.
-        std::uint64_t remote = 0;
-        while (!pq.empty() && pq.top().ts < t1) {
-          const Ev ev = pq.top();
-          pq.pop();
-          if (ev.src_shard != s) ++remote;
-          handle(ev);
-        }
-        // Deterministic channel-backlog signal: cross-shard events this
-        // epoch consumed (zero epochs stay silent).
-        if (remote != 0) m.depth.record(remote);
-        actor.sync_to(t1);
-        out.epochs = e + 1;
-        phase_mark(&ShardProfile::events_ns);
-        bar.arrive_and_wait();
-        phase_mark(&ShardProfile::barrier_ns);
-        if (stop.load(std::memory_order_relaxed)) break;
+        case kCardFree:
+          dispatch_card(ev.card, ev.ts);
+          break;
+        default:
+          break;
       }
-    });
-  }
+    };
+
+    // Phase timers (VPHI_ENGINE_PROFILE): steady_now_ns() only when the
+    // profiler is armed, so the default path pays a branch per phase.
+    ShardProfile& sp = prof[s];
+    std::uint64_t w0 = 0;
+    auto phase_mark = [&](std::uint64_t ShardProfile::* field) {
+      if (!profile) return;
+      const std::uint64_t w1 = steady_now_ns();
+      sp.*field += w1 - w0;
+      w0 = w1;
+    };
+
+    for (std::uint64_t e = 0;; ++e) {
+      const Nanos t1 = static_cast<Nanos>(e + 1) * kEpochNs;
+      std::fill(lane_pushed.begin(), lane_pushed.end(), 0);
+      if (profile) w0 = steady_now_ns();
+      // Drain inbound lanes, fixed src order; the queue key restores the
+      // deterministic total order. (Ring pass and spill pass are split
+      // so the profiler can attribute them separately; both land in the
+      // same queue, so the split cannot change the execution order.)
+      for (std::uint32_t src = 0; src < S; ++src) {
+        Lane& lane = *lanes[src * S + s];
+        while (auto in = lane.ring.try_pop()) pq.push(*in);
+      }
+      phase_mark(&ShardProfile::drain_ns);
+      for (std::uint32_t src = 0; src < S; ++src) {
+        Lane& lane = *lanes[src * S + s];
+        MutexLock lock(lane.mu);
+        for (const Ev& in : lane.spill) pq.push(in);
+        lane.spill.clear();
+      }
+      phase_mark(&ShardProfile::spill_ns);
+      // Execute this epoch. Events arriving cross-shard for later epochs
+      // may already sit in the queue; the ts bound leaves them alone.
+      std::uint64_t remote = 0;
+      while (!pq.empty() && pq.top().ts < t1) {
+        const Ev ev = pq.top();
+        pq.pop();
+        if (ev.src_shard != s) ++remote;
+        handle(ev);
+      }
+      // Deterministic channel-backlog signal: cross-shard events this
+      // epoch consumed (zero epochs stay silent).
+      if (remote != 0) m.depth.record(remote);
+      actor.sync_to(t1);
+      out.epochs = e + 1;
+      phase_mark(&ShardProfile::events_ns);
+      bar.arrive_and_wait();
+      phase_mark(&ShardProfile::barrier_ns);
+      if (stop.load(std::memory_order_relaxed)) break;
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(S - 1);
+  for (std::uint32_t s = 1; s < S; ++s) threads.emplace_back(run_shard, s);
+  run_shard(0);
   for (std::thread& t : threads) t.join();
 
   // Unbound threads (and later AtNow actors) should see the exact fleet

@@ -3,7 +3,8 @@
 // run_fleet() executes a fleet-scale vPHI scenario — V guest VMs submitting
 // requests to C cards — entirely on the simulated clock. VMs and cards are
 // statically partitioned over S shards (vm % S / card % S). Each shard is
-// ONE OS thread running an event-driven loop over a local priority queue;
+// ONE OS thread running an event-driven loop over a local priority queue
+// (the calling thread runs shard 0, S - 1 spawned threads the rest);
 // shards synchronize only at virtual-time epoch barriers and exchange
 // doorbell/completion events through lock-free SPSC rings (sim/spsc.hpp,
 // one per (src, dst) shard pair, with a mutex-guarded spill sidecar for
@@ -79,9 +80,11 @@ struct AdmitDecision {
 };
 
 /// Control-plane hooks the fleet engine consults when present. Every
-/// callback runs on a shard thread and must be deterministic: a function
-/// of (vm, bytes, simulated time) and of state the callee partitions per
-/// VM / per card the same way the engine does (vm % S, card % S).
+/// callback runs on a shard thread (shard 0's is the thread that called
+/// run_fleet, so a hook must not take a lock its caller holds) and must
+/// be deterministic: a function of (vm, bytes, simulated time) and of
+/// state the callee partitions per VM / per card the same way the engine
+/// does (vm % S, card % S).
 struct TenantHooks {
   /// Admission check, called once per would-be submission after the
   /// payload draw (so the draw order of docs/DETERMINISM.md is shared

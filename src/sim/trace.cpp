@@ -518,4 +518,10 @@ TraceOpScope::~TraceOpScope() {
   t_current_op = saved_parent_;
 }
 
+TraceOpDetach::TraceOpDetach() noexcept : saved_parent_(t_current_op) {
+  t_current_op = 0;
+}
+
+TraceOpDetach::~TraceOpDetach() { t_current_op = saved_parent_; }
+
 }  // namespace vphi::sim

@@ -259,4 +259,20 @@ class TraceOpScope {
   TraceId saved_parent_ = 0;
 };
 
+/// RAII: the calling thread is inside no op span until destruction, which
+/// restores the enclosing one. The fleet engine runs shard 0 on the
+/// caller's thread under one, so fleet requests never link to a
+/// TraceOpScope the caller has open.
+class TraceOpDetach {
+ public:
+  TraceOpDetach() noexcept;
+  ~TraceOpDetach();
+
+  TraceOpDetach(const TraceOpDetach&) = delete;
+  TraceOpDetach& operator=(const TraceOpDetach&) = delete;
+
+ private:
+  TraceId saved_parent_;
+};
+
 }  // namespace vphi::sim

@@ -1,11 +1,11 @@
 // Seeded open/closed-loop traffic generation for fleet-scale runs.
 //
 // Every VM of a fleet scenario owns a TrafficStream: a splittable RNG
-// stream (Rng::stream(master_seed, vm)) plus the shared TrafficConfig
-// shape. A stream's schedule is a pure function of (master_seed, vm
-// index, config) — never of thread interleaving or of any other VM's
-// progress — which is what lets two same-seed runs produce bit-identical
-// metrics (docs/DETERMINISM.md).
+// stream (Rng::stream(master_seed, vm)) plus a pointer to the run's one
+// TrafficConfig shape, which must outlive the stream. A stream's schedule
+// is a pure function of (master_seed, vm index, config) — never of thread
+// interleaving or of any other VM's progress — which is what lets two
+// same-seed runs produce bit-identical metrics (docs/DETERMINISM.md).
 //
 // Shapes modeled, all on the simulated clock:
 //  - open-loop Poisson arrivals whose rate follows a curve: linear ramp
@@ -99,7 +99,9 @@ class TrafficStream {
  public:
   TrafficStream(std::uint64_t master_seed, std::uint32_t vm,
                 const TrafficConfig& cfg) noexcept
-      : cfg_(cfg), vm_(vm), rng_(Rng::stream(master_seed, vm)) {}
+      : cfg_(&cfg), vm_(vm), rng_(Rng::stream(master_seed, vm)) {}
+  /// The stream keeps a pointer to its config, so a temporary would dangle.
+  TrafficStream(std::uint64_t, std::uint32_t, TrafficConfig&&) = delete;
 
   /// Instantaneous arrival rate at simulated time `t` (arrivals/s),
   /// clamped to a small positive floor so gaps stay finite.
@@ -126,7 +128,7 @@ class TrafficStream {
   bool in_storm(Nanos t) const noexcept;
 
  private:
-  TrafficConfig cfg_;
+  const TrafficConfig* cfg_;
   std::uint32_t vm_;
   Rng rng_;
 };

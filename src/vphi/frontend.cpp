@@ -488,7 +488,7 @@ sim::Expected<FrontendDriver::Token> FrontendDriver::submit_once(
   const bool polling =
       use_polling(std::max(args.out_len, args.in_len));
   std::uint64_t ticket = 0;
-  if (!polling) ticket = vm_->kernel().waitq().prepare();
+  if (!polling) ticket = vm_->kernel().waitq().prepare(&actor);
 
   std::uint16_t head;
   std::uint64_t seq;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -133,6 +134,46 @@ TEST(WaitQueue, WakeAllTaxesConcurrentSleepers) {
     if (r > base) ++taxed;
   }
   EXPECT_GT(taxed, 0) << "at least one waiter saw wake-all churn";
+}
+
+TEST(WaitQueue, WakeAllTaxCountsOtherOwnersNotOwnTickets) {
+  // One vCPU's pipelined tickets are one sleeper: completing them one at a
+  // time taxes nothing. Four vCPUs with one ticket each still pay one tax
+  // per other vCPU asleep at the interrupt.
+  const auto& m = CostModel::paper();
+  const Nanos base = m.guest_irq_handler_ns + m.guest_wakeup_scheme_ns;
+  constexpr int kTickets = 4;
+  {
+    WaitQueue wq{m};
+    sim::Actor vcpu{"vcpu"};
+    std::uint64_t tickets[kTickets];
+    for (auto& t : tickets) t = wq.prepare(&vcpu);
+    for (int i = 0; i < kTickets; ++i) {
+      const Nanos irq = 1'000'000 * static_cast<Nanos>(i + 1);
+      wq.complete(tickets[i], irq);
+      ASSERT_EQ(wq.wait(tickets[i], vcpu), Status::kOk);
+      EXPECT_EQ(vcpu.now(), irq + base) << "ticket " << i;
+    }
+  }
+  {
+    WaitQueue wq{m};
+    std::vector<std::unique_ptr<sim::Actor>> vcpus;
+    std::uint64_t tickets[kTickets];
+    for (auto& t : tickets) {
+      vcpus.push_back(std::make_unique<sim::Actor>("vcpu"));
+      t = wq.prepare(vcpus.back().get());
+    }
+    for (int i = 0; i < kTickets; ++i) {
+      const Nanos irq = 1'000'000 * static_cast<Nanos>(i + 1);
+      wq.complete(tickets[i], irq);
+      ASSERT_EQ(wq.wait(tickets[i], *vcpus[static_cast<std::size_t>(i)]),
+                Status::kOk);
+      const auto others = static_cast<Nanos>(kTickets - 1 - i);
+      EXPECT_EQ(vcpus[static_cast<std::size_t>(i)]->now(),
+                irq + base + others * m.wakeup_per_extra_sleeper_ns)
+          << "ticket " << i;
+    }
+  }
 }
 
 TEST(WaitQueue, ShutdownReleasesWaiters) {

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sim/actor.hpp"
@@ -241,6 +242,13 @@ TEST(TrafficStream, RateCurveAppliesRampAndBurst) {
   EXPECT_NEAR(s.rate_at(kSecond), 4'000.0, 1e-6);
 }
 
+// A stream keeps a pointer to its config: binding a temporary must not
+// compile.
+static_assert(std::is_constructible_v<TrafficStream, std::uint64_t,
+                                      std::uint32_t, const TrafficConfig&>);
+static_assert(!std::is_constructible_v<TrafficStream, std::uint64_t,
+                                       std::uint32_t, TrafficConfig&&>);
+
 // ---------------------------------------------------------------------------
 // The engine: determinism, backpressure, scale
 
@@ -406,6 +414,92 @@ TEST(FleetEngine, TwoShardPingPongTracesCausalSpans) {
     EXPECT_LE(m.at(SpanEvent::kUsedPublish), m.at(SpanEvent::kComplete));
   }
   EXPECT_EQ(fleet_requests, r.completed);
+}
+
+// Hook calls split by whether they ran on the thread that called
+// run_fleet. A concurrent run gives each shard its own CallSplit.
+struct CallSplit {
+  std::uint64_t on_caller = 0;
+  std::uint64_t elsewhere = 0;
+  void add(std::thread::id caller) {
+    ++(std::this_thread::get_id() == caller ? on_caller : elsewhere);
+  }
+};
+
+TEST(FleetEngine, CallerRunsShardZeroAndOnlyShardZero) {
+  FleetConfig cfg = small_fleet();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<CallSplit> admits(cfg.shards);
+  cfg.hooks.admit = [&](std::uint32_t vm, std::uint32_t, Nanos) {
+    admits[vm % cfg.shards].add(caller);
+    return AdmitDecision{};
+  };
+  const FleetResult r = run_fleet(cfg);
+  metrics::registry().reset();
+  EXPECT_GT(r.requests, 0u);
+  EXPECT_GT(admits[0].on_caller, 0u);
+  EXPECT_EQ(admits[0].elsewhere, 0u);
+  for (std::uint32_t s = 1; s < cfg.shards; ++s) {
+    EXPECT_EQ(admits[s].on_caller, 0u) << "shard " << s;
+    EXPECT_GT(admits[s].elsewhere, 0u) << "shard " << s;
+  }
+}
+
+TEST(FleetEngine, SingleShardRunMakesEveryHookCallOnTheCaller) {
+  FleetConfig cfg = small_fleet();
+  cfg.shards = 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  CallSplit admit, complete, epoch;
+  cfg.hooks.admit = [&](std::uint32_t, std::uint32_t, Nanos) {
+    admit.add(caller);
+    return AdmitDecision{};
+  };
+  cfg.hooks.on_complete = [&](std::uint32_t, std::uint32_t, Nanos, Nanos,
+                              Nanos, TraceId) { complete.add(caller); };
+  cfg.hooks.on_epoch = [&](Nanos) { epoch.add(caller); };
+  const FleetResult r = run_fleet(cfg);
+  metrics::registry().reset();
+  EXPECT_EQ(admit.on_caller, r.requests);
+  EXPECT_EQ(complete.on_caller, r.completed);
+  EXPECT_EQ(epoch.on_caller, r.epochs);
+  EXPECT_EQ(admit.elsewhere + complete.elsewhere + epoch.elsewhere, 0u);
+}
+
+TEST(FleetEngine, TracedRunIgnoresTheCallersOpSpan) {
+  // Shard 0 runs on the caller's thread, which here sits inside an op
+  // span. Fleet requests must still be roots, and the caller's span must
+  // be current again once the run returns.
+  tracer().set_enabled(true);
+  tracer().clear();
+  FleetConfig cfg = small_fleet();
+  cfg.trace_requests = true;
+  TraceId op = 0;
+  TraceId after = 0;
+  FleetResult r;
+  {
+    TraceOpScope scope("caller");
+    op = scope.id();
+    r = run_fleet(cfg);
+    after = tracer().begin_request("after", 0);
+  }
+  const auto requests = tracer().requests();
+  tracer().clear();
+  tracer().set_enabled(false);
+  metrics::registry().reset();
+
+  ASSERT_NE(op, 0u);
+  std::uint64_t fleet_requests = 0;
+  for (const auto& req : requests) {
+    if (req.op == "after") {
+      EXPECT_EQ(req.id, after);
+      EXPECT_EQ(req.parent, op);
+      continue;
+    }
+    ASSERT_EQ(req.op, "fleet");
+    ++fleet_requests;
+    EXPECT_EQ(req.parent, 0u) << "fleet request " << req.id;
+  }
+  EXPECT_EQ(fleet_requests, r.requests);
 }
 
 // ---------------------------------------------------------------------------
