@@ -9,7 +9,7 @@
 //    the check_fleet ctest can diff two *processes*.
 //  - the 256-VM open-loop run carries the virtual-time metric timeline
 //    (sim::Timeline, cadence from `VPHI_TIMELINE` or duration/64): the
-//    merged point stream is dumped verbatim via `--timeline-out=<path>` so
+//    point stream is dumped verbatim via `--timeline-out=<path>` so
 //    check_fleet can byte-compare two same-seed processes' timelines too.
 //
 // Row convention in BENCH_abl8_fleet_scale.json: `size` is the VM count.

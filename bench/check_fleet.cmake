@@ -12,7 +12,7 @@
 # from the engine ignoring it.
 #
 # The same three runs also dump the 256-VM run's metric timeline via
-# --timeline-out=: the merged (ts, shard, seq) point stream must be
+# --timeline-out=: the (ts, series)-ordered point stream must be
 # byte-identical for the same seed across processes and diverge across
 # seeds — the timeline's determinism contract, cross-process. Finally, a
 # fourth run with VPHI_TIMELINE=0 (sampler off) must dump a snapshot

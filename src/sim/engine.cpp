@@ -275,8 +275,7 @@ FleetResult run_fleet(const FleetConfig& requested) {
       std::array<std::uint32_t, 4> idx{};
       for (std::size_t p = 0; p < 4; ++p) {
         idx[p] = tl->add_series(std::string(kProfilePhaseNames[p]) +
-                                    "{shard=s" + std::to_string(s) + "}",
-                                s);
+                                "{shard=s" + std::to_string(s) + "}");
       }
       prof_series.push_back(idx);
     }
@@ -302,11 +301,13 @@ FleetResult run_fleet(const FleetConfig& requested) {
     const Nanos t1 = static_cast<Nanos>(e + 1) * kEpochNs;
     // Control-plane epoch hook first (SLO window evaluation publishes
     // burn-rate gauges), then the timeline sample so those gauges land in
-    // the same sample. Both run single-threaded while every shard thread
-    // is parked in the barrier — the only point where cross-shard
-    // instruments are quiescent — and both are pure observers: no actor
-    // clock moves here.
+    // the same sample, then the profiler's custom series, which sit after
+    // the catalogue, so the point stream stays ordered by (ts, series).
+    // All run single-threaded while every shard thread is parked in the
+    // barrier — the only point where cross-shard instruments are
+    // quiescent — and all are pure observers: no actor clock moves here.
     if (cfg.hooks.on_epoch) cfg.hooks.on_epoch(t1);
+    if (tl != nullptr) tl->sample(t1);
     if (tl != nullptr && profile) {
       for (std::uint32_t s2 = 0; s2 < S; ++s2) {
         const ShardProfile cur = prof[s2];  // shard s2 arrived: writes
@@ -321,7 +322,6 @@ FleetResult run_fleet(const FleetConfig& requested) {
         prof_prev[s2] = cur;
       }
     }
-    if (tl != nullptr) tl->sample(t1);
     stop.store((t1 >= duration &&
                 outstanding.load(std::memory_order_relaxed) == 0) ||
                    e + 1 >= max_epochs,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
@@ -12,39 +11,6 @@
 
 namespace vphi::sim {
 namespace {
-
-/// FNV-1a over name + NUL + label: the shard assignment for series whose
-/// label does not name one. Stable across runs by construction.
-std::uint64_t fnv1a(const std::string& name, const std::string& label) {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0u;  // the NUL separator
-    h *= 1099511628211ull;
-  };
-  mix(name);
-  mix(label);
-  return h;
-}
-
-/// Parse "shard=s<i>" out of a label ("shard=s3", "vm=v1,shard=s0").
-/// Returns false when the label names no shard.
-bool shard_from_label(const std::string& label, std::uint32_t* out) {
-  const std::size_t pos = label.find("shard=s");
-  if (pos == std::string::npos) return false;
-  const char* p = label.c_str() + pos + 7;
-  if (*p < '0' || *p > '9') return false;
-  std::uint32_t v = 0;
-  while (*p >= '0' && *p <= '9') {
-    v = v * 10 + static_cast<std::uint32_t>(*p - '0');
-    ++p;
-  }
-  *out = v;
-  return true;
-}
 
 /// Integer-valued points print as integers (deltas and levels almost
 /// always are), everything else as %.6g — both byte-stable.
@@ -86,17 +52,6 @@ TimelineConfig TimelineConfig::from_env(Nanos default_cadence_ns) {
   return cfg;
 }
 
-Timeline::Timeline(TimelineConfig cfg) : cfg_(cfg) {
-  if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
-}
-
-std::uint32_t Timeline::shard_of(const std::string& name,
-                                 const std::string& label) const {
-  std::uint32_t s = 0;
-  if (shard_from_label(label, &s)) return s % shards_;
-  return static_cast<std::uint32_t>(fnv1a(name, label) % shards_);
-}
-
 void Timeline::begin_run(std::uint32_t shards, Nanos start_ns) {
   shards_ = std::max<std::uint32_t>(1, shards);
   start_ns_ = start_ns;
@@ -106,11 +61,7 @@ void Timeline::begin_run(std::uint32_t shards, Nanos start_ns) {
   dropped_ = 0;
   series_.clear();
   series_names_.clear();
-  merged_.clear();
-  rings_.assign(shards_, ShardRing{});
-  for (ShardRing& r : rings_) {
-    r.slots.resize(cfg_.ring_capacity);  // the only per-run allocation
-  }
+  points_.clear();
   plan_generation_ = ~0ull;  // force a plan rebuild on the first sample
   counter_index_.clear();
   gauge_index_.clear();
@@ -129,7 +80,6 @@ void Timeline::begin_run(std::uint32_t shards, Nanos start_ns) {
     s.reg_name = name;
     s.reg_label = label;
     s.source = source;
-    s.shard = shard_of(name, label);
     s.prev = baseline;
     series_names_.push_back(s.name);
     series_.push_back(std::move(s));
@@ -196,31 +146,21 @@ void Timeline::rebuild_plan(
   }
 }
 
-std::uint32_t Timeline::add_series(std::string name, std::uint32_t shard) {
+std::uint32_t Timeline::add_series(std::string name) {
   Series s;
   s.name = std::move(name);
   s.source = Source::kCustom;
-  s.shard = shard % shards_;
   series_names_.push_back(s.name);
   series_.push_back(std::move(s));
   return static_cast<std::uint32_t>(series_.size() - 1);
 }
 
 void Timeline::push(std::uint32_t series, Nanos ts, double value) {
-  ShardRing& r = rings_[series_[series].shard];
-  TimelinePoint p;
-  p.ts = ts;
-  p.shard = series_[series].shard;
-  p.seq = r.seq++;
-  p.series = series;
-  p.value = value;
-  if (r.count == r.slots.size()) {
-    ++dropped_;  // overwrite the oldest point, never a silent loss
-  } else {
-    ++r.count;
+  if (points_.size() == kMaxPoints) {
+    ++dropped_;  // counted, never a silent loss
+    return;
   }
-  r.slots[r.next] = p;
-  r.next = (r.next + 1) % r.slots.size();
+  points_.push_back(TimelinePoint{ts, series, value});
   if (tracer().enabled()) {
     tracer().record_counter(series_[series].name, ts, value);
   }
@@ -301,23 +241,6 @@ void Timeline::sample(Nanos now) {
 
 void Timeline::finish_run(Nanos end_ns) {
   end_ns_ = std::max(end_ns_, end_ns);
-  merged_.clear();
-  std::size_t total = 0;
-  for (const ShardRing& r : rings_) total += r.count;
-  merged_.reserve(total);
-  for (const ShardRing& r : rings_) {
-    const std::size_t start =
-        (r.next + r.slots.size() - r.count) % r.slots.size();
-    for (std::size_t i = 0; i < r.count; ++i) {
-      merged_.push_back(r.slots[(start + i) % r.slots.size()]);
-    }
-  }
-  std::sort(merged_.begin(), merged_.end(),
-            [](const TimelinePoint& a, const TimelinePoint& b) {
-              if (a.ts != b.ts) return a.ts < b.ts;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.seq < b.seq;
-            });
 }
 
 std::string Timeline::json() const {
@@ -344,15 +267,11 @@ std::string Timeline::json() const {
   }
   out += "],\"points\":[";
   first = true;
-  for (const TimelinePoint& p : merged_) {
+  for (const TimelinePoint& p : points_) {
     if (!first) out += ',';
     first = false;
     out += '[';
     out += std::to_string(p.ts);
-    out += ',';
-    out += std::to_string(p.shard);
-    out += ',';
-    out += std::to_string(p.seq);
     out += ',';
     out += std::to_string(p.series);
     out += ',';

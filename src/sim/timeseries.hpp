@@ -3,25 +3,26 @@
 // A Timeline turns the registry's end-of-run point snapshot into a time
 // axis: at a configurable simulated cadence it captures the per-label
 // *delta* of every live counter (and histogram count), and the *level* of
-// every live gauge (and histogram p99), as (ts, shard, seq, series, value)
-// points. In the sharded fleet engine every sample is taken inside the
-// epoch barrier's completion step — the one moment per epoch where all
-// shard threads are parked and every instrument is quiescent — so samples
-// align to engine epochs, values are exact, and the capture is
+// every live gauge (and histogram p99), as (ts, series, value) points. In
+// the sharded fleet engine every sample is taken inside the epoch
+// barrier's completion step — the one moment per epoch where all shard
+// threads are parked and every instrument is quiescent — so samples align
+// to engine epochs, values are exact, and the capture is
 // happens-before-clean under TSan without a single extra atomic.
 //
-// Points are collected per-shard into fixed-capacity overwrite-oldest
-// rings (a series belongs to the shard named in its "shard=s<i>" label,
-// or to a hash-assigned shard otherwise) and merged once at finish_run()
-// in (ts, shard, seq) order — the same deterministic total key the engine
-// uses for its event queues — so same-seed runs emit bit-identical
-// timelines. Custom series (the engine's self-profiling phase timers) ride
-// the same rings via add_series()/record().
+// Every push runs on one thread at a time (begin_run, the barrier
+// completion step, after join), so points are appended to one vector in
+// emission order: a sample emits its points in series order, and the
+// engine records its custom series (the self-profiling phase timers,
+// registered after the catalogue) after each sample. The stream is
+// therefore strictly ordered by (ts, series), and same-seed runs emit
+// bit-identical timelines. At most kMaxPoints are stored; later points
+// are counted in dropped(), never silently lost.
 //
 // The Timeline is a **pure observer**: it never advances an actor's clock,
 // registers no instruments of its own, and a run with sampling on is
 // bit-identical — FleetResult and metrics snapshot — to the same run with
-// sampling off. When the tracer is enabled, each emitted point is also
+// sampling off. When the tracer is enabled, each stored point is also
 // forwarded as a Perfetto counter-track sample so timelines render beside
 // span tracks.
 //
@@ -29,6 +30,7 @@
 // unset keeps the caller's default).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -48,9 +50,6 @@ class LatencyHistogram;
 struct TimelineConfig {
   /// Simulated nanoseconds between samples; 0 disables the sampler.
   Nanos cadence_ns = 0;
-  /// Per-shard ring capacity in points; the ring overwrites its oldest
-  /// point when full (dropped points are counted, never silently lost).
-  std::uint32_t ring_capacity = 1u << 15;
 
   /// Apply the VPHI_TIMELINE env override on top of `default_cadence_ns`:
   /// unset/empty keeps the default, "0" disables, any other integer is the
@@ -59,35 +58,38 @@ struct TimelineConfig {
 };
 
 /// One sampled point. `value` is a delta for counter-kind series and a
-/// level for gauge-kind series; `seq` is the owning shard's push sequence.
+/// level for gauge-kind series.
 struct TimelinePoint {
   Nanos ts = 0;
-  std::uint32_t shard = 0;
-  std::uint64_t seq = 0;
   std::uint32_t series = 0;  ///< index into series_names()
   double value = 0.0;
 };
 
 class Timeline {
  public:
-  explicit Timeline(TimelineConfig cfg = {});
+  /// Points stored per run. A fleet workload stores about 1.4k, or 321k
+  /// when VPHI_ENGINE_PROFILE adds a point per shard phase per epoch.
+  static constexpr std::size_t kMaxPoints = std::size_t{1} << 19;
+
+  explicit Timeline(TimelineConfig cfg = {}) : cfg_(cfg) {}
 
   bool enabled() const noexcept { return cfg_.cadence_ns > 0; }
   const TimelineConfig& config() const noexcept { return cfg_; }
 
   /// Build the series catalogue from the live registry (capturing each
-  /// series' start-of-run baseline for deltas) and reset the per-shard
-  /// rings. Call on the main thread before engine threads spawn; every
-  /// instrument alive at this point is sampled, later arrivals are not.
+  /// series' start-of-run baseline for deltas) and clear the points. Call
+  /// on the main thread before engine threads spawn; every instrument
+  /// alive at this point is sampled, later arrivals are not.
   void begin_run(std::uint32_t shards, Nanos start_ns);
 
-  /// Register one custom series owned by `shard` (engine self-profiling
-  /// phase timers). Points carry raw record() values, no delta baseline.
-  /// Returns the series index for record(). Single-threaded phases only.
-  std::uint32_t add_series(std::string name, std::uint32_t shard);
+  /// Register one custom series (engine self-profiling phase timers).
+  /// Points carry raw record() values, no delta baseline. Returns the
+  /// series index for record(). Single-threaded phases only.
+  std::uint32_t add_series(std::string name);
 
   /// Push one point for a custom series. Barrier completion step (or any
-  /// single-threaded phase) only.
+  /// single-threaded phase) only, after that epoch's sample() and in
+  /// series order, so the stream stays ordered by (ts, series).
   void record(std::uint32_t series, Nanos ts, double value);
 
   /// Capture one sample of every registry-backed series if `now` reached
@@ -96,15 +98,14 @@ class Timeline {
   /// Unchanged series emit no point, so idle stretches cost nothing.
   void sample(Nanos now);
 
-  /// Merge the per-shard rings into the final (ts, shard, seq) ordered
-  /// point stream. Main thread, after engine threads join.
+  /// Close the run at `end_ns`. Main thread, after engine threads join.
   void finish_run(Nanos end_ns);
 
   const std::vector<std::string>& series_names() const noexcept {
     return series_names_;
   }
   const std::vector<TimelinePoint>& points() const noexcept {
-    return merged_;
+    return points_;
   }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint64_t samples_taken() const noexcept { return samples_; }
@@ -112,7 +113,7 @@ class Timeline {
   /// The timeline as one JSON object:
   ///   {"cadence_ns":..,"shards":..,"start_ns":..,"end_ns":..,
   ///    "samples":..,"dropped":..,"series":[...],
-  ///    "points":[[ts,shard,seq,series,value],...]}
+  ///    "points":[[ts,series,value],...]}
   /// Byte-identical across same-seed runs.
   std::string json() const;
 
@@ -132,19 +133,9 @@ class Timeline {
     std::string reg_name;   ///< registry lookup key
     std::string reg_label;  ///< registry lookup key ("" = aggregate)
     Source source = Source::kCustom;
-    std::uint32_t shard = 0;
     double prev = 0.0;  ///< last sampled value (delta baseline / level)
   };
 
-  struct ShardRing {
-    std::vector<TimelinePoint> slots;  ///< capacity-sized, never resized
-    std::size_t next = 0;
-    std::size_t count = 0;
-    std::uint64_t seq = 0;
-  };
-
-  std::uint32_t shard_of(const std::string& name,
-                         const std::string& label) const;
   void push(std::uint32_t series, Nanos ts, double value);
   /// Rebuild the instrument-pointer sampling plan from the live lists.
   /// Called (rarely) from inside Registry::sample_live when the registry
@@ -164,8 +155,7 @@ class Timeline {
   std::uint64_t dropped_ = 0;
   std::vector<Series> series_;
   std::vector<std::string> series_names_;
-  std::vector<ShardRing> rings_;
-  std::vector<TimelinePoint> merged_;
+  std::vector<TimelinePoint> points_;
 
   // Sampling plan: registry-map lookups and per-sample allocations are too
   // expensive at fleet scale (thousands of labeled instruments), so each

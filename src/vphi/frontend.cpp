@@ -140,9 +140,13 @@ sim::Status FrontendDriver::probe() {
   auto& status = vm_->device_status();
   status.set(virtio::VIRTIO_STATUS_ACKNOWLEDGE);
   status.set(virtio::VIRTIO_STATUS_DRIVER);
-  std::uint64_t wanted = virtio::VIRTIO_F_VERSION_1 | virtio::VPHI_F_SCIF |
-                         virtio::VPHI_F_MMAP_PFN | virtio::VPHI_F_SYSFS_INFO;
-  if (config_.event_idx) wanted |= virtio::VIRTIO_F_EVENT_IDX;
+  // VIRTIO_F_EVENT_IDX: the driver skips doorbells while the device is
+  // already draining and the device coalesces completion interrupts per
+  // batch (virtio 1.0 sec 2.6.7).
+  const std::uint64_t wanted =
+      virtio::VIRTIO_F_VERSION_1 | virtio::VPHI_F_SCIF |
+      virtio::VPHI_F_MMAP_PFN | virtio::VPHI_F_SYSFS_INFO |
+      virtio::VIRTIO_F_EVENT_IDX;
   if (!status.negotiate(wanted & status.offered_features())) {
     return sim::Status::kNoDevice;
   }

@@ -75,10 +75,6 @@ struct FrontendConfig {
   /// paper's serial chunk walk: chunk N+1 is not posted until chunk N's
   /// completion has been parsed.
   std::size_t pipeline_window = 1;
-  /// Negotiate VIRTIO_F_EVENT_IDX at probe time: the driver skips doorbells
-  /// while the device is already draining and the device coalesces
-  /// completion interrupts per batch (virtio 1.0 sec 2.6.7).
-  bool event_idx = true;
   /// Per-command chunk size for RMA ops (readfrom/writeto). RMA carries no
   /// ring payload — the data DMAs straight into the pinned window — so it
   /// is not bound by KMALLOC_MAX_SIZE; this bounds the DMA each command

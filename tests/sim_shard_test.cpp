@@ -539,15 +539,13 @@ TEST(FleetTimeline, SameSeed256VmTimelineIsBitIdentical) {
   // part of the engine's same-seed bit-identity contract.
   EXPECT_EQ(t1.json(), t2.json());
 
-  // The merged stream honours the engine's (ts, shard, seq) total order.
+  // The stream is strictly ordered by its key, (ts, series).
   const auto& pts = t1.points();
   for (std::size_t i = 1; i < pts.size(); ++i) {
     const auto& a = pts[i - 1];
     const auto& b = pts[i];
     const bool ordered =
-        a.ts < b.ts ||
-        (a.ts == b.ts &&
-         (a.shard < b.shard || (a.shard == b.shard && a.seq < b.seq)));
+        a.ts < b.ts || (a.ts == b.ts && a.series < b.series);
     ASSERT_TRUE(ordered) << "point " << i << " out of order";
   }
 

@@ -20,6 +20,7 @@
 #include "sim/stats.hpp"
 #include "sim/status.hpp"
 #include "sim/time.hpp"
+#include "sim/timeseries.hpp"
 
 namespace vphi::sim {
 namespace {
@@ -330,6 +331,41 @@ TEST(Histogram, PercentilesMonotone) {
   EXPECT_GT(p50, 256.0);
   EXPECT_LE(p99, 1024.0);
   EXPECT_EQ(Histogram{}.percentile(0.5), 0.0);
+}
+
+TEST(Timeline, PointsPastTheCapAreCountedNotStored) {
+  // Custom series fill the store without a fleet run: two series, one
+  // point each per ts, until kOver pairs past Timeline::kMaxPoints.
+  Timeline tl{TimelineConfig{1'000}};
+  tl.begin_run(1, 0);
+  const std::uint32_t a = tl.add_series("test.a");
+  const std::uint32_t b = tl.add_series("test.b");
+  ASSERT_LT(a, b);
+  constexpr std::size_t kOver = 5;
+  const std::size_t pairs = Timeline::kMaxPoints / 2 + kOver;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    tl.record(a, static_cast<Nanos>(i), 1.0);
+    tl.record(b, static_cast<Nanos>(i), 2.5);
+  }
+  tl.finish_run(static_cast<Nanos>(pairs));
+
+  EXPECT_EQ(tl.dropped(), 2 * kOver);
+  const auto& pts = tl.points();
+  ASSERT_EQ(pts.size(), Timeline::kMaxPoints);
+  // The earliest points are the ones kept, still ordered by (ts, series).
+  EXPECT_EQ(pts.front().ts, 0u);
+  EXPECT_EQ(pts.back().ts, static_cast<Nanos>(Timeline::kMaxPoints / 2 - 1));
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    const bool ordered =
+        pts[i - 1].ts < pts[i].ts ||
+        (pts[i - 1].ts == pts[i].ts && pts[i - 1].series < pts[i].series);
+    ASSERT_TRUE(ordered) << "point " << i << " out of order";
+  }
+  const std::string json = tl.json();
+  EXPECT_NE(json.find("\"dropped\":10,"), std::string::npos);
+  EXPECT_NE(json.find("\"points\":[[0," + std::to_string(a) + ",1],[0," +
+                      std::to_string(b) + ",2.5],"),
+            std::string::npos);
 }
 
 TEST(FigureTable, PrintsAllSeriesAndRatios) {

@@ -680,5 +680,61 @@ TEST(VphiSharing, TwoVmsShareOneCardConcurrently) {
   EXPECT_NE(&bed.vm(0).backend().provider(), &bed.vm(1).backend().provider());
 }
 
+TEST(VphiSharing, TwoGuestThreadsInOneVmNeedWorkerBackend) {
+  // Design hazard the reproduction surfaces: with the paper's default
+  // policy, data transfers execute *blocking* on the VM's QEMU event loop.
+  // Two threads inside one VM that wait on each other (the receiver
+  // blocked in recv while the sender's send sits queued behind that very
+  // recv handler) deadlock — faithfully to the paper's design. Routing
+  // transfers to worker threads (the paper's non-blocking mode) resolves
+  // it; this test runs the exact mutually-dependent exchange under the
+  // all-worker policy.
+  TestbedConfig config;
+  config.backend_policy.classify = BackendPolicy::all_worker();
+  Testbed bed{config};
+  auto& guest = bed.vm(0).guest_scif();
+  auto& backend = bed.vm(0).backend();
+  constexpr scif::Port kPeerPort = 5'600;
+
+  // A guest listener lives on the host node: the backend's process.
+  auto ids = guest.get_node_ids();
+  ASSERT_TRUE(ids);
+  auto lep = guest.open();
+  ASSERT_TRUE(lep);
+  ASSERT_TRUE(guest.bind(*lep, kPeerPort));
+  ASSERT_TRUE(sim::ok(guest.listen(*lep, 1)));
+
+  const auto recvs_before = backend.op_count(Op::kRecv);
+  auto receiver = std::async(std::launch::async, [&, node = ids->self] {
+    sim::Actor a{"receiver", sim::Actor::AtNow{}};
+    sim::ActorScope scope(a);
+    auto epd = guest.open();
+    if (!epd || !sim::ok(guest.connect(*epd, PortId{node, kPeerPort}))) {
+      return -1;
+    }
+    int v = 0;
+    auto got = guest.recv(*epd, &v, sizeof(v), SCIF_RECV_BLOCK);
+    guest.close(*epd);
+    return got && *got == sizeof(v) ? v : -1;
+  });
+
+  sim::Actor sender{"sender", sim::Actor::AtNow{}};
+  sim::ActorScope scope(sender);
+  auto conn = guest.accept(*lep, SCIF_ACCEPT_SYNC);
+  EXPECT_TRUE(conn);
+  if (conn) {
+    // The receiver's recv reaches the backend before the send is posted.
+    while (backend.op_count(Op::kRecv) == recvs_before) {
+      std::this_thread::yield();
+    }
+    const int v = 7;
+    auto sent = guest.send(conn->epd, &v, sizeof(v), SCIF_SEND_BLOCK);
+    EXPECT_TRUE(sent && *sent == sizeof(v));
+  }
+  EXPECT_EQ(receiver.get(), 7);
+  if (conn) guest.close(conn->epd);
+  guest.close(*lep);
+}
+
 }  // namespace
 }  // namespace vphi::core
