@@ -27,18 +27,19 @@ int main() {
               bed.card().sysfs().get("family")->c_str(),
               bed.card().sysfs().get("sku")->c_str(), bed.vm_count());
 
-  // 2. Card-side echo server (a process on the coprocessor's uOS).
+  // 2. Card-side echo server (a process on the coprocessor's uOS). It
+  //    listens before the guest can connect; only accept runs on its thread.
   constexpr Port kEchoPort = 1'500;
-  auto server = std::async(std::launch::async, [&bed] {
+  auto& p = bed.card_provider();
+  auto lep = p.open();
+  if (!lep || !p.bind(*lep, kEchoPort) || !sim::ok(p.listen(*lep, 4))) {
+    std::printf("card listen failed\n");
+    return 1;
+  }
+  auto server = std::async(std::launch::async, [&p, lep = *lep] {
     sim::Actor actor{"card-echo"};
     sim::ActorScope scope(actor);
-    auto& p = bed.card_provider();
-    auto lep = p.open();
-    if (!lep || !p.bind(*lep, kEchoPort) ||
-        !sim::ok(p.listen(*lep, 4))) {
-      return;
-    }
-    auto conn = p.accept(*lep, SCIF_ACCEPT_SYNC);
+    auto conn = p.accept(lep, SCIF_ACCEPT_SYNC);
     if (!conn) return;
     // SCIF_RECV_BLOCK waits for the *full* requested length (Intel
     // semantics), so the echo protocol uses fixed 64-byte frames.

@@ -28,14 +28,18 @@ int main() {
   tools::Testbed bed{tools::TestbedConfig{}};
 
   // Card-side producer: accepts, registers device memory, and pushes the
-  // payload into the *guest's* window with scif_writeto, then signals.
-  auto producer = std::async(std::launch::async, [&bed] {
+  // payload into the *guest's* window with scif_writeto, then signals. It
+  // listens before the guest can connect; only accept runs on its thread.
+  auto& p = bed.card_provider();
+  auto lep = p.open();
+  if (!lep || !p.bind(*lep, kPort) || !sim::ok(p.listen(*lep, 1))) {
+    std::printf("card listen failed\n");
+    return 1;
+  }
+  auto producer = std::async(std::launch::async, [&bed, &p, lep = *lep] {
     sim::Actor actor{"card-producer", sim::Actor::AtNow{}};
     sim::ActorScope scope(actor);
-    auto& p = bed.card_provider();
-    auto lep = p.open();
-    if (!p.bind(*lep, kPort) || !sim::ok(p.listen(*lep, 1))) return 1;
-    auto conn = p.accept(*lep, SCIF_ACCEPT_SYNC);
+    auto conn = p.accept(lep, SCIF_ACCEPT_SYNC);
     if (!conn) return 1;
 
     // Source data in card GDDR.

@@ -15,18 +15,6 @@ std::uint64_t WaitQueue::prepare(const sim::Actor* owner) {
 }
 
 sim::Status WaitQueue::wait(std::uint64_t ticket, sim::Actor& actor) {
-  return wait_impl(ticket, actor, nullptr);
-}
-
-sim::Status WaitQueue::wait_for(std::uint64_t ticket, sim::Actor& actor,
-                                std::chrono::milliseconds real_grace) {
-  const auto deadline = std::chrono::steady_clock::now() + real_grace;
-  return wait_impl(ticket, actor, &deadline);
-}
-
-sim::Status WaitQueue::wait_impl(
-    std::uint64_t ticket, sim::Actor& actor,
-    const std::chrono::steady_clock::time_point* real_deadline) {
   Completion c;
   // Interrupt times of the other requests' completions that woke us in
   // vain. Only those inside our own sleep in simulated time are charged:
@@ -50,26 +38,11 @@ sim::Status WaitQueue::wait_impl(
       }
       // Sleep until any wake event; count generations we woke for in vain.
       ++blocked_;
-      bool woken = true;
       while (!shutdown_ && wake_generation_ == seen_generation &&
              completed_.count(ticket) == 0) {
-        if (real_deadline == nullptr) {
-          cv_.wait(mu_);
-        } else if (cv_.wait_until(mu_, *real_deadline) ==
-                   std::cv_status::timeout) {
-          woken = shutdown_ || wake_generation_ != seen_generation ||
-                  completed_.count(ticket) != 0;
-          if (!woken) break;
-        }
+        cv_.wait(mu_);
       }
       --blocked_;
-      if (!woken) {
-        // Nothing is coming for this ticket: deregister so a late complete()
-        // is dropped instead of leaking, and let the caller charge the
-        // simulated timeout.
-        sleeping_.erase(ticket);
-        return sim::Status::kTimedOut;
-      }
       if (wake_generation_ != seen_generation &&
           completed_.count(ticket) == 0 && !shutdown_) {
         spurious_irqs.push_back(last_irq_ts_);
@@ -98,9 +71,8 @@ sim::Status WaitQueue::wait_impl(
 void WaitQueue::complete(std::uint64_t ticket, sim::Nanos irq_ts) {
   {
     sim::MutexLock lock(mu_);
-    // A ticket that timed out (wait_for gave up) or was never prepared is
-    // no longer in sleeping_: drop the completion instead of parking it in
-    // completed_ forever.
+    // A cancelled or never-prepared ticket is not in sleeping_: drop the
+    // completion instead of parking it in completed_ forever.
     if (sleeping_.count(ticket) == 0) return;
     auto [it, fresh] = completed_.try_emplace(
         ticket, Completion{irq_ts, other_sleepers_locked(ticket)});

@@ -13,7 +13,6 @@
 // * copy_{from,to}_user timing — the only real copies on the vPHI data path.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -44,20 +43,11 @@ class WaitQueue {
   /// spuriously
   /// + a tax for every other interrupt that woke us in vain between our
   /// sleep and our own interrupt in simulated time.
-  /// Returns kShutDown if the queue was torn down first.
+  /// Returns kShutDown if the queue was torn down first. There is no
+  /// timeout: a waiter whose request can never complete (its chain stranded
+  /// on the ring) must not sleep here at all, and the frontend checks the
+  /// ring for that before it calls wait().
   sim::Status wait(std::uint64_t ticket, sim::Actor& actor)
-      VPHI_EXCLUDES(mu_);
-
-  /// Bounded wait: like wait(), but gives up after `real_grace` of real time
-  /// with no completion. Simulated time cannot advance while nothing
-  /// happens, so a request the transport lost (dropped kick, dead backend)
-  /// never completes and never moves the clock either — this wall-clock
-  /// escape hatch is what lets the frontend charge its *simulated* request
-  /// timeout and move on. On kTimedOut the ticket is deregistered (a late
-  /// complete() for it is ignored) and no waiting cost is charged; the
-  /// caller owns the simulated-time accounting of the timeout.
-  sim::Status wait_for(std::uint64_t ticket, sim::Actor& actor,
-                       std::chrono::milliseconds real_grace)
       VPHI_EXCLUDES(mu_);
 
   /// ISR side: the response for `ticket` became visible at `irq_ts`.
@@ -66,8 +56,9 @@ class WaitQueue {
   /// than the first, and wakes nobody.
   void complete(std::uint64_t ticket, sim::Nanos irq_ts) VPHI_EXCLUDES(mu_);
 
-  /// Deregister a prepared ticket that will never be waited on (e.g. the
-  /// request was never posted). A late complete() for it is dropped.
+  /// Deregister a prepared ticket that will never be waited on (the request
+  /// was never posted, or was lost in the transport). A late complete() for
+  /// it is dropped.
   void cancel(std::uint64_t ticket) VPHI_EXCLUDES(mu_);
 
   void shutdown() VPHI_EXCLUDES(mu_);
@@ -89,12 +80,6 @@ class WaitQueue {
   /// The `others_at_irq` of a completion for `ticket`, now.
   std::size_t other_sleepers_locked(std::uint64_t ticket) const
       VPHI_REQUIRES(mu_);
-
-  /// Shared loop behind wait()/wait_for(); `real_deadline` null = unbounded.
-  sim::Status wait_impl(
-      std::uint64_t ticket, sim::Actor& actor,
-      const std::chrono::steady_clock::time_point* real_deadline)
-      VPHI_EXCLUDES(mu_);
 
   const sim::CostModel* model_;
   mutable sim::Mutex mu_;

@@ -37,7 +37,7 @@ namespace vphi::sim {
 /// One entry per fault point threaded through the transport.
 enum class FaultSite : int {
   kKmallocNoMem = 0,       ///< GuestPhysMem::kmalloc returns kNoMemory
-  kKickDrop,               ///< Virtqueue::kick swallowed (request stranded)
+  kKickDrop,               ///< doorbell lost in kick_prepare (chain stranded)
   kKickDelay,              ///< Virtqueue::kick delayed by delay_ns
   kCorruptRequestHeader,   ///< frontend posts a garbage RequestHeader
   kCorruptResponseStatus,  ///< backend answers with an invalid status int

@@ -30,6 +30,19 @@ std::size_t line_of(std::string_view text, std::size_t pos) {
                  std::count(text.begin(), text.begin() + static_cast<long>(pos), '\n'));
 }
 
+/// Whether the ' at `pos` separates digits of a number literal (2'500,
+/// 0xFF'FF) rather than opening a character literal ('x', u8'x').
+bool digit_separator(std::string_view text, std::size_t pos) {
+  std::size_t start = pos;
+  while (start > 0 && (std::isalnum(static_cast<unsigned char>(
+                           text[start - 1])) != 0 ||
+                       text[start - 1] == '\'' || text[start - 1] == '.')) {
+    --start;
+  }
+  return start < pos &&
+         std::isdigit(static_cast<unsigned char>(text[start])) != 0;
+}
+
 bool metric_name_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' ||
          c == '_';
@@ -75,7 +88,7 @@ LexedFile lex(std::string_view source) {
           state = State::kString;
           current.clear();
           out.code += '"';
-        } else if (c == '\'') {
+        } else if (c == '\'' && !digit_separator(source, i)) {
           state = State::kChar;
           out.code += '\'';
         } else {
@@ -397,22 +410,50 @@ std::vector<Finding> check_config_knobs(const Corpus& src,
   return findings;
 }
 
+std::vector<Finding> check_real_time(const Corpus& code) {
+  std::vector<Finding> findings;
+  static const std::set<std::string> allowed = {"src/sim/engine.cpp",
+                                                "src/scif/fabric.cpp"};
+  static const std::regex clock_re(
+      "\\b(sleep_for|sleep_until|steady_clock|system_clock|"
+      "high_resolution_clock|wait_until)\\b");
+  for (const auto& [path, contents] : code) {
+    if (allowed.count(path) != 0) continue;
+    const LexedFile lexed = lex(contents);
+    for (auto it = std::sregex_iterator(lexed.code.begin(), lexed.code.end(),
+                                        clock_re);
+         it != std::sregex_iterator(); ++it) {
+      const auto pos = static_cast<std::size_t>(it->position(0));
+      findings.push_back(
+          {"real-time", path + ":" + std::to_string(line_of(lexed.code, pos)),
+           std::string("'").append(it->str()).append(
+               "' reads or waits on the host clock — simulated outcomes "
+               "and correctness tests must not depend on wall time")});
+    }
+  }
+  return findings;
+}
+
 std::vector<Finding> run_all(const std::string& repo_root) {
   const fs::path root{repo_root};
   std::error_code ec;
   if (!fs::is_directory(root / "src", ec)) {
     return {{"corpus", repo_root, "no src/ directory here"}};
   }
-  Corpus src;
-  for (auto& entry : fs::recursive_directory_iterator(root / "src")) {
-    if (!entry.is_regular_file()) continue;
-    const auto ext = entry.path().extension().string();
-    if (ext != ".hpp" && ext != ".cpp") continue;
-    src.emplace_back(
-        fs::relative(entry.path(), root).generic_string(),
-        read_file(entry.path()));
-  }
-  std::sort(src.begin(), src.end());
+  const auto load_sources = [&root, &ec](const char* dir) {
+    Corpus out;
+    if (!fs::is_directory(root / dir, ec)) return out;
+    for (auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      if (!entry.is_regular_file()) continue;
+      const auto ext = entry.path().extension().string();
+      if (ext != ".hpp" && ext != ".cpp") continue;
+      out.emplace_back(fs::relative(entry.path(), root).generic_string(),
+                       read_file(entry.path()));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const Corpus src = load_sources("src");
 
   const std::string observability = read_file(root / "docs/OBSERVABILITY.md");
   const std::string design = read_file(root / "DESIGN.md");
@@ -475,6 +516,8 @@ std::vector<Finding> run_all(const std::string& repo_root) {
   absorb(check_ring_allocations(src));
   absorb(check_stray_output(src));
   absorb(check_config_knobs(src, cmake, doc_corpus));
+  absorb(check_real_time(src));
+  absorb(check_real_time(load_sources("tests")));
   return findings;
 }
 

@@ -9,7 +9,8 @@
 // through the logger/recorder, never the terminal). Config knobs get the
 // same bidirectional treatment as metrics: every `VPHI_*` env knob the
 // code reads must be documented, and every documented knob must still
-// exist. Each rule is a pure function over file contents so tests can
+// exist. Simulated outcomes and correctness tests never read or wait on
+// the host clock, outside an allow-list of timing shims. Each rule is a pure function over file contents so tests can
 // feed synthetic corpora and prove the linter actually fails on
 // violations.
 #pragma once
@@ -80,8 +81,21 @@ std::vector<Finding> check_config_knobs(const Corpus& src,
                                         const Corpus& cmake,
                                         const Corpus& docs);
 
-/// Load src/**/*.{hpp,cpp}, docs/OBSERVABILITY.md and DESIGN.md from
-/// `repo_root` and run every rule. Returns all findings (empty = clean).
+/// Rule 7: no host clock in src/ or tests/. `sleep_for`, `sleep_until`,
+/// `steady_clock`, `system_clock`, `high_resolution_clock` and `wait_until`
+/// are rejected outside comments and string literals: a simulated outcome
+/// (a loss, a timeout) or a correctness test that depends on wall time
+/// varies with host load. Allowed by file: src/sim/engine.cpp (engine
+/// profiling measures the host on purpose) and src/scif/fabric.cpp
+/// (PollHub::wait_change bounds scif_poll's finite timeout in real time
+/// until the transport has a simulated-time scheduler).
+/// `std::this_thread::yield` stays allowed: tests use it as a rendezvous
+/// spin, and it reads no clock.
+std::vector<Finding> check_real_time(const Corpus& code);
+
+/// Load src/**/*.{hpp,cpp}, tests/**/*.{hpp,cpp}, docs/OBSERVABILITY.md
+/// and DESIGN.md from `repo_root` and run every rule. Returns all findings
+/// (empty = clean).
 std::vector<Finding> run_all(const std::string& repo_root);
 
 }  // namespace vphi::tools::lint

@@ -78,11 +78,6 @@ void Virtqueue::set_event_idx(bool enabled) {
   event_idx_ = enabled;
 }
 
-bool Virtqueue::event_idx_enabled() const {
-  sim::MutexLock lock(mu_);
-  return event_idx_;
-}
-
 sim::Expected<std::uint16_t> Virtqueue::add_buf(std::span<const BufferRef> out,
                                                 std::span<const BufferRef> in,
                                                 sim::Nanos publish_ts,
@@ -128,30 +123,36 @@ sim::Expected<std::uint16_t> Virtqueue::add_buf(std::span<const BufferRef> out,
   return head;
 }
 
-bool Virtqueue::kick_prepare() {
+Doorbell Virtqueue::kick_prepare() {
   sim::MutexLock lock(mu_);
   const std::uint16_t old_idx = kick_point_;
   kick_point_ = avail_idx_;
-  if (!event_idx_) return true;
-  if (vring_need_event(avail_event_shadow_, avail_idx_, old_idx)) return true;
-  // The device's avail_event is not inside the freshly published range: it
-  // is awake and draining, and will pick the entries up without a doorbell.
-  suppressed_kicks_.inc();
+  if (event_idx_ &&
+      !vring_need_event(avail_event_shadow_, avail_idx_, old_idx)) {
+    // An earlier doorbell crossed the device's avail_event and it has not
+    // re-armed since: these entries ride that doorbell, delivered or lost.
+    suppressed_kicks_.inc();
+    if (!doorbell_lost_) notified_idx_ = avail_idx_;
+    return Doorbell::kSuppressed;
+  }
+  if (sim::fault_injector().should_fire(sim::FaultSite::kKickDrop)) {
+    // The write never reaches the device: the entries sit in the ring until
+    // a delivered kick (the frontend's rescue kick) flushes them through.
+    VPHI_LOG(kWarn, "virtio") << "doorbell for avail idx " << avail_idx_
+                              << " dropped";
+    kick_count_.inc();
+    dropped_kicks_.inc();
+    doorbell_lost_ = true;
+    return Doorbell::kLost;
+  }
+  doorbell_lost_ = false;
   notified_idx_ = avail_idx_;
-  return false;
+  return Doorbell::kRing;
 }
 
 void Virtqueue::kick(sim::Nanos visible_ts) {
   kick_count_.inc();
   auto& fi = sim::fault_injector();
-  if (fi.should_fire(sim::FaultSite::kKickDrop)) {
-    // The doorbell write never reaches the device: the avail entry sits in
-    // the ring until a later kick (the frontend's timeout path sends a
-    // rescue kick) flushes it through.
-    VPHI_LOG(kWarn, "virtio") << "kick at " << visible_ts << " dropped";
-    dropped_kicks_.inc();
-    return;
-  }
   if (fi.should_fire(sim::FaultSite::kKickDelay)) {
     const sim::Nanos delay = fi.delay_ns(sim::FaultSite::kKickDelay);
     VPHI_LOG(kWarn, "virtio") << "kick at " << visible_ts << " delayed by "
@@ -161,6 +162,7 @@ void Virtqueue::kick(sim::Nanos visible_ts) {
   {
     sim::MutexLock lock(mu_);
     notified_idx_ = avail_idx_;
+    doorbell_lost_ = false;
   }
   avail_event_.raise(visible_ts);
 }
@@ -375,16 +377,6 @@ std::uint16_t Virtqueue::free_descriptors() const {
 std::uint16_t Virtqueue::avail_idx() const {
   sim::MutexLock lock(mu_);
   return avail_idx_;
-}
-
-std::uint16_t Virtqueue::used_idx() const {
-  sim::MutexLock lock(mu_);
-  return used_idx_;
-}
-
-std::uint16_t Virtqueue::live_chains() const {
-  sim::MutexLock lock(mu_);
-  return live_chains_;
 }
 
 }  // namespace vphi::virtio

@@ -55,6 +55,14 @@ struct UsedElem {
 using MemTranslate =
     std::function<void*(std::uint64_t gpa, std::uint32_t len)>;
 
+/// What kick_prepare() settled for the entries published since the last
+/// call.
+enum class Doorbell {
+  kRing,        ///< write the doorbell; kick() delivers it to the device
+  kSuppressed,  ///< EVENT_IDX: the entries ride a doorbell already rung
+  kLost,        ///< write the doorbell; it never reaches the device
+};
+
 /// A popped chain as the device sees it: resolved segments in chain order.
 struct Chain {
   std::uint16_t head = 0;
@@ -98,7 +106,6 @@ class Virtqueue {
   /// used_event/avail_event indices before notifying. Off by default so raw
   /// ring users keep the legacy always-notify behavior.
   void set_event_idx(bool enabled) VPHI_EXCLUDES(mu_);
-  bool event_idx_enabled() const VPHI_EXCLUDES(mu_);
 
   // --- driver (guest) side -------------------------------------------------
 
@@ -117,17 +124,21 @@ class Virtqueue {
                                        const sim::Actor* submitter = nullptr)
       VPHI_EXCLUDES(mu_);
 
-  /// Ask whether a doorbell is needed for the entries published since the
-  /// last kick_prepare (virtqueue_kick_prepare). Always true with EVENT_IDX
-  /// off. With it on, false (and counted as suppressed) when the device has
-  /// not armed avail_event over the published range — i.e. it is already
-  /// draining and will see the entries without a vmexit.
-  bool kick_prepare() VPHI_EXCLUDES(mu_);
+  /// Settle the doorbell for the entries published since the last
+  /// kick_prepare (virtqueue_kick_prepare). kSuppressed (EVENT_IDX, counted)
+  /// when the device has not armed avail_event over the published range:
+  /// the entries ride the last doorbell, and strand with it if it was lost.
+  /// Otherwise the doorbell is written, and whether it arrives (kRing) or
+  /// not (kLost, FaultSite::kKickDrop) is settled here, under the ring lock,
+  /// as its coverage is recorded. The caller charges the vmexit for both
+  /// and calls kick() only for kRing.
+  Doorbell kick_prepare() VPHI_EXCLUDES(mu_);
 
-  /// Notify the device that avail entries are pending. `visible_ts` is the
-  /// simulated time the kick reaches the device (the caller has already
-  /// charged the MMIO/vmexit cost).
-  void kick(sim::Nanos visible_ts);
+  /// Deliver a doorbell: notify the device that avail entries are pending.
+  /// `visible_ts` is the simulated time the kick reaches the device (the
+  /// caller has already charged the MMIO/vmexit cost). Called after a kRing
+  /// prepare, or directly as a rescue kick, which is never lost.
+  void kick(sim::Nanos visible_ts) VPHI_EXCLUDES(mu_);
 
   /// Non-blocking poll of the used ring. Frees the chain's descriptors.
   std::optional<UsedElem> get_used() VPHI_EXCLUDES(mu_);
@@ -177,11 +188,10 @@ class Virtqueue {
   // --- introspection / invariants ---------------------------------------------
   std::uint16_t free_descriptors() const VPHI_EXCLUDES(mu_);
   std::uint16_t avail_idx() const VPHI_EXCLUDES(mu_);
-  std::uint16_t used_idx() const VPHI_EXCLUDES(mu_);
   // Per-instance reads of the registered metrics (registry names in
   // docs/OBSERVABILITY.md; a multi-VM snapshot sums across instances).
   std::uint64_t kicks() const { return kick_count_.value(); }
-  /// Kicks swallowed by fault injection (kKickDrop).
+  /// Doorbells kick_prepare settled as lost (kKickDrop).
   std::uint64_t dropped_kicks() const { return dropped_kicks_.value(); }
   /// Doorbells elided because the device was already draining (EVENT_IDX).
   std::uint64_t suppressed_kicks() const { return suppressed_kicks_.value(); }
@@ -192,12 +202,9 @@ class Virtqueue {
   std::uint64_t poisoned_chains() const { return poisoned_chains_.value(); }
   /// Chains whose segment list lost its tail to fault injection.
   std::uint64_t truncated_chains() const { return truncated_chains_.value(); }
-  /// Chains currently between add_buf and get_used (ring occupancy).
-  std::uint16_t live_chains() const VPHI_EXCLUDES(mu_);
   /// True while avail entry `pos` is published but neither consumed by the
-  /// device nor covered by a doorbell that reached it (or was elided
-  /// because the device was draining): the state a lost kick leaves
-  /// behind. The device never scans the ring unprompted, so such a chain
+  /// device nor covered by a doorbell that reached it (or was suppressed
+  /// behind one that did): the state a lost kick leaves behind. The device never scans the ring unprompted, so such a chain
   /// waits for a rescue kick however long anyone polls.
   bool stranded(std::uint16_t pos) const VPHI_EXCLUDES(mu_);
 
@@ -255,8 +262,11 @@ class Virtqueue {
   /// Driver: avail_idx_ at last prepare.
   std::uint16_t kick_point_ VPHI_GUARDED_BY(mu_) = 0;
   /// avail_idx_ when the device was last told (doorbell delivered, or
-  /// elided because it was draining); entries below it are not stranded.
+  /// elided behind a delivered one); entries below it are not stranded.
   std::uint16_t notified_idx_ VPHI_GUARDED_BY(mu_) = 0;
+  /// The last doorbell written was lost and none has been delivered since:
+  /// the entries suppressed behind it are stranded too.
+  bool doorbell_lost_ VPHI_GUARDED_BY(mu_) = false;
   /// Driver: "irq me past this idx".
   std::uint16_t used_event_shadow_ VPHI_GUARDED_BY(mu_) = 0;
   /// Device: used_idx_ at last irq.

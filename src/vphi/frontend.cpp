@@ -1,7 +1,6 @@
 #include "vphi/frontend.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -192,6 +191,7 @@ void FrontendDriver::drain_used(std::uint16_t queue, sim::Nanos ts_floor) {
         for (const std::uint64_t gpa : z->second) vm_->ram().kfree(gpa);
         q.zombies.erase(z);
         zombie_chains_.add(-1);
+        if (q.zombies.empty()) q.zombies_gone.notify_all();
         continue;
       }
       auto owner = q.inflight.find(head);
@@ -364,6 +364,13 @@ FrontendDriver::wait_all(sim::Actor& actor, std::span<const Token> tokens) {
   results.reserve(tokens.size());
   for (const Token& token : tokens) results.push_back(wait(actor, token));
   return results;
+}
+
+void FrontendDriver::quiesce() {
+  for (const auto& q : queues_) {
+    sim::MutexLock lock(q->mu);
+    while (!q->zombies.empty()) q->zombies_gone.wait(q->mu);
+  }
 }
 
 void FrontendDriver::record_failure(Op op, std::uint16_t queue,
@@ -555,13 +562,14 @@ sim::Expected<FrontendDriver::Token> FrontendDriver::submit_once(
   // own delay into its own deadline and the timeout could never fire
   // (observed as a TSan-scheduling-dependent flake in the fault sweep).
   const sim::Nanos watermark_anchor = sim::watermark();
-  if (vm_->vq(queue).kick_prepare()) {
+  const virtio::Doorbell bell = vm_->vq(queue).kick_prepare();
+  if (bell != virtio::Doorbell::kSuppressed) {
     const sim::Nanos kick_ts = vm_->kick_cost(actor);
-    // Only doorbells actually rung appear in the trace: a suppressed kick
-    // leaves the hop out, which is exactly how the EVENT_IDX win shows up
-    // in the per-hop breakdown.
+    // Every doorbell written appears in the trace, a lost one too: a
+    // suppressed kick leaves the hop out, which is exactly how the
+    // EVENT_IDX win shows up in the per-hop breakdown.
     sim::tracer().record(trace, sim::SpanEvent::kKick, kick_ts);
-    vm_->vq(queue).kick(kick_ts);
+    if (bell == virtio::Doorbell::kRing) vm_->vq(queue).kick(kick_ts);
   }
   // else: EVENT_IDX said the device is already draining — the published
   // entry rides the batch it is working through, no vmexit charged.
@@ -597,6 +605,7 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
   sim::Nanos deadline = 0;
   Op op = Op::kOpen;
   std::uint16_t head = 0;
+  std::uint16_t avail_pos = 0;
   {
     sim::MutexLock lock(q.mu);
     auto it = q.pending.find(token.seq);
@@ -627,6 +636,7 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
       deadline = p.deadline;
       op = p.op;
       head = p.head;
+      avail_pos = p.avail_pos;
     }
   }
 
@@ -645,17 +655,20 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
     // them ourselves instead of sleeping on an IRQ that will never come.
     // charge_virq keeps the wakeup where simulated time puts it.
     while (vm_->vq(queue).arm_used_event()) drain_used(queue, 0);
-    const sim::Status waited =
-        deadline != 0 ? vm_->kernel().waitq().wait_for(
-                            ticket, actor, config_.lost_request_grace)
-                      : vm_->kernel().waitq().wait(ticket, actor);
-    if (waited == sim::Status::kTimedOut) {
+    // A stranded chain never reaches the device, so its interrupt never
+    // comes: a request with a deadline is lost instead of put to sleep.
+    // Coverage only grows until the device consumes the chain: one look.
+    if (deadline != 0 && vm_->vq(queue).stranded(avail_pos)) {
+      vm_->kernel().waitq().cancel(ticket);
       const sim::Status st =
           claim_or_lose(actor, token, head, op, deadline, req);
       if (!sim::ok(st)) return st;
-      // drain_used raced the wall-clock grace: resume at the completion.
+      // Another vCPU's doorbell flushed the chain after the look: resume
+      // at the completion.
       actor.sync_to(std::min(req.done_ts, deadline));
-    } else if (!sim::ok(waited)) {
+    } else if (const sim::Status waited =
+                   vm_->kernel().waitq().wait(ticket, actor);
+               !sim::ok(waited)) {
       sim::MutexLock lock(q.mu);
       auto it = q.pending.find(token.seq);
       if (it != q.pending.end()) {
@@ -682,10 +695,10 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
     // the outcome is known, the spin is charged as a real one would run —
     // poll_spin_ns per probe up to the first probe at or after the used
     // entry's time (at least one), or up to the deadline if it is missed.
+    // A request with a deadline stops probing once its chain is stranded:
+    // no doorbell will take it to the device.
     polled_waits_.inc();
     const sim::Nanos spin_start = actor.now();
-    const auto grace_end =
-        std::chrono::steady_clock::now() + config_.lost_request_grace;
     const auto completed = [&q, seq = token.seq] {
       sim::MutexLock lock(q.mu);
       auto it = q.pending.find(seq);
@@ -693,8 +706,8 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait_once(
     };
     for (;;) {
       drain_used(queue, 0);
-      if (completed() || (deadline != 0 &&
-                          std::chrono::steady_clock::now() >= grace_end)) {
+      if (completed() ||
+          (deadline != 0 && vm_->vq(queue).stranded(avail_pos))) {
         break;
       }
       std::this_thread::yield();
@@ -743,10 +756,10 @@ sim::Status FrontendDriver::claim_or_lose(sim::Actor& actor, Token token,
       q.pending.erase(it);
       return sim::Status::kOk;
     }
-    // Genuinely lost in the transport. The waiter's clock stood still
-    // while it waited in real time: charge the simulated timeout it would
-    // have slept or spun through, and give the watchdog its look at the
-    // stranded chain while the entry still pends.
+    // Lost in the transport: the chain is stranded, and the driver would
+    // sleep or spin until its deadline. Charge that simulated timeout, and
+    // give the watchdog its look at the stranded chain while the entry
+    // still pends.
     actor.sync_to(deadline);
     watchdog_scan_locked(q);
     // The entry can already be gone (swept by a teardown path); only park

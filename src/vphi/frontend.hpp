@@ -21,7 +21,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -58,17 +57,12 @@ struct FrontendConfig {
 
   /// Per-request timeout in *simulated* time. 0 disables timeouts entirely
   /// (legacy behavior: wait forever). When set, a request whose completion
-  /// is not visible by the deadline fails with kTimedOut.
+  /// is not visible by the deadline fails with kTimedOut, at once if its
+  /// chain is stranded on the ring (Virtqueue::stranded).
   sim::Nanos request_timeout_ns = 0;
   /// Bounded retry for idempotent ops (open/bind/get_node_ids/card_info)
   /// that fail with kTimedOut or kIoError. Non-idempotent ops never retry.
   std::uint32_t max_retries = 2;
-  /// Wall-clock escape hatch backing the simulated timeout: a *lost*
-  /// request never advances simulated time, so both the sleeping and the
-  /// polling waiter also arm a real-time deadline. Legitimate completions
-  /// always arrive wall-fast (simulated delays cost no wall time), so this
-  /// only fires when the transport genuinely dropped the request.
-  std::chrono::milliseconds lost_request_grace{100};
 
   /// Maximum chunks a pipelined bulk transfer keeps in flight at once
   /// (guest_scif's send/recv/readfrom/writeto walks). 1 reproduces the
@@ -163,6 +157,12 @@ class FrontendDriver {
   /// wait() every token in order; returns one result per token.
   std::vector<sim::Expected<TransactResult>> wait_all(
       sim::Actor& actor, std::span<const Token> tokens);
+
+  /// Block until every queue's zombie chains are reclaimed: the chains lost
+  /// requests left behind have come back through the used ring and their
+  /// bounce buffers are free. Waits on the reclaim in drain_used, never on
+  /// a timer; the rescue kick a lost request sends guarantees it comes.
+  void quiesce();
 
   /// Effective bounce-buffer size (config.max_payload clamped to the
   /// kmalloc cap).
@@ -286,6 +286,8 @@ class FrontendDriver {
     /// backend write land in re-kmalloc'd memory. Keyed by chain head.
     std::map<std::uint16_t, std::vector<std::uint64_t>> zombies
         VPHI_GUARDED_BY(mu);
+    /// Signalled when drain_used reclaims the last zombie (quiesce()).
+    sim::CondVar zombies_gone;
     // Per-queue stall-watchdog cache (the budget itself derives from the
     // shared latency histogram, but each queue throttles its own scans).
     sim::Nanos watchdog_budget_cache VPHI_GUARDED_BY(mu) = 0;
@@ -313,10 +315,10 @@ class FrontendDriver {
   /// wait() minus the failure accounting.
   sim::Expected<TransactResult> wait_once(sim::Actor& actor, Token token);
   /// End a wait whose completion check stopped (either scheme): move a
-  /// completed request into `req` and return kOk. One still incomplete
-  /// after the real-time lost_request_grace is lost in the transport:
-  /// sync to `deadline`, run the watchdog over it, park its buffers as a
-  /// zombie, rescue-kick the queue and return kTimedOut.
+  /// completed request into `req` and return kOk. One still incomplete is
+  /// lost in the transport (its chain was found stranded): sync to
+  /// `deadline`, run the watchdog over it, park its buffers as a zombie,
+  /// rescue-kick the queue and return kTimedOut.
   sim::Status claim_or_lose(sim::Actor& actor, Token token,
                             std::uint16_t head, Op op, sim::Nanos deadline,
                             Pending& req);

@@ -41,14 +41,19 @@ TEST(Lint, LexStripsCommentsAndExtractsStrings) {
   const LexedFile lexed = lex(
       "int x; // new in a comment\n"
       "/* malloc here */ const char* s = \"vphi.fake.metric\";\n"
-      "char c = '\"'; std::string t = \"esc \\\" quote\";\n");
+      "char c = '\"'; std::string t = \"esc \\\" quote\";\n"
+      "int n = 2'500; auto m = 0xFF'FF; char d = u8'x'; // after\n");
   EXPECT_EQ(lexed.code.find("comment"), std::string::npos);
   EXPECT_EQ(lexed.code.find("malloc"), std::string::npos);
   ASSERT_EQ(lexed.strings.size(), 2u);
   EXPECT_EQ(lexed.strings[0], "vphi.fake.metric");
   EXPECT_EQ(lexed.strings[1], "esc \\\" quote");
+  // Digit separators are code, not character literals: what follows them
+  // is still lexed (the comment is stripped, `auto m` survives).
+  EXPECT_NE(lexed.code.find("auto m"), std::string::npos);
+  EXPECT_EQ(lexed.code.find("after"), std::string::npos);
   // Line structure is preserved for offset->line mapping.
-  EXPECT_EQ(std::count(lexed.code.begin(), lexed.code.end(), '\n'), 3);
+  EXPECT_EQ(std::count(lexed.code.begin(), lexed.code.end(), '\n'), 4);
 }
 
 TEST(Lint, UncataloguedMetricFails) {
@@ -160,6 +165,43 @@ TEST(Lint, StrayOutputFails) {
   const auto findings = check_stray_output(src);
   ASSERT_EQ(findings.size(), 2u);  // tools/ and fprintf(stderr) exempt
   EXPECT_EQ(findings[0].rule, "stray-output");
+}
+
+TEST(Lint, RealTimeFails) {
+  Corpus code = {
+      {"src/vphi/frontend.cpp",
+       "auto t = std::chrono::steady_clock::now();\n"
+       "cv.wait_until(mu, t);\n"},
+      {"src/hv/vm.cpp", "auto w = std::chrono::system_clock::now();"},
+      {"src/sim/actor.cpp",
+       "auto h = std::chrono::high_resolution_clock::now();"},
+      // The sleep token is split across two literals so that a plain grep
+      // for it over tests/ finds no real sleep.
+      {"tests/fake_test.cpp",
+       "for (int i = 0; i < 2'500; ++i) std::this_thread::sleep"
+       "_for(ms);\n"
+       "std::this_thread::sleep_until(deadline);\n"}};
+  const auto findings = check_real_time(code);
+  ASSERT_EQ(findings.size(), 6u);
+  for (const auto& f : findings) EXPECT_EQ(f.rule, "real-time");
+  EXPECT_EQ(findings[0].where, "src/vphi/frontend.cpp:1");
+  EXPECT_EQ(findings[1].where, "src/vphi/frontend.cpp:2");
+  EXPECT_EQ(findings[5].where, "tests/fake_test.cpp:2");
+}
+
+TEST(Lint, RealTimeAllowListCommentsAndYieldPass) {
+  Corpus code = {
+      // The timing shims, allowed by file.
+      {"src/sim/engine.cpp", "auto t = std::chrono::steady_clock::now();"},
+      {"src/scif/fabric.cpp", "cv_.wait_until(mu_, deadline);"},
+      // Comments, string literals and longer identifiers do not fire.
+      {"src/vphi/frontend.cpp",
+       "// never sleep_until here\n"
+       "const char* s = \"steady_clock\";\n"
+       "int wait_until_idle = 0;\n"},
+      // A rendezvous spin reads no clock.
+      {"tests/fake_test.cpp", "while (!go) std::this_thread::yield();"}};
+  EXPECT_TRUE(check_real_time(code).empty());
 }
 
 }  // namespace

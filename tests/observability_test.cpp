@@ -315,7 +315,7 @@ TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
   const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
 
   // Strand exactly one request: the next doorbell is swallowed, the polling
-  // wait declares it lost after the real-time grace and syncs to its
+  // wait finds the chain stranded, declares it lost and syncs to its
   // simulated deadline, and since that age passes the latency-derived
   // budget the watchdog must flag it — once.
   sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);

@@ -1,12 +1,15 @@
 // Unit + property tests for the virtio split virtqueue and device status.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
+#include "tools/testbed.hpp"
 #include "virtio/device.hpp"
 #include "virtio/ring.hpp"
 
@@ -42,7 +45,7 @@ TEST(Virtqueue, StrandedUntilDoorbellDelivered) {
   EXPECT_FALSE(vq.stranded(1));  // not published
 
   sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
-  vq.kick(10);
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kLost);
   sim::fault_injector().disarm_all();
   EXPECT_TRUE(vq.stranded(0));  // the doorbell never arrived
 
@@ -275,7 +278,7 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   // point, so the doorbell is needed (the idle->busy edge is never elided).
   auto h1 = vq.add_buf({&out, 1}, {}, 10);
   ASSERT_TRUE(h1);
-  EXPECT_TRUE(vq.kick_prepare());
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
   vq.kick(100);
 
   // Second publish while that doorbell is still pending: the device has not
@@ -283,7 +286,7 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   // entry's doorbell.
   auto h2 = vq.add_buf({&out, 1}, {}, 20);
   ASSERT_TRUE(h2);
-  EXPECT_FALSE(vq.kick_prepare());
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kSuppressed);
   EXPECT_EQ(vq.suppressed_kicks(), 1u);
 
   // The suppressed chain is still drained: one wakeup, both chains.
@@ -298,8 +301,89 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   // the drain, so the next publish needs a doorbell again.
   auto h3 = vq.add_buf({&out, 1}, {}, 30);
   ASSERT_TRUE(h3);
-  EXPECT_TRUE(vq.kick_prepare());
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
   EXPECT_EQ(vq.suppressed_kicks(), 1u);
+}
+
+// EVENT_IDX suppresses every kick behind a pending doorbell, so when that
+// doorbell is lost the entries that rode on it are stranded with it — until
+// a delivered kick covers them all.
+TEST(Virtqueue, EventIdxLostDoorbellStrandsTheEntriesBehindIt) {
+  FlatMem mem{4'096};
+  Virtqueue vq{8, mem.translator()};
+  vq.set_event_idx(true);
+  BufferRef out{0, 8};
+  sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
+  ASSERT_TRUE(vq.add_buf({&out, 1}, {}, 10));
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kLost);
+  sim::fault_injector().disarm_all();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(vq.add_buf({&out, 1}, {}, 20 + i));
+    EXPECT_EQ(vq.kick_prepare(), Doorbell::kSuppressed);
+  }
+  EXPECT_EQ(vq.dropped_kicks(), 1u);
+  EXPECT_EQ(vq.suppressed_kicks(), 3u);
+  for (std::uint16_t pos = 0; pos < 4; ++pos) {
+    EXPECT_TRUE(vq.stranded(pos)) << "entry " << pos;
+  }
+
+  vq.kick(100);  // a delivered (rescue) kick covers the whole burst
+  for (std::uint16_t pos = 0; pos < 4; ++pos) {
+    EXPECT_FALSE(vq.stranded(pos)) << "entry " << pos;
+  }
+  EXPECT_EQ(vq.pop_avail_batch().size(), 4u);
+
+  // Delivered from here on: the next burst's suppressed entries ride a
+  // doorbell that arrived, so none of them strands.
+  ASSERT_TRUE(vq.add_buf({&out, 1}, {}, 200));
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
+  ASSERT_TRUE(vq.add_buf({&out, 1}, {}, 210));
+  EXPECT_EQ(vq.kick_prepare(), Doorbell::kSuppressed);
+  EXPECT_FALSE(vq.stranded(4));
+  EXPECT_FALSE(vq.stranded(5));
+}
+
+// Two vCPUs race their submits on one queue, each request with a deadline,
+// while one doorbell is lost. Whichever chains rode it (the dropping vCPU's
+// own, and any the other vCPU's suppressed prepare left behind it) are
+// stranded, so their waiters time out instead of sleeping forever; the
+// idempotent retry heals every call, and every descriptor comes back.
+TEST(Virtqueue, LostDoorbellOnASharedQueueHangsNoWaiter) {
+  for (const auto scheme :
+       {core::WaitScheme::kInterrupt, core::WaitScheme::kPolling}) {
+    SCOPED_TRACE(core::wait_scheme_name(scheme));
+    tools::TestbedConfig cfg;
+    cfg.frontend.scheme = scheme;
+    cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
+    cfg.start_coi_daemon = false;
+    tools::Testbed bed{cfg};
+    Virtqueue& vq = bed.vm(0).vm().vq();
+    const std::uint16_t free_before = vq.free_descriptors();
+
+    sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
+    std::atomic<int> ready{0};
+    const auto vcpu = [&bed, &ready](const char* name) {
+      sim::Actor actor{name, sim::Actor::AtNow{}};
+      sim::ActorScope scope(actor);
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      int ok = 0;
+      for (int i = 0; i < 4; ++i) {
+        if (bed.vm(0).guest_scif().get_node_ids()) ++ok;
+      }
+      return ok;
+    };
+    auto a = std::async(std::launch::async, vcpu, "vcpu-a");
+    auto b = std::async(std::launch::async, vcpu, "vcpu-b");
+    EXPECT_EQ(a.get(), 4);
+    EXPECT_EQ(b.get(), 4);
+    sim::fault_injector().disarm_all();
+    EXPECT_EQ(vq.dropped_kicks(), 1u);
+
+    bed.vm(0).frontend().quiesce();
+    EXPECT_EQ(vq.free_descriptors(), free_before);
+    EXPECT_EQ(bed.vm(0).frontend().pending_requests(), 0u);
+  }
 }
 
 TEST(Virtqueue, EventIdxCoalescesInterruptsPerBatch) {
@@ -371,7 +455,7 @@ TEST(Virtqueue, EventIdxOffNeverSuppresses) {
     ASSERT_TRUE(h);
     // Legacy behavior: every publish wants a doorbell, every completion an
     // interrupt.
-    EXPECT_TRUE(vq.kick_prepare());
+    EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
     vq.kick(i * 10);
     auto chain = vq.pop_avail();
     ASSERT_TRUE(chain);

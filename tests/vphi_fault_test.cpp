@@ -11,13 +11,11 @@
 //      and the frontend pending map return to their pre-fault state.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "sim/fault.hpp"
@@ -55,7 +53,6 @@ class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
     cfg.frontend.scheme = std::get<0>(GetParam());
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
     cfg.frontend.max_retries = 2;
-    cfg.frontend.lost_request_grace = std::chrono::milliseconds{250};
     // Window > 1 routes the stream/RMA chunk walks through the pipelined
     // submit/wait path; every fault must keep the same surface behavior.
     cfg.frontend.pipeline_window =
@@ -131,25 +128,15 @@ class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
     return total;
   }
 
-  /// The healing invariant: after the fault drains (rescue kicks and zombie
-  /// recycling are asynchronous), the ring, the guest allocator and the
-  /// pending map are exactly where they were before the faulted request —
-  /// and nothing is parked: the in-flight chain gauge and the zombie
-  /// bounce-buffer gauge must both read zero (a request that died may not
-  /// leave accounting behind).
+  /// The healing invariant: once the frontend quiesces (the rescued chains
+  /// of lost requests come back asynchronously), the ring, the guest
+  /// allocator and the pending map are exactly where they were before the
+  /// faulted request — and nothing is parked: the in-flight chain gauge and
+  /// the zombie bounce-buffer gauge must both read zero (a request that
+  /// died may not leave accounting behind).
   void expect_restored(const Snapshot& before) {
     sim::fault_injector().disarm_all();
-    for (int i = 0; i < 2'500; ++i) {
-      const Snapshot now = snap();
-      if (now.free_desc == before.free_desc &&
-          now.live_allocs == before.live_allocs &&
-          now.pending == before.pending &&
-          gauge_sum("vphi.ring.inflight") == 0 &&
-          gauge_sum("vphi.fe.zombie_chains") == 0) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds{2});
-    }
+    fe().quiesce();
     const Snapshot after = snap();
     EXPECT_EQ(after.free_desc, before.free_desc);
     EXPECT_EQ(after.live_allocs, before.live_allocs);

@@ -3,11 +3,10 @@
 // are in flight on the ring at once (FrontendConfig::pipeline_window > 1).
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "sim/fault.hpp"
@@ -42,7 +41,6 @@ class PipelineTest : public ::testing::Test {
     cfg.frontend.pipeline_window = kWindow;
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
     cfg.frontend.max_retries = 2;
-    cfg.frontend.lost_request_grace = std::chrono::milliseconds{250};
     cfg.backend_policy.classify = BackendPolicy::all_worker();
     cfg.start_coi_daemon = false;
     bed_ = std::make_unique<Testbed>(cfg);
@@ -67,20 +65,12 @@ class PipelineTest : public ::testing::Test {
             fe().pending_requests()};
   }
 
-  /// Same healing invariant as the fault sweep: zombie recycling and rescue
-  /// kicks are asynchronous, so poll until the ring, the guest allocator
-  /// and the pending map return to their pre-fault state.
+  /// Same healing invariant as the fault sweep: rescued chains come back
+  /// asynchronously, so quiesce the frontend, then the ring, the guest
+  /// allocator and the pending map must be at their pre-fault state.
   void expect_restored(const Snapshot& before) {
     sim::fault_injector().disarm_all();
-    for (int i = 0; i < 2'500; ++i) {
-      const Snapshot now = snap();
-      if (now.free_desc == before.free_desc &&
-          now.live_allocs == before.live_allocs &&
-          now.pending == before.pending) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds{2});
-    }
+    fe().quiesce();
     const Snapshot after = snap();
     EXPECT_EQ(after.free_desc, before.free_desc);
     EXPECT_EQ(after.live_allocs, before.live_allocs);
