@@ -4,9 +4,11 @@
 // in the guest polls the flag instead of blocking in recv.
 //
 //   ./build/examples/example_rma_poll
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <thread>
 
 #include "scif/types.hpp"
 #include "sim/actor.hpp"
@@ -36,7 +38,12 @@ int main() {
     std::printf("card listen failed\n");
     return 1;
   }
-  auto producer = std::async(std::launch::async, [&bed, &p, lep = *lep] {
+  // The simulated time the completion flag was raised: a spinning guest
+  // sees it at its first probe at or after this instant.
+  std::promise<sim::Nanos> signalled;
+  auto signal_ts = signalled.get_future();
+  auto producer = std::async(std::launch::async, [&bed, &p, lep = *lep,
+                                                  &signalled] {
     sim::Actor actor{"card-producer", sim::Actor::AtNow{}};
     sim::ActorScope scope(actor);
     auto conn = p.accept(lep, SCIF_ACCEPT_SYNC);
@@ -63,6 +70,7 @@ int main() {
                                 SCIF_SIGNAL_REMOTE))) {
       return 1;
     }
+    signalled.set_value(actor.now());
     std::printf("[card] pushed %zu MiB + raised completion flag\n",
                 kPayload >> 20);
     // Hold the endpoint until the consumer is done.
@@ -99,15 +107,22 @@ int main() {
   char ready = 1;
   guest.send(*epd, &ready, 1, SCIF_SEND_BLOCK);
 
-  // Poll the flag (each probe costs simulated time, like a real spin).
+  // Poll the flag. Host probes cost no simulated time, so how long the
+  // host takes to run the producer does not age the guest. Once the flag
+  // is seen, the spin is charged as a real one would run: one 200 ns probe
+  // after another up to the first at or after the flag was raised.
   std::printf("[guest] window registered, polling for completion...\n");
+  constexpr sim::Nanos kProbeNs = 200;
+  const sim::Nanos spin_start = actor.now();
   std::uint64_t flag = 0;
-  std::uint64_t probes = 0;
   while (flag != kDoneFlag) {
     std::memcpy(&flag, window + kPayload, sizeof(flag));
-    actor.advance(200);  // spin granularity
-    ++probes;
+    std::this_thread::yield();
   }
+  const sim::Nanos raised = std::max(signal_ts.get(), spin_start);
+  const sim::Nanos probes = std::max<sim::Nanos>(
+      1, (raised - spin_start + kProbeNs - 1) / kProbeNs);
+  actor.sync_to(spin_start + probes * kProbeNs);
   std::printf("[guest] completion observed after %llu probes\n",
               static_cast<unsigned long long>(probes));
 

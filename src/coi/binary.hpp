@@ -67,11 +67,4 @@ class KernelRegistry {
   std::map<std::string, KernelFn> table_ VPHI_GUARDED_BY(mu_);
 };
 
-/// Convenience: static-init registration.
-struct KernelRegistration {
-  KernelRegistration(const std::string& name, KernelFn fn) {
-    KernelRegistry::instance().register_kernel(name, std::move(fn));
-  }
-};
-
 }  // namespace vphi::coi

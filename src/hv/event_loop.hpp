@@ -55,8 +55,6 @@ class EventLoop {
   /// Stop the loop thread; pending handlers still run first.
   void stop() VPHI_EXCLUDES(mu_);
 
-  sim::Actor& loop_actor() noexcept { return loop_actor_; }
-
   /// Cumulative simulated time handlers held the loop (the "VM frozen"
   /// account of the paper's blocking-mode discussion).
   sim::Nanos blocked_time() const VPHI_EXCLUDES(mu_);

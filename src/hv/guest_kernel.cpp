@@ -204,22 +204,8 @@ bool GuestKernel::is_pinned(std::uint64_t gpa, std::uint64_t len) const {
   return gpa >= it->first && gpa + len <= it->first + it->second;
 }
 
-std::uint64_t GuestKernel::pinned_bytes() const {
-  sim::MutexLock lock(pin_mu_);
-  std::uint64_t total = 0;
-  for (const auto& [_, len] : pinned_) total += len;
-  return total;
-}
-
 void GuestKernel::copy_from_user(sim::Actor& actor, void* dst, const void* src,
                                  std::uint64_t len) {
-  actor.advance(model_->copy_setup_ns +
-                sim::transfer_time(len, model_->guest_memcpy_Bps));
-  if (len > 0) std::memcpy(dst, src, len);
-}
-
-void GuestKernel::copy_to_user(sim::Actor& actor, void* dst, const void* src,
-                               std::uint64_t len) {
   actor.advance(model_->copy_setup_ns +
                 sim::transfer_time(len, model_->guest_memcpy_Bps));
   if (len > 0) std::memcpy(dst, src, len);

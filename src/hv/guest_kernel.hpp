@@ -140,13 +140,10 @@ class GuestKernel {
       VPHI_EXCLUDES(pin_mu_);
   bool is_pinned(std::uint64_t gpa, std::uint64_t len) const
       VPHI_EXCLUDES(pin_mu_);
-  std::uint64_t pinned_bytes() const VPHI_EXCLUDES(pin_mu_);
 
-  /// copy_from_user / copy_to_user with guest-memcpy timing.
+  /// copy_from_user with guest-memcpy timing.
   void copy_from_user(sim::Actor& actor, void* dst, const void* src,
                       std::uint64_t len);
-  void copy_to_user(sim::Actor& actor, void* dst, const void* src,
-                    std::uint64_t len);
 
  private:
   GuestPhysMem* ram_;

@@ -18,8 +18,6 @@ ProcessContext::ProcessContext(Provider& provider) : previous_(g_provider) {
 
 ProcessContext::~ProcessContext() { g_provider = previous_; }
 
-Provider* current_provider() noexcept { return g_provider; }
-
 sim::Status scif_last_error() noexcept { return g_last_error; }
 
 scif_epd_t scif_open() {

@@ -34,9 +34,6 @@ class ProcessContext {
   Provider* previous_;
 };
 
-/// The provider bound to this thread (nullptr if none).
-Provider* current_provider() noexcept;
-
 /// Status of the most recent failed call on this thread (errno analogue).
 sim::Status scif_last_error() noexcept;
 

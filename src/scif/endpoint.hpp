@@ -135,7 +135,6 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   PortId peer_id() const;
   Node& node() noexcept { return *node_; }
   WindowTable& windows() noexcept { return windows_; }
-  Stream& rx_for_test() noexcept { return rx_; }
 
  private:
   friend class Node;

@@ -63,7 +63,6 @@ class Fabric {
   /// Attach a card as the next SCIF node; returns its node id.
   NodeId attach_card(mic::Card& card);
 
-  Node& host_node() noexcept { return *nodes_.front(); }
   Node* node(NodeId id) noexcept;
   std::uint16_t node_count() const noexcept {
     return static_cast<std::uint16_t>(nodes_.size());

@@ -276,11 +276,6 @@ sim::Expected<mic::SysfsInfo> HostProvider::card_info(std::uint32_t index) {
   return node->card()->sysfs();
 }
 
-std::size_t HostProvider::open_descriptors() const {
-  sim::MutexLock lock(mu_);
-  return table_.size();
-}
-
 std::shared_ptr<Endpoint> HostProvider::endpoint(int epd) const {
   auto ep = lookup(epd);
   return ep ? *ep : nullptr;

@@ -87,7 +87,6 @@ class HostProvider final : public Provider {
 
   Fabric& fabric() noexcept { return *fabric_; }
   NodeId local_node() const noexcept { return local_node_; }
-  std::size_t open_descriptors() const VPHI_EXCLUDES(mu_);
 
   /// The endpoint behind a descriptor (tests / vphi backend plumbing).
   std::shared_ptr<Endpoint> endpoint(int epd) const VPHI_EXCLUDES(mu_);

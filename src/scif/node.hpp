@@ -31,7 +31,6 @@ class Node {
   Fabric& fabric() noexcept { return *fabric_; }
   /// Null for the host node.
   mic::Card* card() noexcept { return card_; }
-  bool is_host() const noexcept { return card_ == nullptr; }
 
   /// Claim `pn`, or an ephemeral port when pn == 0.
   sim::Expected<Port> claim_port(Port pn) VPHI_EXCLUDES(mu_);

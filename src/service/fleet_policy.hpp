@@ -81,9 +81,6 @@ class FleetTenantPolicy {
   /// the run_fleet() call.
   sim::TenantHooks hooks();
 
-  std::uint32_t num_tenants() const noexcept {
-    return static_cast<std::uint32_t>(cfg_.tenants.size());
-  }
   std::uint32_t tenant_of(std::uint32_t vm) const noexcept {
     return vm_tenant_[vm % vm_tenant_.size()];
   }
@@ -92,9 +89,6 @@ class FleetTenantPolicy {
   }
 
   // Post-run accessors (main thread, after run_fleet returned).
-  const TenantMetrics& tenant_metrics(std::uint32_t tenant) const {
-    return *tm_[tenant];
-  }
   std::vector<std::uint64_t> completed_per_vm() const;
   /// All collected latencies of one tenant's VMs, sorted ascending
   /// (collect_latencies only).

@@ -40,11 +40,6 @@ void JobService::register_tenant(const TenantSpec& spec) {
   }
 }
 
-bool JobService::has_tenant(const std::string& name) const {
-  sim::MutexLock lock(mu_);
-  return tenants_.find(name) != tenants_.end();
-}
-
 AdmitResult JobService::admit(const Job& job, sim::Nanos now) {
   AdmitResult r;
   sim::MutexLock lock(mu_);

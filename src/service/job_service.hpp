@@ -88,7 +88,6 @@ class JobService {
   /// Declare a tenant's contract. Re-registering replaces the spec but
   /// keeps the ledger's current window state.
   void register_tenant(const TenantSpec& spec) VPHI_EXCLUDES(mu_);
-  bool has_tenant(const std::string& name) const VPHI_EXCLUDES(mu_);
 
   /// Full admission pipeline at simulated time `now`: fault injection
   /// (sim::FaultSite::kAdmissionReject), structural validation, then the

@@ -83,7 +83,6 @@ class SloMonitor {
   void evaluate(sim::Nanos now);
 
   const SloSpec& spec() const noexcept { return spec_; }
-  std::size_t tenant_count() const noexcept { return tenants_.size(); }
   std::uint64_t alert_count() const noexcept { return alerts_total_; }
   std::uint64_t alert_count(std::uint32_t tenant) const {
     return tenants_[tenant]->alerts;

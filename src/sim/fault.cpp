@@ -65,14 +65,6 @@ void FaultInjector::arm_probability(FaultSite site, double p) {
   arm(site, config);
 }
 
-void FaultInjector::disarm(FaultSite site) {
-  MutexLock lock(mu_);
-  Site& s = sites_[static_cast<int>(site)];
-  if (s.armed) armed_count_.fetch_sub(1, std::memory_order_relaxed);
-  s.armed = false;
-  s.config = FaultConfig{};
-}
-
 void FaultInjector::disarm_all() {
   MutexLock lock(mu_);
   for (Site& s : sites_) {
@@ -111,7 +103,6 @@ bool FaultInjector::should_fire(FaultSite site, TraceId focus) noexcept {
   {
     MutexLock lock(mu_);
     Site& s = sites_[static_cast<int>(site)];
-    ++s.hits_total;
     hit_counters_[static_cast<int>(site)]->inc();
     if (s.armed) ++s.hits_since_arm;
     fire = decide_locked(s);
@@ -138,28 +129,15 @@ Nanos FaultInjector::delay_ns(FaultSite site) const noexcept {
   return sites_[static_cast<int>(site)].config.delay_ns;
 }
 
-std::uint64_t FaultInjector::hits(FaultSite site) const noexcept {
-  MutexLock lock(mu_);
-  return sites_[static_cast<int>(site)].hits_total;
-}
-
 std::uint64_t FaultInjector::fires(FaultSite site) const noexcept {
   MutexLock lock(mu_);
   return sites_[static_cast<int>(site)].fires;
-}
-
-std::uint64_t FaultInjector::total_fires() const noexcept {
-  MutexLock lock(mu_);
-  std::uint64_t total = 0;
-  for (const Site& s : sites_) total += s.fires;
-  return total;
 }
 
 void FaultInjector::reset_counters() {
   MutexLock lock(mu_);
   for (Site& s : sites_) {
     s.hits_since_arm = 0;
-    s.hits_total = 0;
     s.fires = 0;
   }
   for (int i = 0; i < kNumFaultSites; ++i) {

@@ -77,7 +77,6 @@ class FaultInjector {
       VPHI_EXCLUDES(mu_);
   /// Fire with probability p on every hit.
   void arm_probability(FaultSite site, double p) VPHI_EXCLUDES(mu_);
-  void disarm(FaultSite site) VPHI_EXCLUDES(mu_);
   void disarm_all() VPHI_EXCLUDES(mu_);
   bool armed(FaultSite site) const VPHI_EXCLUDES(mu_);
 
@@ -92,9 +91,7 @@ class FaultInjector {
   /// The configured injection delay for `site` (kKickDelay and friends).
   Nanos delay_ns(FaultSite site) const noexcept VPHI_EXCLUDES(mu_);
 
-  std::uint64_t hits(FaultSite site) const noexcept VPHI_EXCLUDES(mu_);
   std::uint64_t fires(FaultSite site) const noexcept VPHI_EXCLUDES(mu_);
-  std::uint64_t total_fires() const noexcept VPHI_EXCLUDES(mu_);
 
   /// Zero all hit/fire counters (armed configs stay).
   void reset_counters() VPHI_EXCLUDES(mu_);
@@ -106,7 +103,6 @@ class FaultInjector {
     FaultConfig config;
     bool armed = false;
     std::uint64_t hits_since_arm = 0;
-    std::uint64_t hits_total = 0;
     std::uint64_t fires = 0;
   };
 
@@ -116,7 +112,7 @@ class FaultInjector {
   Site sites_[kNumFaultSites] VPHI_GUARDED_BY(mu_);
   std::uint64_t rng_state_ VPHI_GUARDED_BY(mu_) = 0x9E3779B97F4A7C15ull;
   std::atomic<int> armed_count_{0};
-  // Cumulative mirrors of hits_total/fires under registry names
+  // Cumulative hit and fire counts under registry names
   // ("vphi.fault.<site>.hits/.fires") so a metrics snapshot shows injected
   // faults next to the transport's own error counters. The raw Site fields
   // keep the arm-relative semantics (max_fires budgets, nth triggers).

@@ -270,22 +270,6 @@ std::uint64_t Registry::counter_value(const std::string& name) const {
   return total;
 }
 
-std::uint64_t Registry::labeled_counter_value(const std::string& name,
-                                              const std::string& label) const {
-  MutexLock lock(mu_);
-  std::uint64_t total = 0;
-  if (auto it = retired_labeled_counters_.find(name);
-      it != retired_labeled_counters_.end()) {
-    if (auto jt = it->second.find(label); jt != it->second.end()) {
-      total += jt->second;
-    }
-  }
-  for (const Counter* c : counters_) {
-    if (c->name() == name && c->label() == label) total += c->value();
-  }
-  return total;
-}
-
 std::map<std::string, std::uint64_t> Registry::counter_by_label(
     const std::string& name) const {
   MutexLock lock(mu_);
@@ -440,11 +424,6 @@ std::vector<std::string> Registry::metric_names() const {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
-}
-
-std::size_t Registry::instrument_count() const {
-  MutexLock lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 Registry& registry() {

@@ -208,12 +208,6 @@ class Registry {
   std::uint64_t counter_value(const std::string& name) const
       VPHI_EXCLUDES(mu_);
 
-  /// One labeled slice of a counter name (live + retired). 0 when the
-  /// (name, label) pair was never registered.
-  std::uint64_t labeled_counter_value(const std::string& name,
-                                      const std::string& label) const
-      VPHI_EXCLUDES(mu_);
-
   /// Per-label breakdown of a counter name: label -> total (live +
   /// retired). Only labeled instruments contribute; summing the values
   /// gives the counter_value() aggregate when every instance is labeled.
@@ -229,9 +223,6 @@ class Registry {
   /// Merged distribution for a histogram name across every instance (live
   /// + retired, labeled or not).
   Histogram histogram_value(const std::string& name) const VPHI_EXCLUDES(mu_);
-
-  /// Live instruments only.
-  std::size_t instrument_count() const VPHI_EXCLUDES(mu_);
 
   /// Bumped on every instrument registration or retirement. A pointer set
   /// captured under the lock against an unchanged generation is still

@@ -2,6 +2,7 @@
 // SplitMix64: tiny, fast, excellent distribution for non-crypto use.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace vphi::sim {
@@ -19,16 +20,13 @@ class Rng {
     return Rng(mix(seed ^ mix(id + 0x632BE59BD9B4E019ull)));
   }
 
-  /// Split off a child stream keyed by this stream's next draw; the parent
-  /// advances by one draw.
-  Rng split() noexcept { return Rng(mix(next())); }
+  /// SplitMix64's constants: the state's increment per draw, and the two
+  /// multipliers of the finalizer.
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+  static constexpr std::uint64_t kMix1 = 0xBF58476D1CE4E5B9ull;
+  static constexpr std::uint64_t kMix2 = 0x94D049BB133111EBull;
 
-  std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() noexcept { return mix(state_ += kGamma); }
 
   /// Uniform in [0, bound). bound must be > 0.
   std::uint64_t below(std::uint64_t bound) noexcept { return next() % bound; }
@@ -43,8 +41,29 @@ class Rng {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Fill `n` bytes with reproducible pseudo-random content.
+  /// Fills of this many bytes or more take fill_wide(). Its streaming
+  /// stores bypass the cache, which pays only for buffers well past L2.
+  static constexpr std::size_t kWideFillBytes = std::size_t{2} << 20;
+
+  /// Fill `n` bytes with reproducible pseudo-random content: the bytes of
+  /// draw k land at dst + 8k, and a trailing partial word consumes a draw.
+  /// Every path writes the same bytes and leaves the same state.
   void fill(void* dst, std::size_t n) noexcept {
+    if (n >= kWideFillBytes) {
+      fill_wide(dst, n);
+    } else {
+      fill_scalar(dst, n);
+    }
+  }
+
+  /// fill()'s bulk path at any size: whole 64-byte lines of 8 draws each
+  /// go out as AVX-512 streaming stores. It is fill_scalar() where the CPU
+  /// lacks AVX-512DQ, where `dst` is not 8-byte aligned, and in sanitized
+  /// builds, so the sanitizers see every store.
+  void fill_wide(void* dst, std::size_t n) noexcept;
+
+  /// fill()'s reference path: one draw per 8 bytes.
+  void fill_scalar(void* dst, std::size_t n) noexcept {
     auto* p = static_cast<unsigned char*>(dst);
     while (n >= 8) {
       const std::uint64_t v = next();
@@ -62,8 +81,8 @@ class Rng {
   /// SplitMix64 finalizer: a bijective avalanche so adjacent stream ids
   /// land far apart in state space.
   static std::uint64_t mix(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z = (z ^ (z >> 30)) * kMix1;
+    z = (z ^ (z >> 27)) * kMix2;
     return z ^ (z >> 31);
   }
 

@@ -110,8 +110,6 @@ class MpscLanes {
     }
   }
 
-  std::size_t lane_count() const noexcept { return lanes_.size(); }
-
   /// Producer `lane` only. False on backpressure or close.
   bool try_push(std::size_t lane, const T& v) noexcept {
     return lanes_[lane]->try_push(v);

@@ -357,15 +357,6 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::wait(
   return result;
 }
 
-std::vector<sim::Expected<FrontendDriver::TransactResult>>
-FrontendDriver::wait_all(sim::Actor& actor, std::span<const Token> tokens) {
-  ActiveCall active{*this};
-  std::vector<sim::Expected<TransactResult>> results;
-  results.reserve(tokens.size());
-  for (const Token& token : tokens) results.push_back(wait(actor, token));
-  return results;
-}
-
 void FrontendDriver::quiesce() {
   for (const auto& q : queues_) {
     sim::MutexLock lock(q->mu);

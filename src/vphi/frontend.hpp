@@ -25,7 +25,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "hv/vm.hpp"
@@ -154,10 +153,6 @@ class FrontendDriver {
   /// transact()'s, per in-flight request.
   sim::Expected<TransactResult> wait(sim::Actor& actor, Token token);
 
-  /// wait() every token in order; returns one result per token.
-  std::vector<sim::Expected<TransactResult>> wait_all(
-      sim::Actor& actor, std::span<const Token> tokens);
-
   /// Block until every queue's zombie chains are reclaimed: the chains lost
   /// requests left behind have come back through the used ring and their
   /// bounce buffers are free. Waits on the reclaim in drain_used, never on
@@ -221,8 +216,6 @@ class FrontendDriver {
   /// 1 once the watchdog has derived its first latency budget (enough
   /// completions landed), 0 before. Flips 0 -> 1 exactly once per run.
   bool watchdog_armed() const { return watchdog_armed_.value() != 0; }
-  /// Bounce-buffer sets currently parked by timed-out requests.
-  std::int64_t zombie_count() const { return zombie_chains_.value(); }
 
  private:
   struct Pending {

@@ -3,7 +3,9 @@
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <new>
 #include <sstream>
@@ -420,6 +422,71 @@ TEST(Rng, FillIsReproducible) {
   a.fill(buf_a, sizeof(buf_a));
   b.fill(buf_b, sizeof(buf_b));
   EXPECT_EQ(memcmp(buf_a, buf_b, sizeof(buf_a)), 0);
+}
+
+std::uint64_t fnv1a64(const unsigned char* p, std::size_t n) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+// fill_wide() against the scalar reference with the start at every offset
+// within a cache line, so the wide path's head, lines and tail each see
+// every split (an offset that is not 8-aligned stays scalar). The bytes
+// either side of the fill must be untouched, and the state must agree.
+TEST(Rng, FillWideMatchesScalarAtEveryOffsetAndShortLength) {
+  constexpr std::size_t kMaxLen = 130;
+  alignas(64) unsigned char wide[64 + kMaxLen + 64];
+  alignas(64) unsigned char ref[sizeof(wide)];
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      std::memset(wide, 0xA5, sizeof(wide));
+      std::memset(ref, 0xA5, sizeof(ref));
+      Rng a{off * 1'000 + len}, b{off * 1'000 + len};
+      a.fill_wide(wide + off, len);
+      b.fill_scalar(ref + off, len);
+      ASSERT_EQ(std::memcmp(wide, ref, sizeof(wide)), 0)
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(a.next(), b.next()) << "offset " << off << " length " << len;
+    }
+  }
+}
+
+// fill() takes the wide path from kWideFillBytes on; both sides of that
+// threshold and a 64 MiB window give the scalar reference's bytes.
+TEST(Rng, FillMatchesScalarAroundTheWideThreshold) {
+  for (const std::size_t n :
+       {Rng::kWideFillBytes - 1, Rng::kWideFillBytes, Rng::kWideFillBytes + 1,
+        std::size_t{64} << 20}) {
+    std::vector<unsigned char> got(n), want(n);
+    Rng a{7}, b{7};
+    a.fill(got.data(), n);
+    b.fill_scalar(want.data(), n);
+    EXPECT_TRUE(got == want) << n << " bytes";
+    EXPECT_EQ(a.next(), b.next()) << n << " bytes";
+  }
+}
+
+// The byte stream is part of the determinism contract: these FNV-1a-64
+// values were computed with the scalar loop alone.
+TEST(Rng, FillBytesAreGolden) {
+  Rng s = Rng::stream(1, 3);
+  std::vector<unsigned char> window(std::size_t{64} << 20);
+  s.fill(window.data(), window.size());
+  EXPECT_EQ(fnv1a64(window.data(), window.size()), 0x8d4ceb6d0ac7b767ull);
+  s.fill(window.data(), window.size());
+  EXPECT_EQ(fnv1a64(window.data(), window.size()), 0x2819074432c2c2f1ull);
+  EXPECT_EQ(s.next(), 0xe4d5823a3eafb459ull);
+
+  Rng r{2024};
+  constexpr std::size_t kLen = (std::size_t{4} << 20) + 7;
+  std::vector<unsigned char> buf(3 + kLen);
+  r.fill(buf.data() + 3, kLen);
+  EXPECT_EQ(fnv1a64(buf.data() + 3, kLen), 0x0c98935d2eadb3e0ull);
+  EXPECT_EQ(r.next(), 0xbd35f7209941f4cfull);
 }
 
 // --- Paper anchors in the default cost model --------------------------------
