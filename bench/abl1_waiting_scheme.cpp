@@ -31,7 +31,6 @@ SchemeResult measure_scheme(core::WaitScheme scheme, std::size_t size,
                             scif::Port port) {
   tools::TestbedConfig config;
   config.frontend.scheme = scheme;
-  config.frontend.hybrid_threshold = 32 * 1024;
   tools::Testbed bed{config};
 
   LatencySink sink{bed, port, size};

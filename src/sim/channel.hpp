@@ -6,80 +6,14 @@
 // time, so waiting costs come out of the model, never out of the wall clock.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <utility>
 
 #include "sim/thread_safety.hpp"
 #include "sim/time.hpp"
 
 namespace vphi::sim {
-
-/// Unbounded MPMC FIFO of (value, simulated availability time).
-template <typename T>
-class Channel {
- public:
-  struct Item {
-    T value;
-    Nanos ts;  ///< simulated time the item became visible to consumers
-  };
-
-  /// Make `value` available to consumers at simulated time `ts`.
-  void push(T value, Nanos ts) VPHI_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      items_.push_back(Item{std::move(value), ts});
-    }
-    cv_.notify_all();
-  }
-
-  /// Block until an item is available or the channel is closed.
-  /// Returns nullopt on close-with-empty-queue.
-  std::optional<Item> pop() VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (items_.empty() && !closed_) cv_.wait(mu_);
-    if (items_.empty()) return std::nullopt;
-    Item item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<Item> try_pop() VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    Item item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Wake all poppers; subsequent pops drain remaining items then return
-  /// nullopt.
-  void close() VPHI_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  bool closed() const VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::deque<Item> items_ VPHI_GUARDED_BY(mu_);
-  bool closed_ VPHI_GUARDED_BY(mu_) = false;
-};
 
 /// A one-directional event line (doorbell / interrupt wire). Each raise
 /// carries a timestamp; waiters collect the latest raise time. Counting

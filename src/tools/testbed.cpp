@@ -51,7 +51,7 @@ Testbed::Testbed(const TestbedConfig& config)
       mic::CardConfig{.index = 0,
                       .memory_backing_bytes = config.card_backing_bytes},
       model_);
-  if (config.boot_card) card_->boot();
+  card_->boot();
   fabric_ = std::make_unique<scif::Fabric>(model_);
   card_node_ = fabric_->attach_card(*card_);
   host_provider_ = std::make_unique<scif::HostProvider>(*fabric_,

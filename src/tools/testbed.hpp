@@ -37,7 +37,6 @@ struct TestbedConfig {
   std::uint16_t num_queues = 1;
   core::FrontendDriver::Config frontend{};
   core::BackendPolicy backend_policy{};
-  bool boot_card = true;
   /// Start coi_daemon on the card (needed for COI / micnativeloadex).
   bool start_coi_daemon = true;
   /// Tenant control plane installed into the daemon before it starts

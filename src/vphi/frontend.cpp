@@ -167,7 +167,7 @@ bool FrontendDriver::use_polling(std::size_t payload) const {
   switch (config_.scheme) {
     case WaitScheme::kInterrupt: return false;
     case WaitScheme::kPolling: return true;
-    case WaitScheme::kHybrid: return payload < config_.hybrid_threshold;
+    case WaitScheme::kHybrid: return payload < kHybridThreshold;
   }
   return false;
 }
@@ -302,7 +302,7 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::transact(
     const bool transport_fault =
         st == sim::Status::kTimedOut || st == sim::Status::kIoError;
     if (!retryable_op || !transport_fault ||
-        attempt >= config_.max_retries) {
+        attempt >= kMaxRetries) {
       return st;
     }
     {
@@ -312,7 +312,7 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::transact(
     retries_.inc();
     VPHI_LOG(kWarn, "vphi-fe")
         << "op " << op_name(op) << " failed with " << sim::to_string(st)
-        << "; retry " << attempt + 1 << "/" << config_.max_retries;
+        << "; retry " << attempt + 1 << "/" << kMaxRetries;
   }
 }
 

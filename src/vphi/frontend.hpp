@@ -46,9 +46,9 @@ enum class WaitScheme {
 const char* wait_scheme_name(WaitScheme scheme) noexcept;
 
 struct FrontendConfig {
+  /// How wait() blocks; kHybrid switches at
+  /// FrontendDriver::kHybridThreshold.
   WaitScheme scheme = WaitScheme::kInterrupt;
-  /// kHybrid: payloads strictly below this poll, others sleep.
-  std::size_t hybrid_threshold = 32 * 1024;
   /// Bounce-buffer (and therefore chunk) size. Clamped to KMALLOC_MAX_SIZE
   /// — Linux will not hand out larger physically contiguous allocations.
   /// Ablation A4 sweeps this down to show the per-chunk ring overhead.
@@ -57,21 +57,20 @@ struct FrontendConfig {
   /// Per-request timeout in *simulated* time. 0 disables timeouts entirely
   /// (legacy behavior: wait forever). When set, a request whose completion
   /// is not visible by the deadline fails with kTimedOut, at once if its
-  /// chain is stranded on the ring (Virtqueue::stranded).
+  /// chain is stranded on the ring (Virtqueue::stranded), and an
+  /// idempotent op is replayed up to FrontendDriver::kMaxRetries times.
   sim::Nanos request_timeout_ns = 0;
-  /// Bounded retry for idempotent ops (open/bind/get_node_ids/card_info)
-  /// that fail with kTimedOut or kIoError. Non-idempotent ops never retry.
-  std::uint32_t max_retries = 2;
 
-  /// Maximum chunks a pipelined bulk transfer keeps in flight at once
-  /// (guest_scif's send/recv/readfrom/writeto walks). 1 reproduces the
-  /// paper's serial chunk walk: chunk N+1 is not posted until chunk N's
-  /// completion has been parsed.
+  /// Maximum chunks guest_scif's chunk walk keeps in flight at once for a
+  /// blocking send/recv or any readfrom/writeto (a non-blocking stream
+  /// always walks one chunk at a time), capped at
+  /// GuestScifProvider::kMaxWindow. 1 is the paper's serial chunk walk:
+  /// chunk N+1 is not posted until chunk N's completion has been parsed.
   std::size_t pipeline_window = 1;
   /// Per-command chunk size for RMA ops (readfrom/writeto). RMA carries no
   /// ring payload — the data DMAs straight into the pinned window — so it
   /// is not bound by KMALLOC_MAX_SIZE; this bounds the DMA each command
-  /// programs, and is what the pipelined walk overlaps.
+  /// programs, and is what a pipeline_window > 1 overlaps.
   std::size_t rma_chunk = 16ull << 20;
 
   /// Zero-copy registered windows: pin guest pages and build the DMA
@@ -98,6 +97,11 @@ class FrontendDriver {
   static constexpr std::size_t kMaxPayload = hv::kKmallocMaxSize;
   /// Stall-watchdog budget as a multiple of the p99 completion latency.
   static constexpr double kWatchdogMultiplier = 8.0;
+  /// Bounded retry for idempotent ops (open/bind/get_node_ids/card_info)
+  /// that fail with kTimedOut or kIoError. Non-idempotent ops never retry.
+  static constexpr std::uint32_t kMaxRetries = 2;
+  /// WaitScheme::kHybrid: payloads strictly below this poll, others sleep.
+  static constexpr std::size_t kHybridThreshold = 32 * 1024;
 
   explicit FrontendDriver(hv::Vm& vm, Config config = {});
   ~FrontendDriver();
@@ -124,9 +128,11 @@ class FrontendDriver {
     std::size_t in_written = 0;  ///< bytes copied back to in_payload
   };
 
-  /// Run one request/response round trip through the ring. Payloads must
-  /// fit one bounce buffer (<= chunk_size()); chunking of larger transfers
-  /// is the caller's job (GuestScifProvider does it, mirroring the paper).
+  /// Run one request/response round trip through the ring: submit() then
+  /// wait(), replaying idempotent ops. Payloads must fit one bounce buffer
+  /// (<= chunk_size()); chunking of larger transfers is the caller's job
+  /// (GuestScifProvider's chunk walk, mirroring the paper, drives
+  /// submit()/wait() itself).
   sim::Expected<TransactResult> transact(sim::Actor& actor,
                                          const TransactArgs& args);
 

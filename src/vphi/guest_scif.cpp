@@ -1,7 +1,8 @@
 #include "vphi/guest_scif.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,28 +33,35 @@ sim::Expected<FrontendDriver::TransactResult> GuestScifProvider::call(
 }
 
 GuestScifProvider::PipelineResult GuestScifProvider::run_pipeline(
-    std::size_t total_len, std::size_t chunk, bool count_ret0,
-    const std::function<FrontendDriver::TransactArgs(std::size_t,
-                                                     std::size_t)>&
-        make_args) {
-  PipelineResult out;
+    const DataOp& op) {
+  const bool stream = op.op == Op::kSend || op.op == Op::kRecv;
+  const std::size_t chunk =
+      stream ? frontend_->chunk_size()
+             : std::max<std::size_t>(1, frontend_->config().rma_chunk);
+  // Pipelining a stream is only sound when it blocks: a non-blocking chunk
+  // may legitimately move fewer bytes than posted mid-stream, and chunks
+  // already in flight past it would move out-of-order data. A blocking
+  // stream returns short only at EOF/peer reset, so the window's in-order
+  // completed prefix is exactly what a serial walk would deliver.
+  const int block =
+      op.op == Op::kSend ? scif::SCIF_SEND_BLOCK : scif::SCIF_RECV_BLOCK;
+  const std::size_t window =
+      stream && (op.flags & block) == 0
+          ? 1
+          : std::clamp<std::size_t>(frontend_->config().pipeline_window, 1,
+                                    kMaxWindow);
+  const std::size_t chunks = op.len == 0 ? 1 : (op.len + chunk - 1) / chunk;
   auto& actor = sim::this_actor();
   // One umbrella span covers the entire chunk walk; every chunk request
-  // parents to it. make_args is a pure constructor, so peeking at chunk 0
-  // for the op name is side-effect free.
-  sim::TraceOpScope op_scope(
-      total_len > 0
-          ? op_name(make_args(0, std::min(total_len, chunk)).header.op)
-          : "pipeline");
-  const std::size_t window =
-      std::max<std::size_t>(1, frontend_->config().pipeline_window);
+  // parents to it.
+  sim::TraceOpScope op_scope(op_name(op.op));
 
-  struct InFlight {
-    FrontendDriver::Token token;
-    std::size_t len = 0;
-  };
-  std::deque<InFlight> inflight;
-  std::size_t next_offset = 0;
+  PipelineResult out;
+  // In-flight tokens, slot = chunk index % kMaxWindow; chunks
+  // [reaped, submitted) are on the ring.
+  std::array<FrontendDriver::Token, kMaxWindow> inflight;
+  std::size_t submitted = 0;
+  std::size_t reaped = 0;
   bool stop = false;  // submission closed (failure or short completion)
   // Ring-full is backpressure, not an error: with chunks in flight the walk
   // reaps the oldest (freeing its descriptors) and resubmits; with nothing
@@ -65,14 +73,16 @@ GuestScifProvider::PipelineResult GuestScifProvider::run_pipeline(
   constexpr int kMaxRingFullSpins = 1 << 20;
   int ring_full_spins = 0;
 
-  while ((!stop && next_offset < total_len) || !inflight.empty()) {
+  while ((!stop && submitted < chunks) || reaped < submitted) {
     // Fill the window: submit ahead without waiting.
-    while (!stop && next_offset < total_len && inflight.size() < window) {
-      const std::size_t n = std::min(total_len - next_offset, chunk);
-      auto token = frontend_->submit(actor, make_args(next_offset, n));
+    while (!stop && submitted < chunks && submitted - reaped < window) {
+      const std::size_t off = submitted * chunk;
+      SgEntry sg;
+      auto token = frontend_->submit(
+          actor, chunk_request(op, off, std::min(op.len - off, chunk), sg));
       if (!token) {
         if (token.status() == sim::Status::kNoSpace) {
-          if (!inflight.empty()) break;  // reap below, then refill
+          if (reaped < submitted) break;  // reap below, then refill
           if (++ring_full_spins < kMaxRingFullSpins) {
             // Another submitter on this queue holds every descriptor; the
             // failed probe cost nothing in simulated time (the queue is
@@ -87,16 +97,14 @@ GuestScifProvider::PipelineResult GuestScifProvider::run_pipeline(
         break;
       }
       ring_full_spins = 0;
-      inflight.push_back({*token, n});
-      next_offset += n;
+      inflight[submitted++ % kMaxWindow] = *token;
     }
-    if (inflight.empty()) break;
+    if (reaped == submitted) break;
 
     // Reap strictly oldest-first: the completed prefix is only meaningful
     // in submission order.
-    const InFlight f = inflight.front();
-    inflight.pop_front();
-    auto r = frontend_->wait(actor, f.token);
+    const std::size_t n = std::min(op.len - reaped * chunk, chunk);
+    auto r = frontend_->wait(actor, inflight[reaped++ % kMaxWindow]);
     if (stop) continue;  // draining a straggler past the stop point
     if (!r) {
       out.error = r.status();
@@ -109,28 +117,63 @@ GuestScifProvider::PipelineResult GuestScifProvider::run_pipeline(
       stop = true;
       continue;
     }
-    if (count_ret0) {
-      // ret0 = bytes the device moved; outside [0, chunk] is a protocol
-      // violation (counting it would make the prefix lie to the caller).
-      const std::int64_t ret0 = r->response.ret0;
-      if (ret0 < 0 || static_cast<std::uint64_t>(ret0) > f.len) {
-        out.error = sim::Status::kIoError;
-        stop = true;
-        continue;
-      }
-      out.bytes += static_cast<std::size_t>(ret0);
-      if (static_cast<std::size_t>(ret0) < f.len) {
-        // Legitimate short completion (EOF/peer reset): the walk ends at
-        // the in-order prefix; chunks already in flight beyond it are
-        // drained above and discarded.
-        out.short_stop = true;
-        stop = true;
-      }
-    } else {
-      out.bytes += f.len;
+    if (!stream) {
+      out.bytes += n;
+      continue;
     }
+    // ret0 = bytes the device moved; outside [0, chunk] is a protocol
+    // violation (counting it would make the prefix lie to the caller, and
+    // a recv's copy-back would claim bytes the bounce buffer never held).
+    const std::int64_t ret0 = r->response.ret0;
+    if (ret0 < 0 || static_cast<std::uint64_t>(ret0) > n) {
+      out.error = sim::Status::kIoError;
+      stop = true;
+      continue;
+    }
+    out.bytes += static_cast<std::size_t>(ret0);
+    // Legitimate short completion (EOF/peer reset): the walk ends at the
+    // in-order prefix; chunks already in flight beyond it are drained above
+    // and discarded.
+    if (static_cast<std::size_t>(ret0) < n) stop = true;
   }
   return out;
+}
+
+FrontendDriver::TransactArgs GuestScifProvider::chunk_request(
+    const DataOp& op, std::size_t off, std::size_t n, SgEntry& sg) {
+  FrontendDriver::TransactArgs args;
+  args.header.op = op.op;
+  args.header.epd = op.epd;
+  args.header.flags = op.flags;
+  switch (op.op) {
+    case Op::kSend:
+      args.out_payload = op.out + off;
+      args.out_len = n;
+      break;
+    case Op::kRecv:
+      args.header.arg0 = n;
+      args.in_payload = op.in + off;
+      args.in_len = n;
+      break;
+    default: {
+      // RMA carries no ring payload: the command crosses the ring, the
+      // data DMAs directly into the pinned guest window.
+      args.header.arg0 = static_cast<std::uint64_t>(op.loffset) + off;
+      args.header.arg1 = n;
+      args.header.arg2 = static_cast<std::uint64_t>(op.roffset) + off;
+      // Zero-copy: when the local range is a registered window, ship its
+      // guest-physical run so the backend maps the pinned pages directly
+      // instead of bouncing through per-transfer setup.
+      if (const auto entry = build_sg(op.epd, op.loffset + off, n)) {
+        sg = *entry;
+        args.header.flags |= kReqFlagSgList;
+        args.out_payload = &sg;
+        args.out_len = sizeof(SgEntry);
+      }
+      break;
+    }
+  }
+  return args;
 }
 
 sim::Expected<std::uint64_t> GuestScifProvider::pin_user_range(
@@ -143,10 +186,10 @@ sim::Expected<std::uint64_t> GuestScifProvider::pin_user_range(
   return *gpa;
 }
 
-std::vector<SgEntry> GuestScifProvider::build_sg(int epd,
-                                                 scif::RegOffset loffset,
-                                                 std::size_t len) {
-  if (!frontend_->config().zero_copy || len == 0) return {};
+std::optional<SgEntry> GuestScifProvider::build_sg(int epd,
+                                                   scif::RegOffset loffset,
+                                                   std::size_t len) {
+  if (!frontend_->config().zero_copy || len == 0) return std::nullopt;
   std::uint64_t gpa_base = 0;
   bool found = false;
   {
@@ -165,22 +208,21 @@ std::vector<SgEntry> GuestScifProvider::build_sg(int epd,
       }
     }
   }
-  if (!found) return {};
+  if (!found) return std::nullopt;
   // The backend only accepts page-aligned sg targets; a sub-page slice
   // falls back to the plain request rather than get rejected on the wire.
-  if (gpa_base % kSgPageBytes != 0) return {};
-  std::vector<SgEntry> sg;
-  sg.push_back(SgEntry{gpa_base, static_cast<std::uint64_t>(len)});
+  if (gpa_base % kSgPageBytes != 0) return std::nullopt;
+  SgEntry sg{gpa_base, static_cast<std::uint64_t>(len)};
   auto& fi = sim::fault_injector();
   if (fi.should_fire(sim::FaultSite::kSgMisalign)) {
-    // Hostile-guest geometry: shove the first entry off its page boundary.
-    // The backend's sg validator must reject the request well-formed.
-    sg.front().gpa += 8;
+    // Hostile-guest geometry: shove the entry off its page boundary. The
+    // backend's sg validator must reject the request well-formed.
+    sg.gpa += 8;
   }
   if (fi.should_fire(sim::FaultSite::kSgLenOverflow)) {
-    // Inflate the last entry so the list claims more bytes than the
-    // header's transfer length — a lying total the backend must catch.
-    sg.back().len += kSgPageBytes;
+    // Inflate the entry so the list claims more bytes than the header's
+    // transfer length — a lying total the backend must catch.
+    sg.len += kSgPageBytes;
   }
   return sg;
 }
@@ -263,120 +305,29 @@ sim::Expected<std::size_t> GuestScifProvider::send(int epd, const void* msg,
   // Chunk at KMALLOC_MAX_SIZE: "if the requested data size is greater than
   // this value, we implement the data transfer breaking up the allocation
   // to KMALLOC_MAX_SIZE elements and proceed with each one of them."
-  const auto* bytes = static_cast<const std::byte*>(msg);
-  // Pipelining is only sound for blocking sends: a non-blocking chunk may
-  // legitimately accept fewer bytes than posted mid-stream, and chunks
-  // already in flight past that point would have sent out-of-order data.
-  if (len > 0 && frontend_->config().pipeline_window > 1 &&
-      (flags & scif::SCIF_SEND_BLOCK) != 0) {
-    auto pr = run_pipeline(
-        len, frontend_->chunk_size(), /*count_ret0=*/true,
-        [&](std::size_t off, std::size_t n) {
-          FrontendDriver::TransactArgs args;
-          args.header.op = Op::kSend;
-          args.header.epd = epd;
-          args.header.flags = flags;
-          args.out_payload = bytes + off;
-          args.out_len = n;
-          return args;
-        });
-    if (pr.bytes > 0 || sim::ok(pr.error)) return pr.bytes;
-    return pr.error;
-  }
-  std::size_t sent_total = 0;
-  while (sent_total < len || len == 0) {
-    const std::size_t chunk =
-        std::min(len - sent_total, frontend_->chunk_size());
-    FrontendDriver::TransactArgs args;
-    args.header.op = Op::kSend;
-    args.header.epd = epd;
-    args.header.flags = flags;
-    args.out_payload = bytes + sent_total;
-    args.out_len = chunk;
-    auto r = call(args);
-    if (!r) {
-      // Transport-level failure mid-walk: bytes up to here were consumed
-      // by the device, so report the partial count like the real API.
-      if (sent_total > 0) return sent_total;
-      return r.status();
-    }
-    if (!sim::ok(response_status(r->response))) {
-      if (sent_total > 0) return sent_total;  // partial like the real API
-      return response_status(r->response);
-    }
-    // ret0 = bytes the device consumed; a value outside [0, chunk] is a
-    // protocol violation (adding it unclamped would make sent_total lie to
-    // the caller and under/overflow the chunk walk).
-    const std::int64_t ret0 = r->response.ret0;
-    if (ret0 < 0 || static_cast<std::uint64_t>(ret0) > chunk) {
-      if (sent_total > 0) return sent_total;
-      return sim::Status::kIoError;
-    }
-    sent_total += static_cast<std::size_t>(ret0);
-    if (static_cast<std::size_t>(ret0) < chunk) break;
-    if (len == 0) break;
-  }
-  return sent_total;
+  const auto pr = run_pipeline({.op = Op::kSend,
+                                .epd = epd,
+                                .flags = flags,
+                                .len = len,
+                                .out = static_cast<const std::byte*>(msg)});
+  // A failure mid-walk still reports the bytes the device consumed, like
+  // the real API.
+  if (pr.bytes > 0 || sim::ok(pr.error)) return pr.bytes;
+  return pr.error;
 }
 
 sim::Expected<std::size_t> GuestScifProvider::recv(int epd, void* msg,
                                                    std::size_t len,
                                                    int flags) {
-  auto* bytes = static_cast<std::byte*>(msg);
-  // Same gating as send(): a blocking recv only returns short at EOF/peer
-  // reset, so the pipelined walk's in-order completed prefix is exactly
-  // what a serial walk would have delivered.
-  if (len > 0 && frontend_->config().pipeline_window > 1 &&
-      (flags & scif::SCIF_RECV_BLOCK) != 0) {
-    auto pr = run_pipeline(
-        len, frontend_->chunk_size(), /*count_ret0=*/true,
-        [&](std::size_t off, std::size_t n) {
-          FrontendDriver::TransactArgs args;
-          args.header.op = Op::kRecv;
-          args.header.epd = epd;
-          args.header.flags = flags;
-          args.header.arg0 = n;
-          args.in_payload = bytes + off;
-          args.in_len = n;
-          return args;
-        });
-    if (pr.bytes > 0 || sim::ok(pr.error)) return pr.bytes;
-    return pr.error;
-  }
-  std::size_t got_total = 0;
-  while (got_total < len || len == 0) {
-    const std::size_t chunk =
-        std::min(len - got_total, frontend_->chunk_size());
-    FrontendDriver::TransactArgs args;
-    args.header.op = Op::kRecv;
-    args.header.epd = epd;
-    args.header.flags = flags;
-    args.header.arg0 = chunk;
-    args.in_payload = bytes + got_total;
-    args.in_len = chunk;
-    auto r = call(args);
-    if (!r) {
-      // Transport-level failure mid-walk: earlier chunks already landed in
-      // the caller's buffer — report the partial count, not the error.
-      if (got_total > 0) return got_total;
-      return r.status();
-    }
-    if (!sim::ok(response_status(r->response))) {
-      if (got_total > 0) return got_total;
-      return response_status(r->response);
-    }
-    // ret0 = bytes the device produced; beyond the chunk it claims data the
-    // bounce buffer never held, so the copy-back would be garbage.
-    const std::int64_t ret0 = r->response.ret0;
-    if (ret0 < 0 || static_cast<std::uint64_t>(ret0) > chunk) {
-      if (got_total > 0) return got_total;
-      return sim::Status::kIoError;
-    }
-    got_total += static_cast<std::size_t>(ret0);
-    if (static_cast<std::size_t>(ret0) < chunk) break;
-    if (len == 0) break;
-  }
-  return got_total;
+  const auto pr = run_pipeline({.op = Op::kRecv,
+                                .epd = epd,
+                                .flags = flags,
+                                .len = len,
+                                .in = static_cast<std::byte*>(msg)});
+  // Earlier chunks already landed in the caller's buffer: report the
+  // partial count, not the error.
+  if (pr.bytes > 0 || sim::ok(pr.error)) return pr.bytes;
+  return pr.error;
 }
 
 sim::Expected<scif::RegOffset> GuestScifProvider::register_mem(
@@ -438,136 +389,53 @@ sim::Status GuestScifProvider::unregister_mem(int epd, scif::RegOffset offset,
 sim::Status GuestScifProvider::readfrom(int epd, scif::RegOffset loffset,
                                         std::size_t len,
                                         scif::RegOffset roffset, int flags) {
-  // RMA carries no ring payload: each command crosses the ring, the data
-  // DMAs directly into the pinned guest window. Transfers larger than
-  // FrontendConfig::rma_chunk issue one command per chunk — the walk the
-  // pipelined window overlaps.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, frontend_->config().rma_chunk);
-  if (len <= chunk) {
-    FrontendDriver::TransactArgs args;
-    args.header.op = Op::kReadfrom;
-    args.header.epd = epd;
-    args.header.arg0 = static_cast<std::uint64_t>(loffset);
-    args.header.arg1 = len;
-    args.header.arg2 = static_cast<std::uint64_t>(roffset);
-    args.header.flags = flags;
-    // Zero-copy: when the local range is a registered window, ship its
-    // guest-physical sg-list so the backend maps the pinned pages directly
-    // instead of bouncing through per-transfer setup.
-    const std::vector<SgEntry> sg = build_sg(epd, loffset, len);
-    if (!sg.empty()) {
-      args.header.flags |= kReqFlagSgList;
-      args.out_payload = sg.data();
-      args.out_len = sg.size() * sizeof(SgEntry);
-    }
-    auto r = call(args);
-    if (!r) return r.status();
-    return response_status(r->response);
-  }
-  // Per-chunk sg-lists live here so the pointers handed to submit() stay
-  // valid for the duration of the walk (inner buffers never move).
-  std::vector<std::vector<SgEntry>> sg_hold;
-  auto pr = run_pipeline(
-      len, chunk, /*count_ret0=*/false,
-      [&](std::size_t off, std::size_t n) {
-        FrontendDriver::TransactArgs args;
-        args.header.op = Op::kReadfrom;
-        args.header.epd = epd;
-        args.header.arg0 = static_cast<std::uint64_t>(loffset) + off;
-        args.header.arg1 = n;
-        args.header.arg2 = static_cast<std::uint64_t>(roffset) + off;
-        args.header.flags = flags;
-        std::vector<SgEntry> sg = build_sg(epd, loffset + off, n);
-        if (!sg.empty()) {
-          sg_hold.push_back(std::move(sg));
-          args.header.flags |= kReqFlagSgList;
-          args.out_payload = sg_hold.back().data();
-          args.out_len = sg_hold.back().size() * sizeof(SgEntry);
-        }
-        return args;
-      });
-  return pr.error;
+  return run_pipeline({.op = Op::kReadfrom,
+                       .epd = epd,
+                       .flags = flags,
+                       .len = len,
+                       .loffset = loffset,
+                       .roffset = roffset})
+      .error;
 }
 
 sim::Status GuestScifProvider::writeto(int epd, scif::RegOffset loffset,
                                        std::size_t len, scif::RegOffset roffset,
                                        int flags) {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, frontend_->config().rma_chunk);
-  if (len <= chunk) {
-    FrontendDriver::TransactArgs args;
-    args.header.op = Op::kWriteto;
-    args.header.epd = epd;
-    args.header.arg0 = static_cast<std::uint64_t>(loffset);
-    args.header.arg1 = len;
-    args.header.arg2 = static_cast<std::uint64_t>(roffset);
-    args.header.flags = flags;
-    const std::vector<SgEntry> sg = build_sg(epd, loffset, len);
-    if (!sg.empty()) {
-      args.header.flags |= kReqFlagSgList;
-      args.out_payload = sg.data();
-      args.out_len = sg.size() * sizeof(SgEntry);
-    }
-    auto r = call(args);
-    if (!r) return r.status();
-    return response_status(r->response);
-  }
-  std::vector<std::vector<SgEntry>> sg_hold;
-  auto pr = run_pipeline(
-      len, chunk, /*count_ret0=*/false,
-      [&](std::size_t off, std::size_t n) {
-        FrontendDriver::TransactArgs args;
-        args.header.op = Op::kWriteto;
-        args.header.epd = epd;
-        args.header.arg0 = static_cast<std::uint64_t>(loffset) + off;
-        args.header.arg1 = n;
-        args.header.arg2 = static_cast<std::uint64_t>(roffset) + off;
-        args.header.flags = flags;
-        std::vector<SgEntry> sg = build_sg(epd, loffset + off, n);
-        if (!sg.empty()) {
-          sg_hold.push_back(std::move(sg));
-          args.header.flags |= kReqFlagSgList;
-          args.out_payload = sg_hold.back().data();
-          args.out_len = sg_hold.back().size() * sizeof(SgEntry);
-        }
-        return args;
-      });
-  return pr.error;
+  return run_pipeline({.op = Op::kWriteto,
+                       .epd = epd,
+                       .flags = flags,
+                       .len = len,
+                       .loffset = loffset,
+                       .roffset = roffset})
+      .error;
+}
+
+sim::Status GuestScifProvider::pinned_rma(Op op, int epd, void* addr,
+                                          std::size_t len,
+                                          scif::RegOffset roffset, int flags) {
+  auto gpa = pin_user_range(addr, len);
+  if (!gpa) return gpa.status();
+  FrontendDriver::TransactArgs args;
+  args.header.op = op;
+  args.header.epd = epd;
+  args.header.arg0 = *gpa;
+  args.header.arg1 = len;
+  args.header.arg2 = static_cast<std::uint64_t>(roffset);
+  args.header.flags = flags;
+  auto r = call(args);
+  frontend_->vm().kernel().unpin_pages(*gpa, len);
+  if (!r) return r.status();
+  return response_status(r->response);
 }
 
 sim::Status GuestScifProvider::vreadfrom(int epd, void* addr, std::size_t len,
                                          scif::RegOffset roffset, int flags) {
-  auto gpa = pin_user_range(addr, len);
-  if (!gpa) return gpa.status();
-  FrontendDriver::TransactArgs args;
-  args.header.op = Op::kVreadfrom;
-  args.header.epd = epd;
-  args.header.arg0 = *gpa;
-  args.header.arg1 = len;
-  args.header.arg2 = static_cast<std::uint64_t>(roffset);
-  args.header.flags = flags;
-  auto r = call(args);
-  frontend_->vm().kernel().unpin_pages(*gpa, len);
-  if (!r) return r.status();
-  return response_status(r->response);
+  return pinned_rma(Op::kVreadfrom, epd, addr, len, roffset, flags);
 }
 
 sim::Status GuestScifProvider::vwriteto(int epd, void* addr, std::size_t len,
                                         scif::RegOffset roffset, int flags) {
-  auto gpa = pin_user_range(addr, len);
-  if (!gpa) return gpa.status();
-  FrontendDriver::TransactArgs args;
-  args.header.op = Op::kVwriteto;
-  args.header.epd = epd;
-  args.header.arg0 = *gpa;
-  args.header.arg1 = len;
-  args.header.arg2 = static_cast<std::uint64_t>(roffset);
-  args.header.flags = flags;
-  auto r = call(args);
-  frontend_->vm().kernel().unpin_pages(*gpa, len);
-  if (!r) return r.status();
-  return response_status(r->response);
+  return pinned_rma(Op::kVwriteto, epd, addr, len, roffset, flags);
 }
 
 sim::Expected<scif::Mapping> GuestScifProvider::mmap(int epd,
@@ -635,9 +503,8 @@ sim::Status GuestScifProvider::munmap(scif::Mapping& mapping) {
   return response_status(r->response);
 }
 
-sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
-                                        std::size_t off, void* dst,
-                                        std::size_t n) {
+sim::Expected<std::byte*> GuestScifProvider::map_access(
+    const scif::Mapping& mapping, std::size_t off, std::size_t n) {
   GuestMapping gm;
   {
     sim::MutexLock lock(mu_);
@@ -654,6 +521,14 @@ sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
   const std::size_t lines = (n + kCacheLine - 1) / kCacheLine;
   actor.advance(static_cast<sim::Nanos>(lines) *
                 frontend_->vm().model().mmio_access_ns);
+  return *ptr;
+}
+
+sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
+                                        std::size_t off, void* dst,
+                                        std::size_t n) {
+  auto ptr = map_access(mapping, off, n);
+  if (!ptr) return ptr.status();
   std::memcpy(dst, *ptr, n);
   return sim::Status::kOk;
 }
@@ -661,20 +536,8 @@ sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
 sim::Status GuestScifProvider::map_write(const scif::Mapping& mapping,
                                          std::size_t off, const void* src,
                                          std::size_t n) {
-  GuestMapping gm;
-  {
-    sim::MutexLock lock(mu_);
-    auto it = mappings_.find(mapping.cookie);
-    if (it == mappings_.end()) return sim::Status::kInvalidArgument;
-    gm = it->second;
-  }
-  if (off + n > gm.len) return sim::Status::kOutOfRange;
-  auto& actor = sim::this_actor();
-  auto ptr = frontend_->vm().mmu().access(actor, gm.gva + off, n);
+  auto ptr = map_access(mapping, off, n);
   if (!ptr) return ptr.status();
-  const std::size_t lines = (n + kCacheLine - 1) / kCacheLine;
-  actor.advance(static_cast<sim::Nanos>(lines) *
-                frontend_->vm().model().mmio_access_ns);
   std::memcpy(*ptr, src, n);
   return sim::Status::kOk;
 }

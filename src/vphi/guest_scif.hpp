@@ -11,10 +11,10 @@
 // KVM MMU straight onto device memory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <vector>
+#include <optional>
 #include "sim/thread_safety.hpp"
 
 #include "scif/provider.hpp"
@@ -24,6 +24,10 @@ namespace vphi::core {
 
 class GuestScifProvider final : public scif::Provider {
  public:
+  /// Most chunks one walk keeps in flight, whatever pipeline_window says:
+  /// as many 2-descriptor chains as a default 256-entry ring holds.
+  static constexpr std::size_t kMaxWindow = 128;
+
   explicit GuestScifProvider(FrontendDriver& frontend);
   ~GuestScifProvider() override;
 
@@ -76,40 +80,64 @@ class GuestScifProvider final : public scif::Provider {
   FrontendDriver& frontend() noexcept { return *frontend_; }
 
  private:
-  /// One wire round trip; wraps FrontendDriver::transact with this_actor().
+  /// One control-op round trip: an umbrella span around
+  /// FrontendDriver::transact (which replays idempotent ops).
   sim::Expected<FrontendDriver::TransactResult> call(
       const FrontendDriver::TransactArgs& args);
 
-  /// Outcome of a pipelined chunk walk.
+  /// A data op as the chunk walk slices it. Stream ops (kSend, kRecv) move
+  /// their buffer by the chunk offset; RMA ops (kReadfrom, kWriteto) move
+  /// both window offsets.
+  struct DataOp {
+    Op op = Op::kSend;
+    int epd = 0;
+    int flags = 0;
+    std::size_t len = 0;
+    const std::byte* out = nullptr;  ///< kSend: the caller's bytes
+    std::byte* in = nullptr;         ///< kRecv: the caller's buffer
+    scif::RegOffset loffset = 0;
+    scif::RegOffset roffset = 0;
+  };
+  /// Outcome of a chunk walk.
   struct PipelineResult {
     std::size_t bytes = 0;  ///< in-order completed prefix
     sim::Status error = sim::Status::kOk;  ///< first failure, kOk if clean
-    bool short_stop = false;  ///< a chunk legitimately completed short
   };
-  /// The shared pipelined chunk walk behind send/recv/readfrom/writeto:
-  /// keeps up to FrontendConfig::pipeline_window chunks in flight (submit
-  /// ahead, reap oldest-first), stops submitting on the first failure or
-  /// short completion, and drains the remaining in-flight siblings —
-  /// discarding their results — so only the in-order completed prefix
-  /// counts. `count_ret0` selects stream semantics (ret0 = bytes moved,
-  /// validated to [0, chunk]; a short ret0 ends the walk) vs RMA semantics
-  /// (a kOk chunk moved exactly its full length). `make_args` builds the
-  /// wire request for the chunk at (offset, len).
-  PipelineResult run_pipeline(
-      std::size_t total_len, std::size_t chunk, bool count_ret0,
-      const std::function<FrontendDriver::TransactArgs(std::size_t,
-                                                       std::size_t)>&
-          make_args);
+  /// The one chunk walk behind send/recv/readfrom/writeto. Stream ops chunk
+  /// at the bounce-buffer size, RMA ops at FrontendConfig::rma_chunk; a
+  /// zero-length op still crosses the ring once. Keeps up to
+  /// pipeline_window chunks in flight (1 for a non-blocking stream; window
+  /// 1 is the paper's serial walk): submits ahead, reaps oldest-first,
+  /// stops submitting on the first failure or short completion, and drains
+  /// the in-flight siblings, discarding their results, so only the in-order
+  /// completed prefix counts. A stream chunk's ret0 is the bytes moved,
+  /// validated to [0, chunk], and a short one ends the walk; a kOk RMA
+  /// chunk moved its full length. One umbrella span covers the walk.
+  PipelineResult run_pipeline(const DataOp& op);
+  /// The wire request for the chunk at (off, n) of `op`. A zero-copy RMA
+  /// chunk's guest-physical run goes in `sg`, which must outlive the
+  /// submit (submit copies the payload into the bounce buffer).
+  FrontendDriver::TransactArgs chunk_request(const DataOp& op, std::size_t off,
+                                             std::size_t n, SgEntry& sg);
+  /// scif_vreadfrom/scif_vwriteto: pin the user range, one request, unpin.
+  sim::Status pinned_rma(Op op, int epd, void* addr, std::size_t len,
+                         scif::RegOffset roffset, int flags);
+  /// A guest dereference of [off, off+n) of a live mmap: the MMU access
+  /// plus the per-cache-line charge. Returns the device pointer.
+  sim::Expected<std::byte*> map_access(const scif::Mapping& mapping,
+                                       std::size_t off, std::size_t n)
+      VPHI_EXCLUDES(mu_);
   /// Pin + translate a guest user range for register/vread/vwrite; returns
   /// the gpa.
   sim::Expected<std::uint64_t> pin_user_range(void* addr, std::size_t len);
-  /// Zero-copy RMA: build the guest-physical SgEntry list for
-  /// [loffset, loffset+len) of a window this provider registered on `epd`.
-  /// Empty when zero-copy is off, the range is not fully inside one
-  /// registered window, or the slice is not page-aligned — the caller
-  /// falls back to the plain (sg-less) request.
-  std::vector<SgEntry> build_sg(int epd, scif::RegOffset loffset,
-                                std::size_t len) VPHI_EXCLUDES(mu_);
+  /// Zero-copy RMA: the guest-physical run of [loffset, loffset+len) of a
+  /// window this provider registered on `epd`. A registered window is one
+  /// pinned guest-physical run, so one entry covers any slice. Empty when
+  /// zero-copy is off, the length is 0, the range is not fully inside one
+  /// registered window, or the slice is not page-aligned; the caller then
+  /// sends the plain (sg-less) request.
+  std::optional<SgEntry> build_sg(int epd, scif::RegOffset loffset,
+                                  std::size_t len) VPHI_EXCLUDES(mu_);
 
   FrontendDriver* frontend_;
 

@@ -1,5 +1,5 @@
 // Coverage for the remaining C-style libscif shim entry points (host side)
-// and the small sim utilities (logging, channel introspection).
+// and the logging utility.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -9,7 +9,6 @@
 #include "scif/api.hpp"
 #include "scif/fabric.hpp"
 #include "scif/host_provider.hpp"
-#include "sim/channel.hpp"
 #include "sim/log.hpp"
 #include "tools/testbed.hpp"
 
@@ -165,19 +164,6 @@ TEST(Log, LevelsFilterAndEmit) {
   VPHI_LOG(kTrace, "test") << "filtered out";
   log_line(LogLevel::kError, "test", "direct call");
   set_log_level(prior);
-}
-
-TEST(Channel, SizeTracksContents) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.size(), 0u);
-  ch.push(1, 0);
-  ch.push(2, 0);
-  EXPECT_EQ(ch.size(), 2u);
-  ch.try_pop();
-  EXPECT_EQ(ch.size(), 1u);
-  EXPECT_FALSE(ch.closed());
-  ch.close();
-  EXPECT_TRUE(ch.closed());
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ namespace vphi::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SPSC / MPSC channels
+// SPSC channel
 
 TEST(SpscRing, FifoOrderAndCapacityRounding) {
   SpscRing<int> ring(5);  // rounds up to the next power of two
@@ -51,29 +51,12 @@ TEST(SpscRing, FullRingExertsBackpressure) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
   // Ring full: the producer is refused, nothing is overwritten.
   EXPECT_FALSE(ring.try_push(99));
-  EXPECT_EQ(ring.size_approx(), 4u);
   auto v = ring.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 0);
   // One slot freed: the producer gets exactly one more push in.
   EXPECT_TRUE(ring.try_push(4));
   EXPECT_FALSE(ring.try_push(5));
-}
-
-TEST(SpscRing, CloseRefusesPushesButDrainsInFlight) {
-  SpscRing<int> ring(8);
-  ASSERT_TRUE(ring.try_push(1));
-  ASSERT_TRUE(ring.try_push(2));
-  ring.close();
-  EXPECT_TRUE(ring.closed());
-  EXPECT_FALSE(ring.try_push(3));  // shutdown refuses new work...
-  auto a = ring.try_pop();         // ...but in-flight events still drain
-  auto b = ring.try_pop();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(*b, 2);
-  EXPECT_FALSE(ring.try_pop().has_value());
 }
 
 TEST(SpscRing, TwoThreadStressKeepsFifoOrder) {
@@ -87,17 +70,12 @@ TEST(SpscRing, TwoThreadStressKeepsFifoOrder) {
         std::this_thread::yield();  // full: let the consumer run (1-core CI)
       }
     }
-    ring.close();
   });
   std::uint32_t expected = 0;
   std::uint64_t sum = 0;
-  for (;;) {
-    // Order matters: observe closed BEFORE the pop, so "closed and then
-    // found empty" proves the producer's final item was already consumed.
-    const bool was_closed = ring.closed();
+  while (expected < kItems) {
     auto v = ring.try_pop();
     if (!v.has_value()) {
-      if (was_closed) break;
       std::this_thread::yield();
       continue;
     }
@@ -106,22 +84,8 @@ TEST(SpscRing, TwoThreadStressKeepsFifoOrder) {
     sum += *v;
   }
   producer.join();
-  EXPECT_EQ(expected, kItems);
+  EXPECT_FALSE(ring.try_pop().has_value()) << "nothing beyond the last item";
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kItems - 1) * kItems / 2);
-}
-
-TEST(MpscLanes, DrainVisitsLanesInIndexOrder) {
-  MpscLanes<int> lanes(3, 8);
-  ASSERT_TRUE(lanes.try_push(2, 20));
-  ASSERT_TRUE(lanes.try_push(0, 1));
-  ASSERT_TRUE(lanes.try_push(1, 10));
-  ASSERT_TRUE(lanes.try_push(0, 2));
-  std::vector<int> seen;
-  const std::size_t n =
-      lanes.drain([&seen](std::size_t, int v) { seen.push_back(v); });
-  EXPECT_EQ(n, 4u);
-  // Lane index order, FIFO within a lane — independent of push interleaving.
-  EXPECT_EQ(seen, (std::vector<int>{1, 2, 10, 20}));
 }
 
 // ---------------------------------------------------------------------------

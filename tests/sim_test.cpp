@@ -1,5 +1,5 @@
 // Unit tests for the simulation substrate: actors/virtual time, the bus
-// arbiter, timestamped channels, statistics containers, and — crucially —
+// arbiter, timestamped event lines, statistics containers, and — crucially —
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
 
@@ -130,37 +130,6 @@ TEST(Bus, ConcurrentAcquiresLinearize) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(bus.busy_total(), static_cast<Nanos>(kThreads * kPerThread * 7));
   EXPECT_EQ(bus.free_at(), bus.busy_total()) << "back-to-back grants from t=0";
-}
-
-TEST(Channel, FifoOrderAndTimestamps) {
-  Channel<int> ch;
-  ch.push(1, 100);
-  ch.push(2, 50);
-  auto a = ch.pop();
-  auto b = ch.pop();
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(a->value, 1);
-  EXPECT_EQ(a->ts, 100u);
-  EXPECT_EQ(b->value, 2);
-  EXPECT_EQ(b->ts, 50u);
-}
-
-TEST(Channel, PopBlocksUntilPush) {
-  Channel<int> ch;
-  std::thread producer([&] { ch.push(42, 7); });
-  auto item = ch.pop();
-  producer.join();
-  ASSERT_TRUE(item);
-  EXPECT_EQ(item->value, 42);
-}
-
-TEST(Channel, CloseDrainsThenReturnsNull) {
-  Channel<int> ch;
-  ch.push(1, 0);
-  ch.close();
-  EXPECT_TRUE(ch.pop().has_value());
-  EXPECT_FALSE(ch.pop().has_value());
-  EXPECT_FALSE(ch.try_pop().has_value());
 }
 
 TEST(EventLine, CountingSemantics) {

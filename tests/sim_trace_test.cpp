@@ -195,6 +195,108 @@ TEST_F(TraceTest, PipelinedWindowWorkerModeOrdering) {
   sink.wait();
 }
 
+TEST_F(TraceTest, SerialWalkRecordsOneUmbrella) {
+  // Window 1 runs the same chunk walk as a wider window: a 3-chunk blocking
+  // send opens one umbrella, and every chunk request parents to it.
+  constexpr std::size_t kChunk = 8 * 1024;
+  constexpr std::size_t kTotal = 2 * kChunk + 1;  // 3 chunks
+  constexpr scif::Port kPort = 7'710;
+  TestbedConfig cfg;
+  cfg.frontend.scheme = WaitScheme::kInterrupt;
+  cfg.frontend.max_payload = kChunk;
+  make_bed(cfg);
+
+  auto& card = bed_->card_provider();
+  auto lep = card.open();
+  ASSERT_TRUE(lep);
+  ASSERT_TRUE(card.bind(*lep, kPort));
+  ASSERT_TRUE(sim::ok(card.listen(*lep, 2)));
+  auto sink = std::async(std::launch::async, [&card, lep = *lep] {
+    sim::Actor a{"sink", sim::Actor::AtNow{}};
+    sim::ActorScope scope(a);
+    auto acc = card.accept(lep, SCIF_ACCEPT_SYNC);
+    if (!acc) return;
+    std::vector<std::uint8_t> buf(kTotal);
+    std::size_t got = 0;
+    while (got < kTotal) {
+      auto r = card.recv(acc->epd, buf.data() + got, kTotal - got,
+                         SCIF_RECV_BLOCK);
+      if (!r || *r == 0) return;
+      got += *r;
+    }
+    card.close(acc->epd);
+  });
+
+  auto epd = guest().open();
+  ASSERT_TRUE(epd);
+  ASSERT_TRUE(
+      sim::ok(guest().connect(*epd, scif::PortId{bed_->card_node(), kPort})));
+  sim::tracer().clear();  // trace exactly the serial send
+
+  std::vector<std::uint8_t> data(kTotal, 0x3C);
+  auto sent = guest().send(*epd, data.data(), kTotal, SCIF_SEND_BLOCK);
+  ASSERT_TRUE(sent);
+  EXPECT_EQ(*sent, kTotal);
+
+  const auto ops = sim::tracer().ops();
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops.front().op, "send");
+  const auto requests = sim::tracer().requests();
+  ASSERT_EQ(requests.size(), 3u);
+  for (const auto& req : requests) {
+    EXPECT_EQ(req.op, "send");
+    EXPECT_EQ(req.parent, ops.front().id);
+  }
+
+  guest().close(*epd);
+  sink.wait();
+}
+
+TEST_F(TraceTest, ZeroLengthOpsCrossTheRingOnce) {
+  // A zero-length send or readfrom is still one wire request, under one
+  // umbrella.
+  constexpr scif::Port kPort = 7'720;
+  TestbedConfig cfg;
+  cfg.frontend.scheme = WaitScheme::kInterrupt;
+  make_bed(cfg);
+
+  auto& card = bed_->card_provider();
+  auto lep = card.open();
+  ASSERT_TRUE(lep);
+  ASSERT_TRUE(card.bind(*lep, kPort));
+  ASSERT_TRUE(sim::ok(card.listen(*lep, 1)));
+  auto accepted = std::async(std::launch::async, [&card, lep = *lep] {
+    sim::Actor a{"card", sim::Actor::AtNow{}};
+    sim::ActorScope scope(a);
+    auto acc = card.accept(lep, SCIF_ACCEPT_SYNC);
+    return acc ? acc->epd : -1;
+  });
+  auto epd = guest().open();
+  ASSERT_TRUE(epd);
+  ASSERT_TRUE(
+      sim::ok(guest().connect(*epd, scif::PortId{bed_->card_node(), kPort})));
+  ASSERT_GE(accepted.get(), 0);
+  auto& fe = bed_->vm(0).frontend();
+  sim::tracer().clear();
+
+  const auto before_send = fe.requests();
+  std::uint8_t byte = 0;
+  auto sent = guest().send(*epd, &byte, 0, SCIF_SEND_BLOCK);
+  ASSERT_TRUE(sent);
+  EXPECT_EQ(*sent, 0u);
+  EXPECT_EQ(fe.requests() - before_send, 1u);
+
+  const auto before_read = fe.requests();
+  guest().readfrom(*epd, 0, 0, 0, scif::SCIF_RMA_SYNC);
+  EXPECT_EQ(fe.requests() - before_read, 1u);
+
+  const auto ops = sim::tracer().ops();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].op, "send");
+  EXPECT_EQ(ops[1].op, "readfrom");
+  guest().close(*epd);
+}
+
 TEST_F(TraceTest, EndpointRunnerNeverOverlapsChainsInSimulatedTime) {
   // A pipelined 4 KiB RMA walk in worker mode: all chunks of the endpoint
   // go through its FIFO runner. The runner's host queue drains and

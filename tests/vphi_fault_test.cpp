@@ -52,9 +52,8 @@ class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
     TestbedConfig cfg;
     cfg.frontend.scheme = std::get<0>(GetParam());
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
-    cfg.frontend.max_retries = 2;
-    // Window > 1 routes the stream/RMA chunk walks through the pipelined
-    // submit/wait path; every fault must keep the same surface behavior.
+    // Window > 1 keeps several chunks of a stream/RMA walk in flight;
+    // every fault must keep the same surface behavior as the serial walk.
     cfg.frontend.pipeline_window =
         static_cast<std::size_t>(std::get<2>(GetParam()));
     cfg.backend_policy.classify = std::get<1>(GetParam())

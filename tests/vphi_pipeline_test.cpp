@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/fault.hpp"
+#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "tools/testbed.hpp"
 
@@ -18,7 +19,10 @@ namespace {
 
 using scif::PortId;
 using scif::SCIF_ACCEPT_SYNC;
+using scif::SCIF_PROT_READ;
+using scif::SCIF_PROT_WRITE;
 using scif::SCIF_RECV_BLOCK;
+using scif::SCIF_RMA_SYNC;
 using scif::SCIF_SEND_BLOCK;
 using sim::FaultSite;
 using sim::Status;
@@ -27,8 +31,9 @@ using tools::TestbedConfig;
 
 class PipelineTest : public ::testing::Test {
  protected:
-  // 8 KiB bounce buffers make even modest transfers span many chunks, so
-  // the window (4) genuinely overlaps requests on the ring. All-worker
+  // 8 KiB bounce buffers (and RMA chunks) make even modest transfers span
+  // many chunks, so the window (4) genuinely overlaps requests on the
+  // ring. All-worker
   // backend: same-endpoint chunks run through the per-endpoint FIFO, which
   // is exactly the ordering property under test.
   static constexpr std::size_t kChunk = 8 * 1024;
@@ -39,8 +44,8 @@ class PipelineTest : public ::testing::Test {
     cfg.frontend.scheme = WaitScheme::kInterrupt;
     cfg.frontend.max_payload = kChunk;
     cfg.frontend.pipeline_window = kWindow;
+    cfg.frontend.rma_chunk = kChunk;
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
-    cfg.frontend.max_retries = 2;
     cfg.backend_policy.classify = BackendPolicy::all_worker();
     cfg.start_coi_daemon = false;
     bed_ = std::make_unique<Testbed>(cfg);
@@ -248,6 +253,64 @@ TEST_F(PipelineTest, DroppedKickOnFirstChunkHealsWindow) {
   stop.store(true);
   guest().close(*epd);
   sink.get();
+}
+
+TEST_F(PipelineTest, MisalignedSgOnFirstChunkFailsReadfrom) {
+  // A zero-copy readfrom of one full window draws the sg fault sites once
+  // per chunk it submits and nowhere else, so arming the first
+  // kSgMisalign hit misaligns chunk 1 itself: the backend rejects it and
+  // the readfrom fails, while its three siblings go out clean.
+  constexpr std::size_t kTotal = kWindow * kChunk;
+  constexpr scif::Port kPort = 7'630;
+  constexpr int kProt = SCIF_PROT_READ | SCIF_PROT_WRITE;
+
+  auto& card = bed_->card_provider();
+  auto lep = card.open();
+  ASSERT_TRUE(lep);
+  ASSERT_TRUE(card.bind(*lep, kPort));
+  ASSERT_TRUE(sim::ok(card.listen(*lep, 1)));
+  auto accepted = std::async(std::launch::async, [&card, lep = *lep] {
+    sim::Actor a{"card", sim::Actor::AtNow{}};
+    sim::ActorScope scope(a);
+    auto acc = card.accept(lep, SCIF_ACCEPT_SYNC);
+    return acc ? acc->epd : -1;
+  });
+
+  sim::Actor a{"guest", sim::Actor::AtNow{}};
+  sim::ActorScope scope(a);
+  auto epd = guest().open();
+  ASSERT_TRUE(epd);
+  ASSERT_TRUE(sim::ok(guest().connect(*epd, PortId{bed_->card_node(), kPort})));
+  const int card_epd = accepted.get();
+  ASSERT_GE(card_epd, 0);
+
+  auto dev_off = bed_->card().memory().allocate(kTotal);
+  ASSERT_TRUE(dev_off);
+  auto remote = card.register_mem(
+      card_epd, bed_->card().memory().at(*dev_off), kTotal, 0, kProt, 0);
+  ASSERT_TRUE(remote);
+  auto buf = bed_->vm(0).alloc_user_buffer(kTotal);
+  ASSERT_TRUE(buf);
+  auto local = guest().register_mem(*epd, *buf, kTotal, 0, kProt, 0);
+  ASSERT_TRUE(local);
+
+  const auto& reg = sim::metrics::registry();
+  const auto hits_before = reg.counter_value("vphi.fault.sg-misalign.hits");
+  const auto rejected_before = bed_->vm(0).backend().validation_failures();
+  sim::fault_injector().arm_nth(FaultSite::kSgMisalign, 1);
+  EXPECT_EQ(guest().readfrom(*epd, *local, kTotal, *remote, SCIF_RMA_SYNC),
+            Status::kInvalidArgument);
+  sim::fault_injector().disarm_all();
+  EXPECT_EQ(reg.counter_value("vphi.fault.sg-misalign.hits") - hits_before,
+            kWindow)
+      << "one draw per chunk submitted";
+  EXPECT_EQ(bed_->vm(0).backend().validation_failures() - rejected_before,
+            1u);
+
+  // The window is still usable once the fault is gone.
+  EXPECT_EQ(guest().readfrom(*epd, *local, kTotal, *remote, SCIF_RMA_SYNC),
+            Status::kOk);
+  guest().close(*epd);
 }
 
 }  // namespace

@@ -598,7 +598,6 @@ TEST(VphiWaitSchemes, PolledLatencyIgnoresHostDelay) {
 TEST(VphiWaitSchemes, HybridSwitchesOnThreshold) {
   TestbedConfig config;
   config.frontend.scheme = WaitScheme::kHybrid;
-  config.frontend.hybrid_threshold = 16 * 1024;
   Testbed bed{config};
 
   auto& card = bed.card_provider();
@@ -618,6 +617,8 @@ TEST(VphiWaitSchemes, HybridSwitchesOnThreshold) {
   auto& fe = bed.vm(0).frontend();
   const auto polled_before = fe.polled_waits();
   std::vector<std::uint8_t> small(1'024), large(64 * 1024);
+  static_assert(1'024 < FrontendDriver::kHybridThreshold &&
+                64 * 1024 >= FrontendDriver::kHybridThreshold);
   ASSERT_TRUE(guest.send(*epd, small.data(), small.size(), SCIF_SEND_BLOCK));
   EXPECT_EQ(fe.polled_waits() - polled_before, 1u) << "small payload polls";
 
