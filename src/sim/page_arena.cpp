@@ -4,6 +4,8 @@
 
 #include <new>
 
+#include "sim/fan_out.hpp"
+
 namespace vphi::sim {
 
 namespace {
@@ -131,8 +133,11 @@ std::uint64_t PageArena::allocation_count() const {
 void populate_pages(void* addr, std::size_t len) noexcept {
   const auto start = reinterpret_cast<std::uintptr_t>(addr);
   const auto first = start & ~std::uintptr_t{PageArena::kPageSize - 1};
-  ::madvise(reinterpret_cast<void*>(first), start - first + len,
-            MADV_POPULATE_WRITE);
+  fan_out(first, start + len, kBulkSliceBytes, kBulkSlices, kBulkSliceAlign,
+          [](std::uintptr_t lo, std::uintptr_t hi) {
+            ::madvise(reinterpret_cast<void*>(lo), hi - lo,
+                      MADV_POPULATE_WRITE);
+          });
 }
 
 }  // namespace vphi::sim

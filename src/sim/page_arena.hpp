@@ -69,8 +69,12 @@ class PageArena {
 /// Fault in the host pages under [addr, addr+len) writable, without changing
 /// their contents -- what get_user_pages does to a range it pins. Memory
 /// registered for RMA is populated here instead of on its first DMA, so
-/// timed transfers never take the zero-fill faults. Best effort: a kernel
-/// without MADV_POPULATE_WRITE leaves the pages to fault on first touch.
+/// timed transfers never take the zero-fill faults. A range of two bulk
+/// slices or more (sim/fan_out.hpp: at least 16 MiB) is faulted by up to 4
+/// threads at once, each over its own 2 MiB-aligned slice; a shorter range
+/// is one madvise on the caller's thread. Best effort: a kernel without
+/// MADV_POPULATE_WRITE, or a slice whose thread cannot start, still returns,
+/// and any page left behind faults on first touch.
 void populate_pages(void* addr, std::size_t len) noexcept;
 
 }  // namespace vphi::sim

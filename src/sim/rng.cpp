@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "sim/fan_out.hpp"
+
 // The wide path is x86-64 only, and sanitized builds compile it out: a
 // streaming store is one instruction the sanitizers would not look inside.
 #if defined(__x86_64__) && !defined(VPHI_SANITIZED)
@@ -55,16 +57,27 @@ void Rng::fill_wide(void* dst, std::size_t n) noexcept {
   // From an address that is not 8-aligned no draw boundary is ever
   // line-aligned, so that case stays scalar.
   if (addr % 8 == 0 && cpu_has_wide_fill()) {
-    // Whole draws up to the first line boundary.
-    const std::size_t head = std::min<std::size_t>(n, (0 - addr) % 64);
-    fill_scalar(p, head);
-    p += head;
-    n -= head;
-    const std::size_t lines = n / 64;
-    stream_lines(state_, p, lines);
-    state_ += 8 * lines * kGamma;
-    p += 64 * lines;
-    n -= 64 * lines;
+    // Inner slice bounds are 2 MiB-aligned, hence line-aligned and a whole
+    // number of draws past `addr`: the slice at `lo` starts its own stream
+    // (lo - addr) / 8 draws after state_.
+    const std::uint64_t start = state_;
+    fan_out(addr, addr + n, kBulkSliceBytes, kBulkSlices, kBulkSliceAlign,
+            [addr, start](std::uintptr_t lo, std::uintptr_t hi) {
+              Rng r{start + (lo - addr) / 8 * kGamma};
+              auto* q = reinterpret_cast<unsigned char*>(lo);
+              const std::size_t len = hi - lo;
+              // Whole draws up to the first line boundary, whole lines,
+              // then the tail.
+              const std::size_t head =
+                  std::min<std::size_t>(len, (0 - lo) % 64);
+              const std::size_t lines = (len - head) / 64;
+              r.fill_scalar(q, head);
+              stream_lines(r.state_, q + head, lines);
+              r.state_ += 8 * lines * kGamma;
+              r.fill_scalar(q + head + 64 * lines, len - head - 64 * lines);
+            });
+    state_ = start + (n + 7) / 8 * kGamma;
+    return;
   }
 #endif
   fill_scalar(p, n);

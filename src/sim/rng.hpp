@@ -57,9 +57,11 @@ class Rng {
   }
 
   /// fill()'s bulk path at any size: whole 64-byte lines of 8 draws each
-  /// go out as AVX-512 streaming stores. It is fill_scalar() where the CPU
-  /// lacks AVX-512DQ, where `dst` is not 8-byte aligned, and in sanitized
-  /// builds, so the sanitizers see every store.
+  /// go out as AVX-512 streaming stores, on up to 4 threads for 16 MiB or
+  /// more (sim/fan_out.hpp), each slice starting its draws where the one
+  /// before it ends. It is fill_scalar() where the CPU lacks AVX-512DQ,
+  /// where `dst` is not 8-byte aligned, and in sanitized builds, so the
+  /// sanitizers see every store.
   void fill_wide(void* dst, std::size_t n) noexcept;
 
   /// fill()'s reference path: one draw per 8 bytes.

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -84,6 +86,28 @@ LexedFile lex(std::string_view source) {
           state = State::kBlockComment;
           out.code += "  ";
           ++i;
+        } else if (c == '"' && i > 0 && source[i - 1] == 'R' &&
+                   (i == 1 || !std::isalnum(static_cast<unsigned char>(
+                                  source[i - 2])))) {
+          // Raw string R"d(...)d": no escapes, ends only at )d".
+          const std::size_t open = source.find('(', i);
+          if (open == std::string_view::npos) {
+            out.code += c;
+            break;
+          }
+          const std::string close =
+              ")" + std::string(source.substr(i + 1, open - i - 1)) + '"';
+          const std::size_t end =
+              std::min(source.find(close, open), source.size());
+          out.strings.emplace_back(source.substr(open + 1, end - open - 1));
+          out.code += '"';
+          const std::size_t last =
+              std::min(end + close.size(), source.size()) - 1;
+          for (std::size_t k = i + 1; k < last; ++k) {
+            out.code += source[k] == '\n' ? '\n' : ' ';
+          }
+          if (last > i) out.code += '"';
+          i = last;
         } else if (c == '"') {
           state = State::kString;
           current.clear();
@@ -434,6 +458,247 @@ std::vector<Finding> check_real_time(const Corpus& code) {
   return findings;
 }
 
+namespace {
+
+struct Token {
+  std::string_view text;
+  std::size_t pos;  ///< offset in the lexed code
+  bool directive;   ///< on a preprocessor line
+};
+
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+bool is_ident(std::string_view t) {
+  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) != 0 ||
+                        t[0] == '_');
+}
+
+/// Identifier and punctuation tokens of lexed code, `::` as one token.
+/// Number literals are dropped.
+std::vector<Token> tokenize(std::string_view code) {
+  std::vector<Token> out;
+  bool directive = false;
+  bool line_start = true;
+  for (std::size_t i = 0; i < code.size();) {
+    const char c = code[i];
+    if (c == '\n') {
+      // A directive runs on past a backslash-newline.
+      directive = directive && i > 0 && code[i - 1] == '\\';
+      line_start = true;
+      ++i;
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      ++i;
+      continue;
+    }
+    directive = directive || (line_start && c == '#');
+    line_start = false;
+    std::size_t j = i + 1;
+    if (ident_char(c)) {
+      const bool number = std::isdigit(static_cast<unsigned char>(c)) != 0;
+      while (j < code.size() &&
+             (ident_char(code[j]) ||
+              (number && (code[j] == '\'' || code[j] == '.')))) {
+        ++j;
+      }
+      if (number) {
+        i = j;
+        continue;
+      }
+    } else if (c == ':' && j < code.size() && code[j] == ':') {
+      ++j;
+    }
+    out.push_back({code.substr(i, j - i), i, directive});
+    i = j;
+  }
+  return out;
+}
+
+/// Words that can stand before '(' in a class-scope declaration without
+/// naming a member function.
+bool declaration_keyword(std::string_view t) {
+  static const std::set<std::string_view> words = {
+      "alignas",  "alignof", "decltype",      "explicit", "noexcept",
+      "requires", "sizeof",  "static_assert", "throw",    "void",
+      "bool",     "char",    "int",           "long",     "short",
+      "unsigned", "signed",  "float",         "double",   "auto"};
+  return words.count(t) != 0;
+}
+
+/// An all-caps name is a macro (VPHI_GUARDED_BY(mu_)), not a member.
+bool macro_name(std::string_view t) {
+  return std::none_of(t.begin(), t.end(), [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) != 0;
+  });
+}
+
+struct MemberDecl {
+  std::string name;
+  std::string qualified;  ///< Class::name
+  std::size_t pos;        ///< offset of the name in the lexed header
+  bool own_body;          ///< no out-of-line definition to expect
+};
+
+/// The member function a statement in the body of `cls` declares, if any:
+/// the first identifier directly before '(' outside parentheses, brackets
+/// and template arguments, ahead of any '='. `body` says the statement
+/// ends in '{'. Constructors, destructors, operators, friends, aliases and
+/// macros declare none.
+std::optional<MemberDecl> declared_member(
+    const std::vector<const Token*>& stmt, std::string_view cls, bool body) {
+  int parens = 0;
+  int angles = 0;
+  int brackets = 0;
+  const Token* found = nullptr;
+  for (std::size_t k = 0; k < stmt.size(); ++k) {
+    const std::string_view t = stmt[k]->text;
+    if (t == "friend" || t == "operator" || t == "using" || t == "typedef") {
+      return std::nullopt;
+    }
+    const bool top = parens == 0 && angles == 0 && brackets == 0;
+    if (t == "=" && top) {
+      if (found == nullptr) return std::nullopt;  // a data member
+      body = true;  // = 0, = default, = delete: nothing defined out of line
+      break;
+    }
+    if (t == "(") {
+      const std::string_view name = k > 0 ? stmt[k - 1]->text : "";
+      const std::string_view next =
+          k + 1 < stmt.size() ? stmt[k + 1]->text : "";
+      // A macro's or keyword's argument list, or the parenthesized
+      // declarator of a function-pointer member, names no member.
+      if (top && found == nullptr && is_ident(name) &&
+          !declaration_keyword(name) && !macro_name(name) && next != "*" &&
+          next != "&") {
+        if (name == cls) return std::nullopt;  // constructor or destructor
+        found = stmt[k - 1];
+      }
+    }
+    parens += t == "(" ? 1 : t == ")" ? -1 : 0;
+    brackets += t == "[" ? 1 : t == "]" ? -1 : 0;
+    if (parens == 0) angles += t == "<" ? 1 : t == ">" && angles > 0 ? -1 : 0;
+  }
+  if (found == nullptr) return std::nullopt;
+  std::string name{found->text};
+  std::string qualified = std::string(cls).append("::").append(name);
+  return MemberDecl{std::move(name), std::move(qualified), found->pos, body};
+}
+
+/// The class a statement ending in '{' opens, or "" for a namespace,
+/// function body, enum or initializer.
+std::string_view opened_class(const std::vector<const Token*>& stmt) {
+  int angles = 0;
+  for (std::size_t k = 0; k < stmt.size(); ++k) {
+    const std::string_view t = stmt[k]->text;
+    angles += t == "<" ? 1 : t == ">" && angles > 0 ? -1 : 0;
+    if (t == "(" || t == "=" || t == "enum") return "";
+    if (angles > 0 || (t != "class" && t != "struct" && t != "union")) {
+      continue;
+    }
+    // The name: the first word after the keyword outside an attribute, a
+    // macro call or alignas(...).
+    int nest = 0;
+    for (std::size_t n = k + 1; n < stmt.size(); ++n) {
+      const std::string_view w = stmt[n]->text;
+      nest += w == "(" || w == "[" ? 1 : w == ")" || w == "]" ? -1 : 0;
+      if (nest == 0 && is_ident(w) && !macro_name(w) && w != "alignas") {
+        return w;
+      }
+    }
+    return "";
+  }
+  return "";
+}
+
+/// Member functions declared in one header's class bodies.
+std::vector<MemberDecl> member_decls(std::string_view code) {
+  std::vector<std::string_view> scopes;  // per open brace; "" if no class
+  std::vector<MemberDecl> out;
+  std::vector<const Token*> stmt;
+  const std::vector<Token> tokens = tokenize(code);
+  const auto record = [&](bool body) {
+    if (scopes.empty() || scopes.back().empty()) return;
+    if (auto d = declared_member(stmt, scopes.back(), body)) {
+      out.push_back(std::move(*d));
+    }
+  };
+  for (const Token& token : tokens) {
+    if (token.directive) continue;
+    if (token.text == "{") {
+      const std::string_view cls = opened_class(stmt);
+      if (cls.empty()) record(true);
+      scopes.push_back(cls);
+      stmt.clear();
+    } else if (token.text == "}") {
+      if (!scopes.empty()) scopes.pop_back();
+      stmt.clear();
+    } else if (token.text == ";") {
+      record(false);
+      stmt.clear();
+    } else if (token.text == ":" && stmt.size() == 1 &&
+               (stmt[0]->text == "public" || stmt[0]->text == "private" ||
+                stmt[0]->text == "protected")) {
+      stmt.clear();  // access label
+    } else {
+      stmt.push_back(&token);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<Finding> check_uncalled_members(const Corpus& code) {
+  // Names rule 8 keeps although only their declaration and definition
+  // name them, each with the reason.
+  static const std::map<std::string, std::string> allowed = {};
+
+  struct Decl {
+    std::size_t file;  ///< index into `code`
+    MemberDecl member;
+  };
+  std::vector<Decl> decls;
+  struct Count {
+    std::size_t expected = 0;  ///< its declarations and definitions
+    std::size_t seen = 0;      ///< its tokens in all of `code`
+  };
+  std::map<std::string, Count, std::less<>> counts;
+  std::vector<std::string> lexed;
+  lexed.reserve(code.size());
+  for (const auto& [path, contents] : code) {
+    lexed.push_back(lex(contents).code);
+    const bool header = path.rfind("src/", 0) == 0 && path.size() > 4 &&
+                        path.compare(path.size() - 4, 4, ".hpp") == 0;
+    if (!header) continue;
+    for (MemberDecl& d : member_decls(lexed.back())) {
+      counts[d.name].expected += d.own_body ? 1 : 2;
+      decls.push_back({lexed.size() - 1, std::move(d)});
+    }
+  }
+  for (const std::string& text : lexed) {
+    for (const Token& t : tokenize(text)) {
+      if (auto it = counts.find(t.text); it != counts.end()) ++it->second.seen;
+    }
+  }
+
+  std::vector<Finding> findings;
+  for (const auto& [file, d] : decls) {
+    const Count& c = counts[d.name];
+    if (c.seen > c.expected) continue;
+    if (allowed.count(d.qualified) != 0) continue;
+    findings.push_back(
+        {"uncalled-members",
+         code[file].first + ":" + std::to_string(line_of(lexed[file], d.pos)),
+         "member function '" + d.qualified +
+             "' is named only where it is declared and defined across "
+             "src/, tests/, bench/ and examples/ — call it or delete it"});
+  }
+  return findings;
+}
+
 std::vector<Finding> run_all(const std::string& repo_root) {
   const fs::path root{repo_root};
   std::error_code ec;
@@ -516,8 +781,17 @@ std::vector<Finding> run_all(const std::string& repo_root) {
   absorb(check_ring_allocations(src));
   absorb(check_stray_output(src));
   absorb(check_config_knobs(src, cmake, doc_corpus));
+  const Corpus tests = load_sources("tests");
   absorb(check_real_time(src));
-  absorb(check_real_time(load_sources("tests")));
+  absorb(check_real_time(tests));
+  Corpus callers = src;
+  for (const char* dir : {"bench", "examples"}) {
+    Corpus more = load_sources(dir);
+    callers.insert(callers.end(), std::make_move_iterator(more.begin()),
+                   std::make_move_iterator(more.end()));
+  }
+  callers.insert(callers.end(), tests.begin(), tests.end());
+  absorb(check_uncalled_members(callers));
   return findings;
 }
 

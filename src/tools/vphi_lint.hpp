@@ -10,9 +10,10 @@
 // same bidirectional treatment as metrics: every `VPHI_*` env knob the
 // code reads must be documented, and every documented knob must still
 // exist. Simulated outcomes and correctness tests never read or wait on
-// the host clock, outside an allow-list of timing shims. Each rule is a pure function over file contents so tests can
-// feed synthetic corpora and prove the linter actually fails on
-// violations.
+// the host clock, outside an allow-list of timing shims. Every member
+// function a src/ header declares has a caller somewhere in the tree. Each
+// rule is a pure function over file contents so tests can feed synthetic
+// corpora and prove the linter actually fails on violations.
 #pragma once
 
 #include <string>
@@ -93,7 +94,18 @@ std::vector<Finding> check_config_knobs(const Corpus& src,
 /// spin, and it reads no clock.
 std::vector<Finding> check_real_time(const Corpus& code);
 
-/// Load src/**/*.{hpp,cpp}, tests/**/*.{hpp,cpp}, docs/OBSERVABILITY.md
+/// Rule 8: every member function declared in a class body in
+/// src/**/*.hpp has a caller. `code` is every source file of src/, tests/,
+/// bench/ and examples/; a name is flagged when its identifier tokens in
+/// them (outside comments and strings) number no more than its
+/// declarations and their definitions: one for a declaration with its
+/// body or an `= ...` tail, two for one defined out of line. Overloads and
+/// overrides pool their counts, so the rule errs towards passing.
+/// Constructors, destructors, operators, friends and all-caps macro names
+/// are not checked. An allow-list in the rule keeps a name with a reason.
+std::vector<Finding> check_uncalled_members(const Corpus& code);
+
+/// Load src/, tests/, bench/ and examples/ sources, docs/OBSERVABILITY.md
 /// and DESIGN.md from `repo_root` and run every rule. Returns all findings
 /// (empty = clean).
 std::vector<Finding> run_all(const std::string& repo_root);

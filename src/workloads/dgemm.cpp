@@ -1,13 +1,13 @@
 #include "workloads/dgemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+
+#include "sim/fan_out.hpp"
 
 namespace vphi::workloads {
 
@@ -53,21 +53,11 @@ void dgemm_blocked(const double* a, const double* b, double* c, std::size_t n,
                    std::uint32_t threads) {
   std::fill(c, c + n * n, 0.0);
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::uint32_t workers = std::max(1u, std::min(threads, hw));
-  if (workers == 1 || n < kBlock) {
-    dgemm_rows(a, b, c, n, 0, n);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::size_t rows_each = (n + workers - 1) / workers;
-  for (std::uint32_t t = 0; t < workers; ++t) {
-    const std::size_t begin = static_cast<std::size_t>(t) * rows_each;
-    const std::size_t end = std::min(n, begin + rows_each);
-    if (begin >= end) break;
-    pool.emplace_back(dgemm_rows, a, b, c, n, begin, end);
-  }
-  for (auto& t : pool) t.join();
+  // Whole row blocks per thread; fewer than two blocks run on the caller.
+  sim::fan_out(0, n, kBlock, std::min(threads, hw), kBlock,
+               [=](std::size_t begin, std::size_t end) {
+                 dgemm_rows(a, b, c, n, begin, end);
+               });
 }
 
 double kernel_efficiency(std::size_t n) {

@@ -31,8 +31,9 @@ inline constexpr std::size_t kMaxRealCompute = 384;
 /// C = A * B, naive triple loop (reference).
 void dgemm_naive(const double* a, const double* b, double* c, std::size_t n);
 
-/// C = A * B, cache-blocked and parallelized over `threads` real threads
-/// (capped at hardware concurrency).
+/// C = A * B, cache-blocked and parallelized over up to `threads` real
+/// threads (capped at hardware concurrency), each taking whole 64-row
+/// blocks; the caller's thread computes the first slice.
 void dgemm_blocked(const double* a, const double* b, double* c, std::size_t n,
                    std::uint32_t threads);
 

@@ -56,6 +56,22 @@ TEST(Lint, LexStripsCommentsAndExtractsStrings) {
   EXPECT_EQ(std::count(lexed.code.begin(), lexed.code.end(), '\n'), 4);
 }
 
+TEST(Lint, LexBlanksRawStrings) {
+  // A raw string's quotes and backslashes do not end it; only )d" does.
+  const LexedFile lexed = lex(
+      "auto j = R\"({\"name\": \"x\\\"})\";\n"
+      "auto k = R\"d(a)\" b)d\"; int after;\n");
+  ASSERT_EQ(lexed.strings.size(), 2u);
+  EXPECT_EQ(lexed.strings[0], "{\"name\": \"x\\\"}");
+  EXPECT_EQ(lexed.strings[1], "a)\" b");
+  EXPECT_EQ(lexed.code.find("name"), std::string::npos);
+  EXPECT_NE(lexed.code.find("int after;"), std::string::npos);
+  EXPECT_EQ(lexed.code.size(),
+            std::string_view("auto j = R\"({\"name\": \"x\\\"})\";\n"
+                             "auto k = R\"d(a)\" b)d\"; int after;\n")
+                .size());
+}
+
 TEST(Lint, UncataloguedMetricFails) {
   // The acceptance demo: a metric registered in src but absent from the
   // catalogue must produce a metric-catalogue finding.
@@ -202,6 +218,66 @@ TEST(Lint, RealTimeAllowListCommentsAndYieldPass) {
       // A rendezvous spin reads no clock.
       {"tests/fake_test.cpp", "while (!go) std::this_thread::yield();"}};
   EXPECT_TRUE(check_real_time(code).empty());
+}
+
+TEST(Lint, UncalledMemberFails) {
+  Corpus code = {
+      {"src/a/foo.hpp",
+       "class VPHI_CAPABILITY(\"x\") Foo {\n"
+       " public:\n"
+       "  explicit Foo(int n) : n_(n) {}\n"
+       "  ~Foo();\n"
+       "  void used() VPHI_EXCLUDES(mu_);\n"
+       "  void unused();\n"                              // line 6
+       "  int inline_unused() const { return n_; }\n"    // line 7
+       "  int inline_used() const { return n_; }\n"
+       "  virtual void pure() = 0;\n"                    // line 9
+       "  bool operator==(const Foo&) const;\n"
+       "  friend void swap(Foo&, Foo&);\n"
+       "  struct Inner {\n"
+       "    void inner_unused();\n"                      // line 13
+       "  };\n"
+       " private:\n"
+       "  int n_ VPHI_GUARDED_BY(mu_);\n"
+       "  void (*cb_)(int);\n"
+       "  std::function<void(int)> fn_ = [](int) { return; };\n"
+       "};\n"},
+      {"src/a/foo.cpp",
+       "void Foo::used() {}\n"
+       "void Foo::unused() {}  // unused() is named in a comment\n"
+       "void Foo::Inner::inner_unused() { const char* s = \"unused\"; }\n"},
+      {"tests/foo_test.cpp", "Foo f{1}; f.used(); f.inline_used();\n"}};
+  const auto findings = check_uncalled_members(code);
+  ASSERT_EQ(findings.size(), 4u);
+  for (const auto& f : findings) EXPECT_EQ(f.rule, "uncalled-members");
+  EXPECT_EQ(findings[0].where, "src/a/foo.hpp:6");
+  EXPECT_NE(findings[0].message.find("'Foo::unused'"), std::string::npos);
+  EXPECT_EQ(findings[1].where, "src/a/foo.hpp:7");
+  EXPECT_EQ(findings[2].where, "src/a/foo.hpp:9");
+  EXPECT_EQ(findings[3].where, "src/a/foo.hpp:13");
+  EXPECT_NE(findings[3].message.find("'Inner::inner_unused'"),
+            std::string::npos);
+}
+
+TEST(Lint, UncalledMemberCountsEveryTreeAndPoolsOverloads) {
+  Corpus code = {
+      {"src/a/bar.hpp",
+       "template <class T> struct Bar {\n"
+       "  void from_bench();\n"
+       "  void from_example() {}\n"
+       "  void put(int);\n"
+       "  void put(double);\n"
+       "  template <typename F> void each(F f) { f(); }\n"
+       "};\n"
+       "struct Base { virtual void run() = 0; };\n"
+       "struct Impl : Base { void run() override {} };\n"},
+      {"src/a/bar.cpp",
+       "void Bar::from_bench() {}\n"
+       "void Bar::put(int) {}\n"
+       "void Bar::put(double) {}\n"},
+      {"bench/b.cpp", "bar.from_bench(); bar.each([] {});\n"},
+      {"examples/e.cpp", "bar.from_example(); bar.put(1); impl.run();\n"}};
+  EXPECT_TRUE(check_uncalled_members(code).empty());
 }
 
 }  // namespace

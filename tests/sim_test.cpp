@@ -2,7 +2,9 @@
 // arbiter, timestamped event lines, statistics containers, and — crucially —
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -17,10 +19,12 @@
 #include "sim/bus.hpp"
 #include "sim/channel.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/fan_out.hpp"
 #include "sim/page_arena.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/status.hpp"
+#include "sim/thread_safety.hpp"
 #include "sim/time.hpp"
 #include "sim/timeseries.hpp"
 
@@ -190,6 +194,86 @@ TEST(PageArena, PopulateKeepsContents) {
   EXPECT_EQ(bytes[5'000], 0x5a);
   EXPECT_EQ(bytes[100], 0u);
   EXPECT_EQ(bytes[64 * 1024 + 99], 0u);
+}
+
+// fan_out's slices tile the range in order: min(cap, len / min_slice) of
+// them, inner bounds rounded down to `align` multiples, slice 0 on the
+// caller's thread.
+TEST(FanOut, SlicesTileTheRangeOnAlignedBounds) {
+  struct Case {
+    std::size_t begin, end, cap;
+    std::vector<std::size_t> bounds;
+  };
+  const Case cases[] = {
+      {3, 18, 4, {3, 18}},                 // under two minimum slices
+      {3, 19, 4, {3, 10, 19}},             // two
+      {5, 45, 4, {5, 14, 24, 34, 45}},     // five would fit; capped at 4
+      {5, 45, 1, {5, 45}},                 // a cap of 1 never spawns
+  };
+  for (const Case& c : cases) {
+    struct Slice {
+      std::size_t lo, hi;
+      std::thread::id who;
+    };
+    Mutex mu;
+    std::vector<Slice> slices;
+    fan_out(c.begin, c.end, 8, c.cap, 2, [&](std::size_t lo, std::size_t hi) {
+      MutexLock lock(mu);
+      slices.push_back({lo, hi, std::this_thread::get_id()});
+    });
+    std::sort(slices.begin(), slices.end(),
+              [](const Slice& x, const Slice& y) { return x.lo < y.lo; });
+    std::vector<std::size_t> bounds{c.begin};
+    for (const Slice& slice : slices) {
+      EXPECT_EQ(slice.lo, bounds.back()) << "slices must be contiguous";
+      bounds.push_back(slice.hi);
+    }
+    EXPECT_EQ(bounds, c.bounds) << "[" << c.begin << ", " << c.end << ")";
+    ASSERT_FALSE(slices.empty());
+    EXPECT_EQ(slices.front().who, std::this_thread::get_id());
+  }
+}
+
+// populate_pages over three bulk slices, from a start that is neither page-
+// nor 2 MiB-aligned to an end that is not either. The byte stamped into
+// each slice beforehand survives, and mincore sees every page of the range
+// resident: no gap opens between two slices or at either end.
+TEST(PageArena, PopulateAcrossSlicesLeavesNoGap) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr std::size_t kPage = PageArena::kPageSize;
+  constexpr std::size_t kLen = 24 * kMiB + 3 * kPage;
+  PageArena arena{40 * kMiB};
+  auto* base = static_cast<std::uint8_t*>(arena.at(0));
+  // Small pages, so that a stamp faults in its own page alone and a page
+  // populate skipped stays out of core. Page 0 lies outside the range.
+  ASSERT_EQ(::madvise(base, arena.capacity(), MADV_NOHUGEPAGE), 0);
+  if (::madvise(base, kPage, MADV_POPULATE_WRITE) != 0) {
+    GTEST_SKIP() << "kernel has no MADV_POPULATE_WRITE";
+  }
+  const std::size_t lead =
+      (2 * kMiB - reinterpret_cast<std::uintptr_t>(base) % (2 * kMiB)) %
+      (2 * kMiB);
+  std::uint8_t* const start = base + lead + 5 * kPage + 100;
+  for (std::size_t off = 0; off < kLen; off += kMiB) start[off] = 0x5a;
+
+  populate_pages(start, kLen);
+
+  for (std::size_t off = 0; off < kLen; off += kMiB) {
+    EXPECT_EQ(start[off], 0x5a) << "stamp at +" << off;
+  }
+  EXPECT_EQ(start[1], 0u);
+  EXPECT_EQ(start[kLen - 1], 0u);
+  const auto first = reinterpret_cast<std::uintptr_t>(start) & ~(kPage - 1);
+  const std::size_t span =
+      reinterpret_cast<std::uintptr_t>(start) + kLen - first;
+  std::vector<unsigned char> resident((span + kPage - 1) / kPage);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(first), span, resident.data()),
+            0);
+  const auto gap = std::find_if(resident.begin(), resident.end(),
+                                [](unsigned char r) { return (r & 1) == 0; });
+  EXPECT_EQ(gap, resident.end())
+      << "page " << (gap - resident.begin()) << " of " << resident.size()
+      << " is not resident";
 }
 
 TEST(PageArena, OversizedArenaThrowsBadAlloc) {
@@ -436,6 +520,47 @@ TEST(Rng, FillMatchesScalarAroundTheWideThreshold) {
     b.fill_scalar(want.data(), n);
     EXPECT_TRUE(got == want) << n << " bytes";
     EXPECT_EQ(a.next(), b.next()) << n << " bytes";
+  }
+}
+
+// fill() at 1, 2, 3 and 4 bulk slices (sim/fan_out.hpp), a line either
+// side of each slice-count step, from a 2 MiB-aligned start, a start that is
+// 8- but not line-aligned and one that is not 8-aligned. Every fill gives
+// the scalar stream's bytes, writes nothing past its end and leaves the
+// state ceil(n / 8) draws on. The reference is one scalar fill of the
+// longest length: a shorter fill is a prefix of it.
+TEST(Rng, FillMatchesScalarAcrossSliceCounts) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr std::size_t kSlice = kBulkSliceBytes;
+  constexpr std::size_t kMaxLen = 5 * kSlice + 3;
+  constexpr std::uint64_t kSeed = 0xF111;
+  std::vector<unsigned char> want(kMaxLen);
+  Rng{kSeed}.fill_scalar(want.data(), want.size());
+
+  std::vector<unsigned char> buf(2 * kMiB + 64 + kMaxLen + 64);
+  const std::size_t lead =
+      (2 * kMiB - reinterpret_cast<std::uintptr_t>(buf.data()) % (2 * kMiB)) %
+      (2 * kMiB);
+  for (const std::size_t off : {std::size_t{0}, std::size_t{40}, std::size_t{3}}) {
+    unsigned char* const dst = buf.data() + lead + off;
+    for (std::size_t slices = 1; slices <= 4; ++slices) {
+      for (const std::size_t n :
+           {slices * kSlice - 64, slices * kSlice, slices * kSlice + 67}) {
+        std::memset(dst + n, 0xA5, 64);
+        Rng r{kSeed};
+        r.fill(dst, n);
+        ASSERT_EQ(std::memcmp(dst, want.data(), n), 0)
+            << "offset " << off << " length " << n;
+        ASSERT_TRUE(std::all_of(dst + n, dst + n + 64,
+                                [](unsigned char b) { return b == 0xA5; }))
+            << "offset " << off << " length " << n << " overran";
+        Rng after{kSeed + (n + 7) / 8 * Rng::kGamma};
+        ASSERT_EQ(r.next(), after.next()) << "offset " << off << " length " << n;
+      }
+    }
+    Rng r{kSeed};
+    r.fill(dst, kMaxLen);  // 5 slices' worth, capped at 4
+    ASSERT_EQ(std::memcmp(dst, want.data(), kMaxLen), 0) << "offset " << off;
   }
 }
 
