@@ -16,7 +16,6 @@ EventLoop::~EventLoop() {
 void EventLoop::loop_main() {
   sim::ActorScope scope(loop_actor_);
   std::deque<Handler> batch;
-  ThrottleFn throttle;
   for (;;) {
     {
       sim::MutexLock lock(mu_);
@@ -27,19 +26,6 @@ void EventLoop::loop_main() {
       // profile when a fleet-scale run posts doorbells in storms.
       batch.swap(pending_);
       idle_ = false;
-      throttle = throttle_;
-    }
-
-    // Throttle first (outside mu_ — the predicate may lock the control
-    // plane): an over-quota tenant's handlers still run, just later on
-    // the simulated clock.
-    if (throttle) {
-      const sim::Nanos delay = throttle();
-      if (delay > 0) {
-        loop_actor_.advance(delay);
-        sim::MutexLock lock(mu_);
-        throttled_time_ += delay;
-      }
     }
 
     // Run the batch with mu_ dropped: post() from inside a handler must
@@ -131,16 +117,6 @@ void EventLoop::stop() {
   }
   cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
-}
-
-void EventLoop::set_throttle(ThrottleFn fn) {
-  sim::MutexLock lock(mu_);
-  throttle_ = std::move(fn);
-}
-
-sim::Nanos EventLoop::throttled_time() const {
-  sim::MutexLock lock(mu_);
-  return throttled_time_;
 }
 
 sim::Nanos EventLoop::blocked_time() const {

@@ -62,17 +62,6 @@ class EventLoop {
   /// Worker threads actually started (parked-worker reuse is not counted).
   std::uint64_t workers_spawned() const VPHI_EXCLUDES(mu_);
 
-  /// Control-plane throttle point: when set, the loop queries the
-  /// predicate before each posted batch and advances its actor by the
-  /// returned delay first (simulated back-off — the loop thread never
-  /// sleeps in real time). service::JobService::throttle_delay bound to
-  /// the offending tenant is the intended predicate. Null clears it.
-  using ThrottleFn = std::function<sim::Nanos()>;
-  void set_throttle(ThrottleFn fn) VPHI_EXCLUDES(mu_);
-  /// Cumulative simulated delay the throttle injected (separate from
-  /// blocked_time(): throttling is imposed wait, not handler work).
-  sim::Nanos throttled_time() const VPHI_EXCLUDES(mu_);
-
  private:
   struct Handoff {
     Handler handler;
@@ -98,8 +87,6 @@ class EventLoop {
   std::uint64_t handled_ VPHI_GUARDED_BY(mu_) = 0;
   std::uint64_t workers_spawned_ VPHI_GUARDED_BY(mu_) = 0;
   sim::Nanos blocked_time_ VPHI_GUARDED_BY(mu_) = 0;
-  ThrottleFn throttle_ VPHI_GUARDED_BY(mu_);
-  sim::Nanos throttled_time_ VPHI_GUARDED_BY(mu_) = 0;
   sim::CondVar pool_cv_;  ///< parked workers wait here
   std::deque<Handoff> handoffs_ VPHI_GUARDED_BY(mu_);
   std::vector<std::thread> workers_ VPHI_GUARDED_BY(mu_);

@@ -13,7 +13,6 @@ Card::Card(const CardConfig& config, const sim::CostModel& model)
     : config_(config),
       model_(&model),
       link_(model),
-      dma_(link_),
       memory_(config.memory_backing_bytes),
       sysfs_(SysfsInfo::for_3120p(config.index)),
       scheduler_(model),

@@ -1,6 +1,6 @@
 // A Xeon Phi card: PCIe link + device memory + uOS + sysfs identity.
 //
-// The card also owns its own Actor ("the uOS timeline") and a DMA engine.
+// The card also owns its own Actor ("the uOS timeline").
 // Higher layers attach to it: the SCIF fabric registers the card as a SCIF
 // node, and the COI daemon runs as a thread against the card's services.
 #pragma once
@@ -12,7 +12,6 @@
 #include "mic/device_memory.hpp"
 #include "mic/sysfs.hpp"
 #include "mic/uos.hpp"
-#include "pcie/dma.hpp"
 #include "pcie/link.hpp"
 #include "sim/actor.hpp"
 #include "sim/cost_model.hpp"
@@ -43,7 +42,6 @@ class Card {
   const sim::CostModel& model() const noexcept { return *model_; }
 
   pcie::Link& link() noexcept { return link_; }
-  pcie::DmaEngine& dma() noexcept { return dma_; }
   DeviceMemory& memory() noexcept { return memory_; }
   SysfsInfo& sysfs() noexcept { return sysfs_; }
   const SysfsInfo& sysfs() const noexcept { return sysfs_; }
@@ -54,7 +52,6 @@ class Card {
   CardConfig config_;
   const sim::CostModel* model_;
   pcie::Link link_;
-  pcie::DmaEngine dma_;
   DeviceMemory memory_;
   SysfsInfo sysfs_;
   uos::Scheduler scheduler_;

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "sim/actor.hpp"
 #include "sim/bus.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/stats.hpp"
@@ -32,11 +31,6 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   const sim::CostModel& model() const noexcept { return *model_; }
-
-  /// Charge one MMIO/doorbell traversal to `actor` and return its new now().
-  sim::Nanos mmio_hop(sim::Actor& actor) {
-    return actor.advance(model_->pcie_hop_ns);
-  }
 
   /// Reserve the link for a DMA of `bytes`. The requester is ready at
   /// `ready`; the grant reflects queueing behind other transfers. Does not

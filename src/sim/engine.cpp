@@ -17,9 +17,7 @@
 #include "sim/actor.hpp"
 #include "sim/metrics.hpp"
 #include "sim/shard.hpp"
-#include "sim/spsc.hpp"
 #include "sim/stats.hpp"
-#include "sim/thread_safety.hpp"
 #include "sim/timeseries.hpp"
 #include "sim/trace.hpp"
 
@@ -59,18 +57,6 @@ struct EvAfter {
     if (a.src_shard != b.src_shard) return a.src_shard > b.src_shard;
     return a.seq > b.seq;
   }
-};
-
-/// One (src, dst) cross-shard lane: the lock-free ring, plus a
-/// mutex-guarded spill sidecar so a full ring is backpressure, never a
-/// deadlock or a dropped event. Ring and spill both drain at the next
-/// epoch barrier; the receiver's queue key restores the deterministic
-/// order regardless of which path an event took.
-struct Lane {
-  explicit Lane(std::uint32_t cap) : ring(cap) {}
-  SpscRing<Ev> ring;
-  Mutex mu;
-  std::vector<Ev> spill VPHI_GUARDED_BY(mu);
 };
 
 /// Per-shard instruments — constructed on the *main* thread in shard order
@@ -133,10 +119,10 @@ Nanos service_ns(std::uint32_t bytes) noexcept {
 }
 
 /// VPHI_ENGINE_PROFILE=1: per-shard wall-clock phase timers (event
-/// processing / channel drain / spill drain / barrier wait). Off by
-/// default — the published vphi.engine.* values are wall-clock and thus
-/// nondeterministic, so enabling the profiler trades the bit-identical-
-/// snapshot property for the phase breakdown.
+/// processing / outbox drain / barrier wait). Off by default — the
+/// published vphi.engine.* values are wall-clock and thus nondeterministic,
+/// so enabling the profiler trades the bit-identical-snapshot property for
+/// the phase breakdown.
 bool engine_profile_enabled() {
   const char* v = std::getenv("VPHI_ENGINE_PROFILE");
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
@@ -154,15 +140,15 @@ std::uint64_t steady_now_ns() {
 /// arrival edge orders the reads) and after join.
 struct alignas(64) ShardProfile {
   std::uint64_t events_ns = 0;   ///< priority-queue event handling
-  std::uint64_t drain_ns = 0;    ///< lock-free ring drain
-  std::uint64_t spill_ns = 0;    ///< mutex spill-sidecar drain
+  std::uint64_t drain_ns = 0;    ///< inbound outbox drain
   std::uint64_t barrier_ns = 0;  ///< epoch barrier wait
 };
 
-const char* const kProfilePhaseNames[] = {
+constexpr std::size_t kNumProfilePhases = 3;
+
+const char* const kProfilePhaseNames[kNumProfilePhases] = {
     "vphi.engine.events_ns",
     "vphi.engine.drain_ns",
-    "vphi.engine.spill_ns",
     "vphi.engine.barrier_ns",
 };
 
@@ -170,7 +156,6 @@ std::uint64_t profile_phase(const ShardProfile& p, std::size_t phase) {
   switch (phase) {
     case 0: return p.events_ns;
     case 1: return p.drain_ns;
-    case 2: return p.spill_ns;
     default: return p.barrier_ns;
   }
 }
@@ -269,11 +254,11 @@ FleetResult run_fleet(const FleetConfig& requested) {
   const bool profile = engine_profile_enabled();
   std::vector<ShardProfile> prof(S);
   std::vector<ShardProfile> prof_prev(S);
-  std::vector<std::array<std::uint32_t, 4>> prof_series;
+  std::vector<std::array<std::uint32_t, kNumProfilePhases>> prof_series;
   if (tl != nullptr && profile) {
     for (std::uint32_t s = 0; s < S; ++s) {
-      std::array<std::uint32_t, 4> idx{};
-      for (std::size_t p = 0; p < 4; ++p) {
+      std::array<std::uint32_t, kNumProfilePhases> idx{};
+      for (std::size_t p = 0; p < kNumProfilePhases; ++p) {
         idx[p] = tl->add_series(std::string(kProfilePhaseNames[p]) +
                                 "{shard=s" + std::to_string(s) + "}");
       }
@@ -281,12 +266,13 @@ FleetResult run_fleet(const FleetConfig& requested) {
     }
   }
 
-  // S x S lock-free lanes (row = src shard).
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(static_cast<std::size_t>(S) * S);
-  for (std::uint32_t i = 0; i < S * S; ++i) {
-    lanes.push_back(std::make_unique<Lane>(cfg.channel_capacity));
-  }
+  // S x S cross-shard outboxes (row = src shard), two per pair picked by
+  // epoch parity: in epoch e a shard appends to outbox[e & 1]; at the top
+  // of epoch e + 1 the receiver moves that one into its queue and clears
+  // it. The barrier between the two epochs orders the appends before the
+  // read, and the clear before the sender's next append to it in e + 2.
+  std::vector<std::array<std::vector<Ev>, 2>> outbox(
+      static_cast<std::size_t>(S) * S);
 
   std::atomic<std::int64_t> outstanding{0};
   std::atomic<bool> stop{false};
@@ -312,7 +298,7 @@ FleetResult run_fleet(const FleetConfig& requested) {
       for (std::uint32_t s2 = 0; s2 < S; ++s2) {
         const ShardProfile cur = prof[s2];  // shard s2 arrived: writes
                                             // ordered before this read
-        for (std::size_t p = 0; p < 4; ++p) {
+        for (std::size_t p = 0; p < kNumProfilePhases; ++p) {
           const std::uint64_t d =
               profile_phase(cur, p) - profile_phase(prof_prev[s2], p);
           if (d != 0) {
@@ -354,12 +340,11 @@ FleetResult run_fleet(const FleetConfig& requested) {
 
     std::priority_queue<Ev, std::vector<Ev>, EvAfter> pq;
     std::uint64_t seq = 0;
-    // Per-lane sends this epoch. Whether a concrete try_push hits a full
-    // ring depends on how far the receiver's drain has raced ahead, so
-    // the backpressure *metric* counts the deterministic model instead:
-    // events beyond ring capacity sent down one lane within one epoch.
-    // The mechanical spill below keeps transport lossless either way.
+    // Per-lane sends this epoch. Outboxes never fill, so backpressure is
+    // modeled: it counts events beyond channel_capacity sent down one lane
+    // within one epoch.
     std::vector<std::uint64_t> lane_pushed(S, 0);
+    std::size_t parity = 0;  // e & 1 of the running epoch
 
     auto send = [&](std::uint32_t dst, Ev ev) {
       ev.src_shard = s;
@@ -370,11 +355,7 @@ FleetResult run_fleet(const FleetConfig& requested) {
       }
       m.sent.inc();
       if (++lane_pushed[dst] > cfg.channel_capacity) m.backpressure.inc();
-      Lane& lane = *lanes[s * S + dst];
-      if (!lane.ring.try_push(ev)) {
-        MutexLock lock(lane.mu);
-        lane.spill.push_back(ev);
-      }
+      outbox[s * S + dst][parity].push_back(ev);
     };
 
     auto schedule_arrival = [&](std::uint32_t vm, Nanos ts) {
@@ -615,25 +596,18 @@ FleetResult run_fleet(const FleetConfig& requested) {
     for (std::uint64_t e = 0;; ++e) {
       const Nanos t1 = static_cast<Nanos>(e + 1) * kEpochNs;
       std::fill(lane_pushed.begin(), lane_pushed.end(), 0);
+      parity = e & 1;
       if (profile) w0 = steady_now_ns();
-      // Drain inbound lanes, fixed src order; the queue key restores the
-      // deterministic total order. (Ring pass and spill pass are split
-      // so the profiler can attribute them separately; both land in the
-      // same queue, so the split cannot change the execution order.)
+      // Drain what every source sent in epoch e - 1, fixed src order; the
+      // queue key restores the deterministic total order.
       for (std::uint32_t src = 0; src < S; ++src) {
-        Lane& lane = *lanes[src * S + s];
-        while (auto in = lane.ring.try_pop()) pq.push(*in);
+        std::vector<Ev>& in = outbox[src * S + s][parity ^ 1];
+        for (const Ev& ev : in) pq.push(ev);
+        in.clear();
       }
       phase_mark(&ShardProfile::drain_ns);
-      for (std::uint32_t src = 0; src < S; ++src) {
-        Lane& lane = *lanes[src * S + s];
-        MutexLock lock(lane.mu);
-        for (const Ev& in : lane.spill) pq.push(in);
-        lane.spill.clear();
-      }
-      phase_mark(&ShardProfile::spill_ns);
-      // Execute this epoch. Events arriving cross-shard for later epochs
-      // may already sit in the queue; the ts bound leaves them alone.
+      // Execute this epoch. Events for later epochs may already sit in the
+      // queue; the ts bound leaves them alone.
       std::uint64_t remote = 0;
       while (!pq.empty() && pq.top().ts < t1) {
         const Ev ev = pq.top();
@@ -682,7 +656,7 @@ FleetResult run_fleet(const FleetConfig& requested) {
     // instruments alive past the run.
     for (std::uint32_t s = 0; s < S; ++s) {
       const std::string label = "shard=s" + std::to_string(s);
-      for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t p = 0; p < kNumProfilePhases; ++p) {
         metrics::Gauge g(kProfilePhaseNames[p], label);
         g.set(static_cast<std::int64_t>(profile_phase(prof[s], p)));
       }

@@ -6,9 +6,10 @@
 // ONE OS thread running an event-driven loop over a local priority queue
 // (the calling thread runs shard 0, S - 1 spawned threads the rest);
 // shards synchronize only at virtual-time epoch barriers and exchange
-// doorbell/completion events through lock-free SPSC rings (sim/spsc.hpp,
-// one per (src, dst) shard pair, with a mutex-guarded spill sidecar for
-// full-ring backpressure). Watermark traffic follows sim/shard.hpp:
+// doorbell/completion events through plain vectors, two per (src, dst)
+// shard pair picked by epoch parity: a shard appends to one during an
+// epoch, and the receiver drains it at the top of the next, after the
+// barrier that orders the two. Watermark traffic follows sim/shard.hpp:
 // per-shard exact slots, global bumps only at epoch boundaries.
 //
 // Determinism: same FleetConfig + same seed => bit-identical metrics
@@ -130,8 +131,9 @@ struct FleetConfig {
   /// log (under its mutex), and the log keeps each of them — tail sampling
   /// filters the views, not the recording.
   bool trace_requests = false;
-  /// Cross-shard SPSC ring capacity per (src, dst) pair; overflow spills
-  /// to the mutex sidecar and counts as vphi.sim.channel.backpressure.
+  /// Modeled cross-shard lane capacity per (src, dst) pair: each event
+  /// beyond it sent down one lane within one epoch counts as
+  /// vphi.sim.channel.backpressure. Delivery is lossless either way.
   std::uint32_t channel_capacity = 1024;
 
   TrafficConfig traffic;
@@ -159,7 +161,7 @@ struct FleetResult {
   std::uint64_t bytes = 0;
   std::uint64_t epochs = 0;        ///< barrier generations run
   std::uint64_t channel_sent = 0;  ///< cross-shard events
-  std::uint64_t backpressure = 0;  ///< ring-full spills
+  std::uint64_t backpressure = 0;  ///< sends beyond channel_capacity
   Nanos sim_end_ns = 0;            ///< last event timestamp
   double mean_ns = 0.0;            ///< request latency (arrival->completion)
   double p50_ns = 0.0;

@@ -67,7 +67,7 @@ struct TimelinePoint {
 
 class Timeline {
  public:
-  /// Points stored per run. A fleet workload stores about 1.4k, or 321k
+  /// Points stored per run. A fleet workload stores about 1.4k, or 241k
   /// when VPHI_ENGINE_PROFILE adds a point per shard phase per epoch.
   static constexpr std::size_t kMaxPoints = std::size_t{1} << 19;
 

@@ -25,9 +25,13 @@ Testbed::VmStack::VmStack(const std::string& name, const TestbedConfig& config,
 }
 
 Testbed::VmStack::~VmStack() {
-  guest_scif_.reset();
   if (backend_) backend_->stop();
   if (vm_) vm_->shutdown();
+  // Waits for every guest caller the shutdown woke to leave the driver and
+  // the provider (each provider call holds a FrontendDriver::ActiveCall);
+  // only then may the provider go.
+  frontend_.reset();
+  guest_scif_.reset();
 }
 
 sim::Expected<void*> Testbed::VmStack::alloc_user_buffer(std::size_t len) {

@@ -304,11 +304,9 @@ std::vector<Finding> check_ring_allocations(const Corpus& src) {
     // The whole virtio layer is ring hot path: the split ring itself plus
     // the per-queue Virtqueue front (multi-queue adds one per vCPU, so any
     // allocation here multiplies by queue count on every request). The
-    // fleet engine's cross-shard rings and per-arrival traffic draws are
-    // hot path the same way — every simulated event crosses them, so an
-    // allocation there multiplies by fleet size times event rate.
+    // fleet engine's per-arrival traffic draws are hot path the same way:
+    // an allocation there multiplies by fleet size times arrival rate.
     const bool hot = path.find("src/virtio/") != std::string::npos ||
-                     path.find("src/sim/spsc") != std::string::npos ||
                      path.find("src/sim/traffic") != std::string::npos;
     if (!hot) continue;
     const LexedFile lexed = lex(contents);

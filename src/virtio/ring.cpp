@@ -1,5 +1,6 @@
 #include "virtio/ring.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/fault.hpp"
@@ -163,8 +164,10 @@ void Virtqueue::kick(sim::Nanos visible_ts) {
     sim::MutexLock lock(mu_);
     notified_idx_ = avail_idx_;
     doorbell_lost_ = false;
+    ++doorbells_;
+    doorbell_ts_ = std::max(doorbell_ts_, visible_ts);
   }
-  avail_event_.raise(visible_ts);
+  doorbell_cv_.notify_one();
 }
 
 sim::Nanos Virtqueue::reuse_ts(std::uint16_t n,
@@ -193,20 +196,6 @@ std::optional<UsedElem> Virtqueue::get_used() {
   return elem;
 }
 
-std::optional<Chain> Virtqueue::pop_avail() {
-  // A raise with no pending chain is legal (kick coalescing, or a driver's
-  // rescue kick racing a completion): skip it instead of reporting
-  // shutdown, so a spurious doorbell can never kill the device loop.
-  for (;;) {
-    const auto kick_ts = avail_event_.wait();
-    if (!kick_ts) return std::nullopt;
-    auto chain = try_pop_avail();
-    if (!chain) continue;
-    chain->kick_ts = std::max(chain->kick_ts, *kick_ts);
-    return chain;
-  }
-}
-
 void Virtqueue::drain_avail_locked(std::vector<Chain>& out) {
   while (auto chain = try_pop_avail_locked()) {
     out.push_back(std::move(*chain));
@@ -214,19 +203,20 @@ void Virtqueue::drain_avail_locked(std::vector<Chain>& out) {
 }
 
 std::vector<Chain> Virtqueue::pop_avail_batch() {
-  // Doorbell-first, like pop_avail: the device never scans the ring
-  // unprompted, so a chain whose kick was dropped stays stranded until a
-  // rescue kick — the lost-doorbell fault semantics depend on it. No
-  // suppressed entry can strand across the wait either: the arm below
-  // resets the shadow to the consumption point, which makes the *first*
-  // publish after every drain ring the doorbell (only the following
-  // publishes of a burst are suppressed, and the first one's raise covers
-  // them all).
+  // Doorbell-first: the device never scans the ring unprompted, so a chain
+  // whose kick was dropped stays stranded until a rescue kick — the
+  // lost-doorbell fault semantics depend on it. No suppressed entry can
+  // strand across the wait either: the arm below resets the shadow to the
+  // consumption point, which makes the *first* publish after every drain
+  // ring the doorbell (only the following publishes of a burst are
+  // suppressed, and the first one's doorbell covers them all).
   std::vector<Chain> batch;
+  sim::MutexLock lock(mu_);
   for (;;) {
-    auto raise_ts = avail_event_.wait();
-    if (!raise_ts) return {};  // ring shut down
-    sim::MutexLock lock(mu_);
+    // A doorbell pending at shutdown is still consumed.
+    while (doorbells_ == 0 && !shut_down_) doorbell_cv_.wait(mu_);
+    if (doorbells_ == 0) return {};  // ring shut down
+    --doorbells_;
     drain_avail_locked(batch);
     // Arm avail_event at the consumption point, atomically with the drain
     // (add_buf also runs under mu_): an entry published after this instant
@@ -237,19 +227,17 @@ std::vector<Chain> Virtqueue::pop_avail_batch() {
     // always observes the device re-armed: serial kicks stay deterministic
     // regardless of thread scheduling.
     if (event_idx_) avail_event_shadow_ = avail_consumed_;
-    if (batch.empty()) continue;  // spurious raise (e.g. a rescue kick
+    if (batch.empty()) continue;  // spurious doorbell (e.g. a rescue kick
                                   // racing a completion): re-arm and wait
-    // Consume the extra doorbell raises that belong to entries just
-    // drained (a multi-kick burst collapses into one batch): any raise
-    // pending at this instant was issued after its entry became visible
-    // (publish happens-before kick), so that entry is in `batch`. Leaving
-    // them queued would let them masquerade later as fresh doorbells and
+    // Consume the extra doorbells that belong to entries just drained (a
+    // multi-kick burst collapses into one batch): any doorbell pending at
+    // this instant was delivered after its entry became visible (publish
+    // happens-before kick), so that entry is in `batch`. Leaving them
+    // pending would let them masquerade later as fresh doorbells and
     // "rescue" a chain whose kick was genuinely dropped.
-    while (auto extra = avail_event_.try_wait()) {
-      raise_ts = std::max(*raise_ts, *extra);
-    }
+    doorbells_ = 0;
     for (auto& chain : batch) {
-      chain.kick_ts = std::max(chain.kick_ts, *raise_ts);
+      chain.kick_ts = std::max(chain.kick_ts, doorbell_ts_);
     }
     return batch;
   }
@@ -278,9 +266,9 @@ std::optional<Chain> Virtqueue::try_pop_avail_locked() {
   chain.head = head;
   chain.trace = trace_by_head_[head];
   // Lower bound for the device's view of the entry: when the doorbell is
-  // suppressed (EVENT_IDX) no raise timestamp exists, so the publish time
-  // carries the causality instead. pop_avail/pop_avail_batch still max()
-  // this with the kick's visible_ts when one was delivered.
+  // suppressed (EVENT_IDX) no doorbell timestamp exists, so the publish time
+  // carries the causality instead. pop_avail_batch still max()es this with
+  // the doorbell time when one was delivered.
   chain.kick_ts = publish_ts;
   std::uint16_t d = head;
   std::uint16_t walked = 0;
@@ -355,7 +343,13 @@ sim::Status Virtqueue::push_used(std::uint16_t head, std::uint32_t written,
   return sim::Status::kOk;
 }
 
-void Virtqueue::shutdown() { avail_event_.close(); }
+void Virtqueue::shutdown() {
+  {
+    sim::MutexLock lock(mu_);
+    shut_down_ = true;
+  }
+  doorbell_cv_.notify_all();
+}
 
 bool Virtqueue::stranded(std::uint16_t pos) const {
   sim::MutexLock lock(mu_);

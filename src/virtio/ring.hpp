@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "sim/actor.hpp"
-#include "sim/channel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/status.hpp"
 #include "sim/thread_safety.hpp"
@@ -159,10 +158,8 @@ class Virtqueue {
 
   // --- device (host) side -------------------------------------------------------
 
-  /// Block until an avail chain is ready (or shutdown); resolve and return
-  /// it. Device-side FIFO order matches avail order.
-  std::optional<Chain> pop_avail() VPHI_EXCLUDES(mu_);
-  /// Non-blocking variant.
+  /// Pop and resolve the next avail chain, if any, without waiting for a
+  /// doorbell. Device-side FIFO order matches avail order.
   std::optional<Chain> try_pop_avail() VPHI_EXCLUDES(mu_);
 
   /// Batch pop: drain every ready avail entry (one wakeup amortized over the
@@ -182,8 +179,9 @@ class Virtqueue {
   sim::Status push_used(std::uint16_t head, std::uint32_t written,
                         sim::Nanos done_ts) VPHI_EXCLUDES(mu_);
 
-  /// Stop the queue: pop_avail returns nullopt to unblock the device.
-  void shutdown();
+  /// Stop the queue: once no doorbell is pending, pop_avail_batch returns
+  /// an empty batch to unblock the device.
+  void shutdown() VPHI_EXCLUDES(mu_);
 
   // --- introspection / invariants ---------------------------------------------
   std::uint16_t free_descriptors() const VPHI_EXCLUDES(mu_);
@@ -274,7 +272,13 @@ class Virtqueue {
   sim::metrics::Counter suppressed_kicks_;
   sim::metrics::Counter suppressed_irqs_;
 
-  sim::EventLine avail_event_;
+  // --- doorbell line (kick -> pop_avail_batch) --------------------------------
+  /// Delivered doorbells the device has not consumed yet.
+  std::uint64_t doorbells_ VPHI_GUARDED_BY(mu_) = 0;
+  /// Latest visible_ts any kick() ever delivered; stamped on popped chains.
+  sim::Nanos doorbell_ts_ VPHI_GUARDED_BY(mu_) = 0;
+  bool shut_down_ VPHI_GUARDED_BY(mu_) = false;
+  sim::CondVar doorbell_cv_;
 };
 
 }  // namespace vphi::virtio

@@ -223,6 +223,23 @@ class FrontendDriver {
   /// completions landed), 0 before. Flips 0 -> 1 exactly once per run.
   bool watchdog_armed() const { return watchdog_armed_.value() != 0; }
 
+  /// RAII active-call marker so the destructor can drain callers that a VM
+  /// shutdown woke but that have not yet left driver code, or a layer on
+  /// top of it: every GuestScifProvider call holds one too.
+  struct ActiveCall {
+    explicit ActiveCall(FrontendDriver& fe) : fe_(fe) {
+      sim::MutexLock lock(fe_.active_mu_);
+      ++fe_.active_calls_;
+    }
+    ~ActiveCall() {
+      sim::MutexLock lock(fe_.active_mu_);
+      if (--fe_.active_calls_ == 0) fe_.active_cv_.notify_all();
+    }
+    ActiveCall(const ActiveCall&) = delete;
+    ActiveCall& operator=(const ActiveCall&) = delete;
+    FrontendDriver& fe_;
+  };
+
  private:
   struct Pending {
     std::uint64_t ticket = 0;   ///< wait-queue ticket (interrupt waiters)
@@ -355,20 +372,6 @@ class FrontendDriver {
   /// min_samples completions exist; cached per queue and recomputed every
   /// ~32 scans so the sweep stays cheap.
   sim::Nanos watchdog_budget_locked(QueueState& q) VPHI_REQUIRES(q.mu);
-
-  /// RAII active-call marker so the destructor can drain callers that a VM
-  /// shutdown woke but that have not yet left driver code.
-  struct ActiveCall {
-    explicit ActiveCall(FrontendDriver& fe) : fe_(fe) {
-      sim::MutexLock lock(fe_.active_mu_);
-      ++fe_.active_calls_;
-    }
-    ~ActiveCall() {
-      sim::MutexLock lock(fe_.active_mu_);
-      if (--fe_.active_calls_ == 0) fe_.active_cv_.notify_all();
-    }
-    FrontendDriver& fe_;
-  };
 
   hv::Vm* vm_;
   Config config_;

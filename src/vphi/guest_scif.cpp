@@ -228,6 +228,7 @@ std::optional<SgEntry> GuestScifProvider::build_sg(int epd,
 }
 
 sim::Expected<int> GuestScifProvider::open() {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kOpen;
   auto r = call(args);
@@ -239,6 +240,7 @@ sim::Expected<int> GuestScifProvider::open() {
 }
 
 sim::Status GuestScifProvider::close(int epd) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kClose;
   args.header.epd = epd;
@@ -248,6 +250,7 @@ sim::Status GuestScifProvider::close(int epd) {
 }
 
 sim::Expected<scif::Port> GuestScifProvider::bind(int epd, scif::Port pn) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kBind;
   args.header.epd = epd;
@@ -261,6 +264,7 @@ sim::Expected<scif::Port> GuestScifProvider::bind(int epd, scif::Port pn) {
 }
 
 sim::Status GuestScifProvider::listen(int epd, int backlog) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kListen;
   args.header.epd = epd;
@@ -271,6 +275,7 @@ sim::Status GuestScifProvider::listen(int epd, int backlog) {
 }
 
 sim::Status GuestScifProvider::connect(int epd, scif::PortId dst) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kConnect;
   args.header.epd = epd;
@@ -283,6 +288,7 @@ sim::Status GuestScifProvider::connect(int epd, scif::PortId dst) {
 
 sim::Expected<scif::AcceptResult> GuestScifProvider::accept(int epd,
                                                             int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kAccept;
   args.header.epd = epd;
@@ -302,6 +308,7 @@ sim::Expected<scif::AcceptResult> GuestScifProvider::accept(int epd,
 sim::Expected<std::size_t> GuestScifProvider::send(int epd, const void* msg,
                                                    std::size_t len,
                                                    int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   // Chunk at KMALLOC_MAX_SIZE: "if the requested data size is greater than
   // this value, we implement the data transfer breaking up the allocation
   // to KMALLOC_MAX_SIZE elements and proceed with each one of them."
@@ -319,6 +326,7 @@ sim::Expected<std::size_t> GuestScifProvider::send(int epd, const void* msg,
 sim::Expected<std::size_t> GuestScifProvider::recv(int epd, void* msg,
                                                    std::size_t len,
                                                    int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   const auto pr = run_pipeline({.op = Op::kRecv,
                                 .epd = epd,
                                 .flags = flags,
@@ -333,6 +341,7 @@ sim::Expected<std::size_t> GuestScifProvider::recv(int epd, void* msg,
 sim::Expected<scif::RegOffset> GuestScifProvider::register_mem(
     int epd, void* addr, std::size_t len, scif::RegOffset offset, int prot,
     int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   // Pin the guest pages first — an unpinned page that got swapped out
   // would feed stale data to remote reads (Sec. III).
   auto gpa = pin_user_range(addr, len);
@@ -366,6 +375,7 @@ sim::Expected<scif::RegOffset> GuestScifProvider::register_mem(
 
 sim::Status GuestScifProvider::unregister_mem(int epd, scif::RegOffset offset,
                                               std::size_t len) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kUnregister;
   args.header.epd = epd;
@@ -389,6 +399,7 @@ sim::Status GuestScifProvider::unregister_mem(int epd, scif::RegOffset offset,
 sim::Status GuestScifProvider::readfrom(int epd, scif::RegOffset loffset,
                                         std::size_t len,
                                         scif::RegOffset roffset, int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   return run_pipeline({.op = Op::kReadfrom,
                        .epd = epd,
                        .flags = flags,
@@ -401,6 +412,7 @@ sim::Status GuestScifProvider::readfrom(int epd, scif::RegOffset loffset,
 sim::Status GuestScifProvider::writeto(int epd, scif::RegOffset loffset,
                                        std::size_t len, scif::RegOffset roffset,
                                        int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   return run_pipeline({.op = Op::kWriteto,
                        .epd = epd,
                        .flags = flags,
@@ -430,11 +442,13 @@ sim::Status GuestScifProvider::pinned_rma(Op op, int epd, void* addr,
 
 sim::Status GuestScifProvider::vreadfrom(int epd, void* addr, std::size_t len,
                                          scif::RegOffset roffset, int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   return pinned_rma(Op::kVreadfrom, epd, addr, len, roffset, flags);
 }
 
 sim::Status GuestScifProvider::vwriteto(int epd, void* addr, std::size_t len,
                                         scif::RegOffset roffset, int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   return pinned_rma(Op::kVwriteto, epd, addr, len, roffset, flags);
 }
 
@@ -442,6 +456,7 @@ sim::Expected<scif::Mapping> GuestScifProvider::mmap(int epd,
                                                      scif::RegOffset roffset,
                                                      std::size_t len,
                                                      int prot) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kMmap;
   args.header.epd = epd;
@@ -483,6 +498,7 @@ sim::Expected<scif::Mapping> GuestScifProvider::mmap(int epd,
 }
 
 sim::Status GuestScifProvider::munmap(scif::Mapping& mapping) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   GuestMapping gm;
   {
     sim::MutexLock lock(mu_);
@@ -527,6 +543,7 @@ sim::Expected<std::byte*> GuestScifProvider::map_access(
 sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
                                         std::size_t off, void* dst,
                                         std::size_t n) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   auto ptr = map_access(mapping, off, n);
   if (!ptr) return ptr.status();
   std::memcpy(dst, *ptr, n);
@@ -536,6 +553,7 @@ sim::Status GuestScifProvider::map_read(const scif::Mapping& mapping,
 sim::Status GuestScifProvider::map_write(const scif::Mapping& mapping,
                                          std::size_t off, const void* src,
                                          std::size_t n) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   auto ptr = map_access(mapping, off, n);
   if (!ptr) return ptr.status();
   std::memcpy(*ptr, src, n);
@@ -543,6 +561,7 @@ sim::Status GuestScifProvider::map_write(const scif::Mapping& mapping,
 }
 
 sim::Expected<int> GuestScifProvider::fence_mark(int epd, int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kFenceMark;
   args.header.epd = epd;
@@ -556,6 +575,7 @@ sim::Expected<int> GuestScifProvider::fence_mark(int epd, int flags) {
 }
 
 sim::Status GuestScifProvider::fence_wait(int epd, int mark) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kFenceWait;
   args.header.epd = epd;
@@ -569,6 +589,7 @@ sim::Status GuestScifProvider::fence_signal(int epd, scif::RegOffset loff,
                                             std::uint64_t lval,
                                             scif::RegOffset roff,
                                             std::uint64_t rval, int flags) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kFenceSignal;
   args.header.epd = epd;
@@ -584,6 +605,7 @@ sim::Status GuestScifProvider::fence_signal(int epd, scif::RegOffset loff,
 
 sim::Expected<int> GuestScifProvider::poll(scif::PollEpd* epds, int nepds,
                                            int timeout_ms) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   if (epds == nullptr || nepds <= 0) return sim::Status::kInvalidArgument;
   const std::size_t bytes =
       sizeof(scif::PollEpd) * static_cast<std::size_t>(nepds);
@@ -607,6 +629,7 @@ sim::Expected<int> GuestScifProvider::poll(scif::PollEpd* epds, int nepds,
 }
 
 sim::Expected<scif::NodeIds> GuestScifProvider::get_node_ids() {
+  const FrontendDriver::ActiveCall active{*frontend_};
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kGetNodeIds;
   auto r = call(args);
@@ -620,6 +643,7 @@ sim::Expected<scif::NodeIds> GuestScifProvider::get_node_ids() {
 
 sim::Expected<mic::SysfsInfo> GuestScifProvider::card_info(
     std::uint32_t index) {
+  const FrontendDriver::ActiveCall active{*frontend_};
   std::vector<char> blob(8'192);
   FrontendDriver::TransactArgs args;
   args.header.op = Op::kCardInfo;

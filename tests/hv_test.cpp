@@ -470,7 +470,7 @@ TEST(Vm, RingTranslatesThroughGuestRam) {
   virtio::BufferRef out{*gpa, 4};
   ASSERT_TRUE(vm.vq().add_buf({&out, 1}, {}));
   vm.vq().kick(0);
-  auto chain = vm.vq().pop_avail();
+  auto chain = vm.vq().try_pop_avail();
   ASSERT_TRUE(chain);
   EXPECT_EQ(static_cast<std::uint8_t*>(chain->segments[0].ptr)[0], 0x5A);
 }

@@ -1,28 +1,15 @@
-// Unit tests for the PCIe link / DMA / doorbell models.
+// Unit tests for the PCIe link model.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <thread>
-#include <vector>
+#include <cstdint>
 
-#include "pcie/dma.hpp"
-#include "pcie/doorbell.hpp"
 #include "pcie/link.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/rng.hpp"
 
 namespace vphi::pcie {
 namespace {
 
 using sim::CostModel;
-using sim::Nanos;
-
-TEST(Link, MmioHopChargesSender) {
-  Link link{CostModel::paper()};
-  sim::Actor a{"a"};
-  link.mmio_hop(a);
-  EXPECT_EQ(a.now(), CostModel::paper().pcie_hop_ns);
-}
 
 TEST(Link, DmaDurationMatchesModel) {
   const auto& m = CostModel::paper();
@@ -50,88 +37,6 @@ TEST(Link, ConcurrentDmaContends) {
   auto g1 = link.dma(0, 4 << 20, false);
   auto g2 = link.dma(0, 4 << 20, false);
   EXPECT_EQ(g2.start, g1.end);
-}
-
-TEST(Dma, TransferMovesBytesExactly) {
-  Link link{CostModel::paper()};
-  DmaEngine dma{link};
-  std::vector<std::uint8_t> src(65'536), dst(65'536, 0);
-  sim::Rng rng{1};
-  rng.fill(src.data(), src.size());
-  auto c = dma.transfer(0, dst.data(), src.data(), src.size(), false);
-  EXPECT_EQ(std::memcmp(src.data(), dst.data(), src.size()), 0);
-  EXPECT_GT(c.end, c.start);
-}
-
-TEST(Dma, ZeroLengthIsHarmless) {
-  Link link{CostModel::paper()};
-  DmaEngine dma{link};
-  auto c = dma.transfer(5, nullptr, nullptr, 0, false);
-  EXPECT_EQ(c.start, 5u);
-  EXPECT_EQ(c.end - c.start, CostModel::paper().dma_setup_ns);
-}
-
-TEST(Dma, ChannelsRoundRobin) {
-  Link link{CostModel::paper()};
-  DmaEngine dma{link};
-  for (int i = 0; i < 16; ++i) dma.transfer_timing_only(0, 100, false);
-  for (std::uint32_t ch = 0; ch < DmaEngine::kChannels; ++ch) {
-    EXPECT_EQ(dma.channel_bytes(ch), 200u);
-  }
-}
-
-TEST(Dma, TimingOnlyMatchesRealTransferTiming) {
-  const auto& m = CostModel::paper();
-  Link link_a{m}, link_b{m};
-  DmaEngine real{link_a}, modeled{link_b};
-  std::vector<std::uint8_t> buf(1 << 20);
-  auto c1 = real.transfer(0, buf.data(), buf.data(), buf.size(), true);
-  auto c2 = modeled.transfer_timing_only(0, buf.size(), true);
-  EXPECT_EQ(c1.end - c1.start, c2.end - c2.start);
-}
-
-TEST(Doorbell, RingWaitsAndMergesTime) {
-  Link link{CostModel::paper()};
-  Doorbell bell{link};
-  sim::Actor sender{"s", 1'000};
-  sim::Actor waiter{"w"};
-  bell.ring(sender);
-  EXPECT_TRUE(bell.wait(waiter));
-  EXPECT_EQ(waiter.now(), 1'000 + CostModel::paper().pcie_hop_ns);
-}
-
-TEST(Doorbell, TryWaitNonBlocking) {
-  Link link{CostModel::paper()};
-  Doorbell bell{link};
-  sim::Actor a{"a"};
-  EXPECT_FALSE(bell.try_wait(a));
-  bell.ring(a);
-  EXPECT_TRUE(bell.try_wait(a));
-  EXPECT_FALSE(bell.try_wait(a));
-}
-
-TEST(Doorbell, ShutdownReleasesBlockedWaiter) {
-  Link link{CostModel::paper()};
-  Doorbell bell{link};
-  sim::Actor waiter{"w"};
-  bool result = true;
-  std::thread t([&] { result = bell.wait(waiter); });
-  bell.shutdown();
-  t.join();
-  EXPECT_FALSE(result);
-}
-
-TEST(Doorbell, CrossThreadDelivery) {
-  Link link{CostModel::paper()};
-  Doorbell bell{link};
-  sim::Actor waiter{"w"};
-  std::thread t([&] {
-    sim::Actor sender{"s", 500};
-    bell.ring(sender);
-  });
-  EXPECT_TRUE(bell.wait(waiter));
-  t.join();
-  EXPECT_GE(waiter.now(), 500u);
 }
 
 }  // namespace

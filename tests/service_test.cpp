@@ -13,7 +13,6 @@
 
 #include "coi/binary.hpp"
 #include "coi/process.hpp"
-#include "hv/event_loop.hpp"
 #include "service/fleet_policy.hpp"
 #include "service/job.hpp"
 #include "service/job_service.hpp"
@@ -469,23 +468,7 @@ TEST(FleetPolicy, EnforceOffAdmitsEverythingAndMatchesNoHooksSchedule) {
 }
 
 // ---------------------------------------------------------------------------
-// Integration points: event loop throttle, fabric listener, COI admission.
-
-TEST(Throttle, EventLoopAdvancesItsActorByTheDelay) {
-  hv::EventLoop loop{"throttle-test"};
-  loop.set_throttle([] { return Nanos{30'000}; });
-  int ran = 0;
-  loop.post([&ran](sim::Actor&) { ++ran; });
-  loop.drain();
-  loop.set_throttle(nullptr);
-  loop.post([&ran](sim::Actor&) { ++ran; });
-  loop.drain();
-  EXPECT_EQ(ran, 2);
-  // At least one throttled batch; clearing the hook stops the charges.
-  EXPECT_GE(loop.throttled_time(), 30'000);
-  EXPECT_EQ(loop.throttled_time() % 30'000, 0);
-  loop.stop();
-}
+// Integration points: fabric listener, COI admission.
 
 TEST(Occupancy, FabricListenerFeedsTheTenantCardWindow) {
   tools::TestbedConfig tb;

@@ -1,10 +1,9 @@
-// Sharded deterministic engine tests: the lock-free cross-shard channels
-// (sim/spsc.hpp), the per-shard watermark protocol (sim/shard.hpp) and its
-// Actor{name, AtNow{}} contract, the seeded traffic generator
-// (sim/traffic.hpp), and run_fleet() itself — same-seed bit-identity,
-// full-channel backpressure, shutdown with events still in flight, and
-// the two-shard doorbell ping-pong traced through sim::tracer() (same
-// span-ordering idiom as sim_trace_test.cpp).
+// Sharded deterministic engine tests: the per-shard watermark protocol
+// (sim/shard.hpp) and its Actor{name, AtNow{}} contract, the seeded
+// traffic generator (sim/traffic.hpp), and run_fleet() itself — same-seed
+// bit-identity, modeled channel backpressure, shutdown with events still
+// in flight, and the two-shard doorbell ping-pong traced through
+// sim::tracer() (same span-ordering idiom as sim_trace_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <cstdlib>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -23,70 +21,12 @@
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/shard.hpp"
-#include "sim/spsc.hpp"
 #include "sim/timeseries.hpp"
 #include "sim/trace.hpp"
 #include "sim/traffic.hpp"
 
 namespace vphi::sim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SPSC channel
-
-TEST(SpscRing, FifoOrderAndCapacityRounding) {
-  SpscRing<int> ring(5);  // rounds up to the next power of two
-  EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-  for (int i = 0; i < 8; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, FullRingExertsBackpressure) {
-  SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
-  // Ring full: the producer is refused, nothing is overwritten.
-  EXPECT_FALSE(ring.try_push(99));
-  auto v = ring.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 0);
-  // One slot freed: the producer gets exactly one more push in.
-  EXPECT_TRUE(ring.try_push(4));
-  EXPECT_FALSE(ring.try_push(5));
-}
-
-TEST(SpscRing, TwoThreadStressKeepsFifoOrder) {
-  SpscRing<std::uint32_t> ring(64);
-  constexpr std::uint32_t kItems = 20'000;
-  std::thread producer([&ring] {
-    for (std::uint32_t i = 0; i < kItems;) {
-      if (ring.try_push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();  // full: let the consumer run (1-core CI)
-      }
-    }
-  });
-  std::uint32_t expected = 0;
-  std::uint64_t sum = 0;
-  while (expected < kItems) {
-    auto v = ring.try_pop();
-    if (!v.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    EXPECT_EQ(*v, expected);  // strict FIFO across threads
-    ++expected;
-    sum += *v;
-  }
-  producer.join();
-  EXPECT_FALSE(ring.try_pop().has_value()) << "nothing beyond the last item";
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(kItems - 1) * kItems / 2);
-}
 
 // ---------------------------------------------------------------------------
 // Shard watermarks and the AtNow contract
@@ -296,16 +236,59 @@ TEST(FleetEngine, LabeledShardSumsEqualAggregates) {
   reg.reset();
 }
 
+/// `snap` with the value of every counter key (aggregate or labeled)
+/// named `name` blanked to '#'.
+std::string blank_counter(const std::string& snap, const std::string& name) {
+  const std::string key = '"' + name;
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t at = snap.find(key); at != std::string::npos;
+       at = snap.find(key, at + 1)) {
+    const std::size_t value = snap.find("\":", at) + 2;
+    out.append(snap, from, value - from).append("#");
+    from = value;
+    while (from < snap.size() && snap[from] >= '0' && snap[from] <= '9') {
+      ++from;
+    }
+  }
+  return out.append(snap, from);
+}
+
 TEST(FleetEngine, TinyChannelCapacityBackpressuresButLosesNothing) {
+  auto& reg = metrics::registry();
+  reg.reset();
   FleetConfig cfg = small_fleet();
-  cfg.channel_capacity = 2;  // force the spill path + the model counter
+  const FleetResult wide = run_fleet(cfg);
+  const std::string snap_wide = reg.snapshot_json();
+  reg.reset();
+  cfg.channel_capacity = 2;  // most epochs send more than 2 down a lane
   const FleetResult r = run_fleet(cfg);
+  const std::string snap = reg.snapshot_json();
+  reg.reset();
   EXPECT_GT(r.channel_sent, 0u);
   EXPECT_GT(r.backpressure, 0u);
-  // Backpressure slows nothing down in sim time and drops nothing: every
-  // submitted request still completes.
+  EXPECT_EQ(wide.backpressure, 0u);
+  // Backpressure is modeled: it slows nothing down in sim time and drops
+  // nothing, so every other field matches the default-capacity run.
   EXPECT_EQ(r.completed, r.requests);
-  metrics::registry().reset();
+  EXPECT_EQ(r.requests, wide.requests);
+  EXPECT_EQ(r.completed, wide.completed);
+  EXPECT_EQ(r.dropped, wide.dropped);
+  EXPECT_EQ(r.rejected, wide.rejected);
+  EXPECT_EQ(r.throttled, wide.throttled);
+  EXPECT_EQ(r.bytes, wide.bytes);
+  EXPECT_EQ(r.epochs, wide.epochs);
+  EXPECT_EQ(r.channel_sent, wide.channel_sent);
+  EXPECT_EQ(r.sim_end_ns, wide.sim_end_ns);
+  EXPECT_EQ(r.mean_ns, wide.mean_ns);
+  EXPECT_EQ(r.p50_ns, wide.p50_ns);
+  EXPECT_EQ(r.p99_ns, wide.p99_ns);
+  EXPECT_EQ(r.imbalance, wide.imbalance);
+  EXPECT_EQ(r.per_shard_requests, wide.per_shard_requests);
+  // The snapshots differ, and only in the backpressure counter.
+  EXPECT_NE(snap, snap_wide);
+  EXPECT_EQ(blank_counter(snap, "vphi.sim.channel.backpressure"),
+            blank_counter(snap_wide, "vphi.sim.channel.backpressure"));
 }
 
 TEST(FleetEngine, ThousandVmFleetRunsToQuiescence) {
@@ -587,7 +570,6 @@ TEST(FleetTimeline, EngineProfilePublishesPhaseTimers) {
   reg.reset();
   EXPECT_NE(snap.find("vphi.engine.events_ns"), std::string::npos);
   EXPECT_NE(snap.find("vphi.engine.drain_ns"), std::string::npos);
-  EXPECT_NE(snap.find("vphi.engine.spill_ns"), std::string::npos);
   EXPECT_NE(snap.find("vphi.engine.barrier_ns"), std::string::npos);
 }
 

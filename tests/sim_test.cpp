@@ -17,7 +17,6 @@
 
 #include "sim/actor.hpp"
 #include "sim/bus.hpp"
-#include "sim/channel.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fan_out.hpp"
 #include "sim/page_arena.hpp"
@@ -134,25 +133,6 @@ TEST(Bus, ConcurrentAcquiresLinearize) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(bus.busy_total(), static_cast<Nanos>(kThreads * kPerThread * 7));
   EXPECT_EQ(bus.free_at(), bus.busy_total()) << "back-to-back grants from t=0";
-}
-
-TEST(EventLine, CountingSemantics) {
-  EventLine line;
-  line.raise(10);
-  line.raise(20);
-  EXPECT_EQ(line.pending(), 2u);
-  EXPECT_EQ(line.wait().value(), 20u) << "latest raise time is reported";
-  EXPECT_EQ(line.try_wait().value(), 20u);
-  EXPECT_FALSE(line.try_wait().has_value());
-}
-
-TEST(EventLine, CloseReleasesWaiter) {
-  EventLine line;
-  std::optional<Nanos> got = Nanos{1};
-  std::thread waiter([&] { got = line.wait(); });
-  line.close();
-  waiter.join();
-  EXPECT_FALSE(got.has_value());
 }
 
 TEST(Status, Names) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,16 @@ class FlatMem {
  private:
   std::vector<std::uint8_t> mem_;
 };
+
+/// The device side of one doorbell, as the backend sees it: wait for it
+/// and take the batch it covers, here exactly one chain. nullopt once the
+/// ring shut down.
+std::optional<Chain> pop_one(Virtqueue& vq) {
+  std::vector<Chain> batch = vq.pop_avail_batch();
+  if (batch.empty()) return std::nullopt;
+  EXPECT_EQ(batch.size(), 1u);
+  return std::move(batch.front());
+}
 
 // A published chain is stranded until a doorbell reaches the device: a
 // dropped kick leaves it so (the watchdog's stall signal), a delivered one
@@ -94,7 +105,7 @@ TEST(Virtqueue, PostPopCompleteRoundtrip) {
   EXPECT_EQ(vq.free_descriptors(), 6);
   vq.kick(1'000);
 
-  auto chain = vq.pop_avail();
+  auto chain = pop_one(vq);
   ASSERT_TRUE(chain);
   EXPECT_EQ(chain->head, *head);
   EXPECT_EQ(chain->kick_ts, 1'000u);
@@ -130,7 +141,7 @@ TEST(Virtqueue, ExhaustionReturnsNoSpace) {
   EXPECT_EQ(vq.add_buf({&r, 1}, {}).status(), sim::Status::kNoSpace);
   // Complete one, slot frees up.
   vq.kick(0);
-  auto chain = vq.pop_avail();
+  auto chain = vq.try_pop_avail();
   ASSERT_TRUE(chain);
   ASSERT_EQ(vq.push_used(chain->head, 0, 0), sim::Status::kOk);
   ASSERT_TRUE(vq.get_used());
@@ -171,7 +182,7 @@ TEST(Virtqueue, TranslationFailureYieldsNullSegment) {
   BufferRef bogus{1'000'000, 8};
   ASSERT_TRUE(vq.add_buf({&bogus, 1}, {}));
   vq.kick(0);
-  auto chain = vq.pop_avail();
+  auto chain = vq.try_pop_avail();
   ASSERT_TRUE(chain);
   EXPECT_EQ(chain->segments[0].ptr, nullptr)
       << "backend must detect unmapped guest addresses";
@@ -181,7 +192,7 @@ TEST(Virtqueue, ShutdownUnblocksDevice) {
   FlatMem mem{64};
   Virtqueue vq{4, mem.translator()};
   std::optional<Chain> got = Chain{};
-  std::thread device([&] { got = vq.pop_avail(); });
+  std::thread device([&] { got = pop_one(vq); });
   vq.shutdown();
   device.join();
   EXPECT_FALSE(got.has_value());
@@ -195,7 +206,7 @@ TEST(Virtqueue, CrossThreadPipelineKeepsDataIntact) {
 
   std::thread device([&] {
     for (int i = 0; i < kMsgs; ++i) {
-      auto chain = vq.pop_avail();
+      auto chain = pop_one(vq);
       ASSERT_TRUE(chain);
       ASSERT_EQ(chain->segments.size(), 2u);
       // Echo request into response segment.
@@ -457,7 +468,7 @@ TEST(Virtqueue, EventIdxOffNeverSuppresses) {
     // interrupt.
     EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
     vq.kick(i * 10);
-    auto chain = vq.pop_avail();
+    auto chain = vq.try_pop_avail();
     ASSERT_TRUE(chain);
     ASSERT_EQ(vq.push_used(chain->head, 0, i * 10 + 5), sim::Status::kOk);
     EXPECT_TRUE(vq.should_interrupt());

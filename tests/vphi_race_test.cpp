@@ -11,6 +11,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,9 +24,9 @@
 #include "sim/metrics.hpp"
 #include "sim/recorder.hpp"
 #include "sim/rng.hpp"
-#include "sim/spsc.hpp"
 #include "sim/trace.hpp"
 #include "tools/testbed.hpp"
+#include "virtio/ring.hpp"
 #include "vphi/frontend.hpp"
 
 namespace vphi::core {
@@ -341,17 +342,17 @@ TEST(VphiRace, PeerCloseRacesBlockedRecv) {
 
 // The sharded fleet engine's determinism claim has to hold under TSan's
 // scheduler distortion too: 4 shard threads exchanging doorbells and
-// completions through the lock-free rings, with churn, bursts, and a storm
-// all enabled, must produce the same metrics snapshot bit-for-bit on a
-// re-run — and TSan must see no race in the rings, the epoch barrier, or
-// the striped histogram cells while they do it.
+// completions through the epoch-parity outboxes, with churn, bursts, and a
+// storm all enabled, must produce the same metrics snapshot bit-for-bit on
+// a re-run — and TSan must see no race in the outboxes, the epoch barrier,
+// or the striped histogram cells while they do it.
 TEST(VphiRace, FleetSnapshotBitIdenticalSameSeed) {
   sim::FleetConfig cfg;
   cfg.vms = 16;
   cfg.shards = 4;
   cfg.cards = 3;  // not a multiple of the shard count: cross-shard traffic
   cfg.duration_ns = 300'000;
-  cfg.channel_capacity = 4;  // small rings: exercise the spill path too
+  cfg.channel_capacity = 4;  // small lanes: the backpressure count too
   cfg.traffic.rate_hz = 40'000.0;
   cfg.traffic.burst_factor = 2.0;
   cfg.traffic.burst_period_ns = 100'000;
@@ -378,33 +379,66 @@ TEST(VphiRace, FleetSnapshotBitIdenticalSameSeed) {
   EXPECT_EQ(snap1, snap2);
 }
 
-// The cross-shard SPSC ring under two free-running threads: strict FIFO
-// order up to the last item, with TSan checking that the acquire/release
-// head/tail protocol actually covers the payload slots.
-TEST(VphiRace, SpscRingTwoThreadFifo) {
-  sim::SpscRing<std::uint32_t> ring(16);
-  constexpr std::uint32_t kItems = 10'000;
-  std::thread producer([&ring] {
-    for (std::uint32_t i = 0; i < kItems;) {
-      if (ring.try_push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
+// The virtqueue's doorbell state (pending count, latest doorbell time,
+// shutdown flag, all under the ring lock) under two free-running driver
+// threads and one device thread: every chain is popped exactly once, and
+// shutdown releases the device only after the doorbells already delivered.
+TEST(VphiRace, VirtqueueTwoDriversOneDevice) {
+  constexpr std::uint32_t kPerDriver = 1'000;
+  std::vector<std::uint8_t> mem(2 * kPerDriver);
+  virtio::Virtqueue vq(32, [&mem](std::uint64_t gpa, std::uint32_t len) {
+    return gpa + len <= mem.size() ? static_cast<void*>(mem.data() + gpa)
+                                   : nullptr;
+  });
+  vq.set_event_idx(true);
+  std::atomic<std::uint32_t> reaped{0};
+
+  std::vector<std::uint32_t> popped(2 * kPerDriver, 0);  // device-owned
+  std::thread device([&] {
+    for (;;) {
+      const std::vector<virtio::Chain> batch = vq.pop_avail_batch();
+      if (batch.empty()) return;  // shut down
+      for (const virtio::Chain& chain : batch) {
+        // Complete even a malformed chain, so no driver waits on it.
+        EXPECT_TRUE(sim::ok(vq.push_used(chain.head, 0, chain.kick_ts)));
+        if (chain.segments.size() != 1 || chain.segments[0].ptr == nullptr) {
+          ADD_FAILURE() << "chain " << chain.head << " misresolved";
+          continue;
+        }
+        const auto* p = static_cast<const std::uint8_t*>(chain.segments[0].ptr);
+        ++popped[static_cast<std::size_t>(p - mem.data())];
       }
     }
   });
-  std::uint32_t expected = 0;
-  while (expected < kItems) {
-    auto v = ring.try_pop();
-    if (!v.has_value()) {
-      std::this_thread::yield();
-      continue;
+  auto driver = [&](std::uint32_t first) {
+    for (std::uint32_t i = first; i < first + kPerDriver;) {
+      const virtio::BufferRef ref{i, 1};
+      if (!vq.add_buf(std::span(&ref, 1), {}, i).has_value()) {
+        // Ring full: reclaim completed chains (either driver's) first.
+        if (vq.get_used()) {
+          reaped.fetch_add(1);
+        } else {
+          std::this_thread::yield();
+        }
+        continue;
+      }
+      if (vq.kick_prepare() == virtio::Doorbell::kRing) vq.kick(i + 1);
+      ++i;
     }
-    EXPECT_EQ(*v, expected);
-    ++expected;
+  };
+  std::thread a(driver, 0);
+  std::thread b(driver, kPerDriver);
+  a.join();
+  b.join();
+  vq.shutdown();
+  device.join();
+  while (vq.get_used()) reaped.fetch_add(1);
+
+  for (std::uint32_t id = 0; id < popped.size(); ++id) {
+    EXPECT_EQ(popped[id], 1u) << "chain " << id;
   }
-  producer.join();
-  EXPECT_FALSE(ring.try_pop().has_value()) << "nothing beyond the last item";
+  EXPECT_EQ(reaped.load(), 2 * kPerDriver);
+  EXPECT_EQ(vq.free_descriptors(), vq.size());
 }
 
 }  // namespace
