@@ -49,7 +49,9 @@ void Daemon::accept_loop() {
   actor.sync_to(card_->card_actor().now());
   while (running_.load(std::memory_order_relaxed)) {
     auto acc = provider_->accept(listener_epd_, scif::SCIF_ACCEPT_SYNC);
-    if (!acc) break;  // listener closed during shutdown
+    // An initiator that gave up while queued fails its accept with
+    // kConnectionReset; only a stop() ends the loop.
+    if (!acc) continue;
     const int epd = acc->epd;
     sim::MutexLock lock(conn_mu_);
     connections_.emplace_back([this, epd] { serve_connection(epd); });

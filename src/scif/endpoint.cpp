@@ -151,23 +151,29 @@ sim::Status Endpoint::connect(sim::Actor& actor, PortId dst) {
   }
   req_ts += m.scif_card_driver_ns;
 
-  // Enqueue on the listener's backlog.
-  {
-    sim::MutexLock lock(listener->mu_);
-    if (listener->state_ != State::kListening) {
-      return sim::Status::kConnectionRefused;
-    }
-    if (listener->backlog_.size() >=
-        static_cast<std::size_t>(listener->backlog_limit_)) {
-      return sim::Status::kConnectionRefused;
-    }
-    listener->backlog_.push_back(ConnRequest{shared_from_this(), req_ts});
-    listener->last_event_ts_ = std::max(listener->last_event_ts_, req_ts);
-  }
+  // Connecting before queued: an acceptor that pops the request at once
+  // must find this endpoint waiting, or it takes it for one that gave up.
   {
     sim::MutexLock lock(mu_);
     state_ = State::kConnecting;
     connect_result_ = sim::Status::kOk;
+  }
+  // Enqueue on the listener's backlog.
+  bool queued = false;
+  {
+    sim::MutexLock lock(listener->mu_);
+    if (listener->state_ == State::kListening &&
+        listener->backlog_.size() <
+            static_cast<std::size_t>(listener->backlog_limit_)) {
+      listener->backlog_.push_back(ConnRequest{shared_from_this(), req_ts});
+      listener->last_event_ts_ = std::max(listener->last_event_ts_, req_ts);
+      queued = true;
+    }
+  }
+  if (!queued) {
+    sim::MutexLock lock(mu_);
+    if (state_ == State::kConnecting) state_ = State::kBound;
+    return sim::Status::kConnectionRefused;
   }
   listener->cv_.notify_all();
   listener->notify_readiness(req_ts);

@@ -2,6 +2,8 @@
 // lifecycle) and the dgemm workload, on both the native and vPHI paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "coi/binary.hpp"
@@ -187,6 +189,42 @@ TEST_F(CoiFixture, OffloadFromInsideVm) {
   auto exited = process->wait_for_shutdown();
   ASSERT_TRUE(exited);
   EXPECT_EQ(exited->exit_code, 0);
+}
+
+// An initiator that closes while queued on the daemon's port fails the
+// daemon's accept with kConnectionReset. The daemon keeps accepting: after
+// 15 initiators give up, a connect is still served. 15 is under the
+// daemon's backlog of 16, so the connect is queued even if the daemon has
+// reached none of them yet; a daemon that stopped accepting leaves it
+// waiting forever.
+TEST_F(CoiFixture, DaemonServesAfterQueuedInitiatorsGiveUp) {
+  auto& host = bed_.host_provider();
+  const scif::PortId daemon{bed_.card_node(), kDaemonPort};
+  for (int i = 0; i < 15; ++i) {
+    auto epd = host.open();
+    ASSERT_TRUE(epd);
+    const auto ep = host.endpoint(*epd);
+    std::atomic<bool> returned{false};
+    std::thread initiator([&] {
+      sim::Actor actor{"coi-quitter"};
+      sim::ActorScope scope(actor);
+      (void)host.connect(*epd, daemon);
+      returned.store(true);
+    });
+    while (!returned.load() &&
+           ep->state() != scif::Endpoint::State::kConnecting &&
+           ep->state() != scif::Endpoint::State::kConnected) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(host.close(*epd), Status::kOk);
+    initiator.join();
+  }
+  sim::Actor actor{"host-coi"};
+  sim::ActorScope scope(actor);
+  auto epd = host.open();
+  ASSERT_TRUE(epd);
+  EXPECT_EQ(host.connect(*epd, daemon), Status::kOk);
+  EXPECT_EQ(host.close(*epd), Status::kOk);
 }
 
 }  // namespace

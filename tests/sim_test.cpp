@@ -3,11 +3,14 @@
 // the paper anchors baked into the default CostModel.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
@@ -211,6 +214,56 @@ TEST(FanOut, SlicesTileTheRangeOnAlignedBounds) {
     EXPECT_EQ(bounds, c.bounds) << "[" << c.begin << ", " << c.end << ")";
     ASSERT_FALSE(slices.empty());
     EXPECT_EQ(slices.front().who, std::this_thread::get_id());
+  }
+}
+
+// The process's thread ids, from /proc/self/task, sorted.
+std::vector<long> task_ids() {
+  std::vector<long> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.push_back(std::stol(entry.path().filename().string()));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// No slice starts until every slice thread exists: a slice inside
+// populate_pages holds mmap_lock for read, and would hold back each later
+// pthread_create, which takes it for write to map the new thread's stack.
+// Each body lists the process's threads as it starts; every list must
+// hold the thread of every slice. A spawned slice stays alive until every
+// slice has listed, so that no list misses a thread that has finished.
+TEST(FanOut, NoSliceStartsBeforeEverySliceThreadExists) {
+  constexpr std::size_t kSlices = 8;
+  struct Start {
+    long self;
+    std::vector<long> seen;
+  };
+  const long caller = ::gettid();
+  Mutex mu;
+  std::vector<Start> starts;
+  std::atomic<std::size_t> listed{0};
+  fan_out(0, kSlices, 1, kSlices, 1, [&](std::size_t, std::size_t) {
+    const long self = ::gettid();
+    std::vector<long> seen = task_ids();
+    {
+      MutexLock lock(mu);
+      starts.push_back({self, std::move(seen)});
+    }
+    listed.fetch_add(1);
+    while (self != caller && listed.load() < kSlices) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_EQ(starts.size(), kSlices);
+  for (const Start& early : starts) {
+    for (const Start& other : starts) {
+      EXPECT_TRUE(std::binary_search(early.seen.begin(), early.seen.end(),
+                                     other.self))
+          << "the slice on thread " << early.self << " started before thread "
+          << other.self << " existed";
+    }
   }
 }
 
