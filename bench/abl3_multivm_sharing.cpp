@@ -5,6 +5,8 @@
 // is an independent QEMU process / host SCIF client (exactly the paper's
 // sharing mechanism); the PCIe link arbitrates. Reported: per-VM and
 // aggregate throughput for N = 1, 2, 4, 8.
+#include <algorithm>
+#include <barrier>
 #include <cstdio>
 #include <iostream>
 #include <thread>
@@ -42,6 +44,11 @@ SharingResult measure(std::uint32_t num_vms, scif::Port base_port) {
 
   std::vector<double> gbps(num_vms, 0.0);
   std::vector<sim::Nanos> starts(num_vms, 0), ends(num_vms, 0);
+  // Every client's timed rounds start at one simulated instant, the latest
+  // warm-up end, so the row measures how the link is shared and not how
+  // far apart host thread order started the windows.
+  std::vector<sim::Nanos> warm_ends(num_vms, 0);
+  std::barrier warmed{static_cast<std::ptrdiff_t>(num_vms)};
   std::vector<std::thread> clients;
   for (std::uint32_t i = 0; i < num_vms; ++i) {
     clients.emplace_back([&, i] {
@@ -50,17 +57,22 @@ SharingResult measure(std::uint32_t num_vms, scif::Port base_port) {
       auto& guest = bed.vm(i).guest_scif();
       const int epd = connect_to_card(
           bed, guest, static_cast<scif::Port>(base_port + i));
-      if (epd < 0) return;
+      // A client that cannot set up leaves the barrier to the others.
+      const auto give_up = [&warmed] { warmed.arrive_and_drop(); };
+      if (epd < 0) return give_up();
       std::uint8_t ready;
       guest.recv(epd, &ready, 1, scif::SCIF_RECV_BLOCK);
       auto buf = bed.vm(i).alloc_user_buffer(kChunk);
-      if (!buf) return;
+      if (!buf) return give_up();
       auto reg = guest.register_mem(
           epd, *buf, kChunk, 0,
           scif::SCIF_PROT_READ | scif::SCIF_PROT_WRITE, 0);
-      if (!reg) return;
+      if (!reg) return give_up();
       // Warm-up, then timed rounds bracketed by start/end stamps.
       guest.readfrom(epd, *reg, kChunk, 0, scif::SCIF_RMA_SYNC);
+      warm_ends[i] = actor.now();
+      warmed.arrive_and_wait();
+      actor.sync_to(*std::max_element(warm_ends.begin(), warm_ends.end()));
       starts[i] = actor.now();
       for (int round = 0; round < kRounds; ++round) {
         guest.readfrom(epd, *reg, kChunk, 0, scif::SCIF_RMA_SYNC);
@@ -134,9 +146,11 @@ void run() {
   table.add_series(fairness);
   table.print(std::cout);
   std::printf(
-      "\n(8 MiB reads: one VM alone sees ~3.8 GB/s — the Fig. 5 vPHI curve\n"
-      " at this size; adding VMs holds the aggregate near the fragmented-\n"
-      " DMA link limit while the per-VM share drops roughly as 1/N)\n");
+      "\n(8 MiB reads: one VM alone sees ~4.65 GB/s. Every VM's timed rounds\n"
+      " start at one simulated instant, so from 2 VMs on the link stays\n"
+      " busy: the aggregate rises to ~5.5-5.8 GB/s and the slowest VM gets\n"
+      " about aggregate/N. per_vm_max runs above that because the link\n"
+      " grants DMA in host call order, not by simulated time)\n");
 }
 
 }  // namespace

@@ -157,16 +157,158 @@ TEST(Expected, ValueAndError) {
   EXPECT_EQ(bad.value_or(-1), -1);
 }
 
+/// True if every byte of [p, p + len) reads zero.
+bool reads_zero(const void* p, std::size_t len) {
+  static const std::uint8_t zero[PageArena::kPageSize] = {};
+  const auto* bytes = static_cast<const std::uint8_t*>(p);
+  for (std::size_t off = 0; off < len; off += sizeof zero) {
+    const std::size_t n = std::min(sizeof zero, len - off);
+    if (std::memcmp(bytes + off, zero, n) != 0) return false;
+  }
+  return true;
+}
+
+/// How many pages of [p, p + len) mincore finds in core; `p` page-aligned.
+std::size_t pages_in_core(const void* p, std::size_t len) {
+  std::vector<unsigned char> in_core((len + PageArena::kPageSize - 1) /
+                                     PageArena::kPageSize);
+  if (::mincore(const_cast<void*>(p), len, in_core.data()) != 0) return 0;
+  return static_cast<std::size_t>(std::count_if(
+      in_core.begin(), in_core.end(), [](unsigned char c) { return c & 1; }));
+}
+
 TEST(PageArena, FreshArenaReadsZero) {
   PageArena arena{64ull << 20};
-  const auto* first = static_cast<const std::uint8_t*>(arena.at(0));
-  const auto* last =
-      static_cast<const std::uint8_t*>(arena.at(arena.capacity() - 1));
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(*first, 0u);
-  EXPECT_EQ(*last, 0u);
+  ASSERT_NE(arena.at(0), nullptr);
+  EXPECT_TRUE(reads_zero(arena.at(0), arena.capacity()));
   EXPECT_EQ(arena.at(arena.capacity()), nullptr);
+}
+
+// The next arena of a destroyed arena's capacity takes its mapping, and
+// every byte the old one wrote reads zero: in a live block, in a freed
+// block, and outside every block through at(), above the high-water mark.
+TEST(PageArena, RecycledArenaReadsZero) {
+  constexpr std::uint64_t kMiB = 1ull << 20;
+  constexpr std::uint64_t kPage = PageArena::kPageSize;
+  constexpr std::uint64_t kCapacity = 24 * kMiB + 3 * kPage;  // this test's
+  struct Scribble {
+    std::uint64_t offset, len;
+  };
+  std::vector<Scribble> scribbles;
+  const void* old_base = nullptr;
+  {
+    PageArena arena{kCapacity};
+    old_base = arena.at(0);
+    const auto live = arena.allocate(2 * kMiB + 5 * kPage);
+    const auto freed = arena.allocate(kMiB);
+    const auto last = arena.allocate(kMiB);
+    ASSERT_TRUE(live && freed && last);
+    ASSERT_EQ(arena.free(*freed), Status::kOk);
+    scribbles = {{*live, 2 * kMiB + 5 * kPage},
+                 {*freed, kMiB},
+                 {*last + kMiB + 3 * kPage, 100},
+                 {16 * kMiB, kMiB},
+                 {kCapacity - 100, 100}};
+    for (const Scribble& s : scribbles) {
+      std::memset(arena.at(s.offset), 0xa5, s.len);
+    }
+  }
+  PageArena next{kCapacity};
+  ASSERT_EQ(next.at(0), old_base) << "the new arena must take the spare";
+  for (const Scribble& s : scribbles) {
+    EXPECT_TRUE(reads_zero(next.at(s.offset), s.len))
+        << s.len << " bytes at +" << s.offset;
+  }
+}
+
+// Teardown drops a resident run of 16 MiB or more, as munmap would, and
+// keeps a shorter one in core for the next arena, which zeroes it.
+TEST(PageArena, RecycleDropsLongResidentRunsAndZeroesShortOnes) {
+  constexpr std::uint64_t kMiB = 1ull << 20;
+  constexpr std::uint64_t kPage = PageArena::kPageSize;
+  constexpr std::uint64_t kCapacity = 40 * kMiB + 7 * kPage;  // this test's
+  constexpr std::uint64_t kLong = 20 * kMiB;
+  constexpr std::uint64_t kShort = kMiB;
+  std::uint64_t long_run = 0;
+  std::uint64_t short_run = 0;
+  const void* old_base = nullptr;
+  {
+    PageArena arena{kCapacity};
+    old_base = arena.at(0);
+    const auto first = arena.allocate(kLong);
+    // Never touched: a gap wider than two huge pages keeps the runs apart.
+    const auto gap = arena.allocate(6 * kMiB);
+    const auto second = arena.allocate(kShort);
+    ASSERT_TRUE(first && gap && second);
+    long_run = *first;
+    short_run = *second;
+    populate_pages(arena.at(long_run), kLong);
+    populate_pages(arena.at(short_run), kShort);
+    if (pages_in_core(arena.at(long_run), kLong) != kLong / kPage) {
+      GTEST_SKIP() << "kernel has no MADV_POPULATE_WRITE";
+    }
+    ASSERT_EQ(pages_in_core(arena.at(short_run), kShort), kShort / kPage);
+    std::memset(arena.at(long_run), 0x5a, kLong);
+    std::memset(arena.at(short_run), 0x5a, kShort);
+  }
+  PageArena next{kCapacity};
+  ASSERT_EQ(next.at(0), old_base) << "the new arena must take the spare";
+  EXPECT_EQ(pages_in_core(next.at(long_run), kLong), 0u);
+  EXPECT_EQ(pages_in_core(next.at(short_run), kShort), kShort / kPage);
+  EXPECT_TRUE(reads_zero(next.at(short_run), kShort));
+}
+
+// A dirty page swapped out while its arena lived is not in core at
+// teardown, yet still holds its bytes: it must read zero in the next arena
+// too. MADV_PAGEOUT swaps every other page of a block out on a host with
+// swap; without swap the pages stay in core and take the resident path.
+TEST(PageArena, RecycledArenaReadsZeroAfterPagesSwapOut) {
+  constexpr std::uint64_t kPage = PageArena::kPageSize;
+  constexpr std::uint64_t kCapacity = (12ull << 20) + 5 * kPage;  // this test's
+  constexpr std::uint64_t kLen = 64 * kPage;
+  std::uint64_t offset = 0;
+  const void* old_base = nullptr;
+  {
+    PageArena arena{kCapacity};
+    old_base = arena.at(0);
+    const auto block = arena.allocate(kLen);
+    ASSERT_TRUE(block);
+    offset = *block;
+    auto* bytes = static_cast<std::uint8_t*>(arena.at(offset));
+    std::memset(bytes, 0x3c, kLen);
+    for (std::uint64_t page = 1; page < kLen / kPage; page += 2) {
+      ::madvise(bytes + page * kPage, kPage, MADV_PAGEOUT);
+    }
+    RecordProperty("pages_in_core_after_pageout",
+                   static_cast<int>(pages_in_core(bytes, kLen)));
+  }
+  PageArena next{kCapacity};
+  ASSERT_EQ(next.at(0), old_base) << "the new arena must take the spare";
+  EXPECT_TRUE(reads_zero(next.at(offset), kLen));
+}
+
+// Arenas built and destroyed on 4 threads at once share the spare list;
+// each reads zero where an earlier one, on any thread, wrote.
+TEST(PageArena, ConcurrentArenasRecycleCleanly) {
+  constexpr std::uint64_t kCapacity = 3ull << 20;  // this test's
+  constexpr std::uint64_t kBlock = 64 * 1024;
+  std::atomic<int> dirty{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&dirty, t] {
+      for (int i = 0; i < 200; ++i) {
+        PageArena arena{kCapacity};
+        const auto block = arena.allocate(kBlock);
+        if (!block || !reads_zero(arena.at(*block), kBlock)) {
+          dirty.fetch_add(1);
+          continue;
+        }
+        std::memset(arena.at(*block), t + 1, kBlock);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(dirty.load(), 0);
 }
 
 TEST(PageArena, PopulateKeepsContents) {
@@ -395,6 +537,63 @@ TEST(PageArena, BlocksOfTwoMiBGetHugePagesWhileAllocated) {
   if (thp) {
     EXPECT_EQ(thp_eligible(interior), 0);
   }
+}
+
+/// The VmFlags of the mapping that holds `p`, e.g. "rd wr mr mw me ac nh".
+std::string vm_flags(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line.substr(8);
+    }
+  }
+  return {};
+}
+
+bool has_flag(const std::string& flags, const std::string& flag) {
+  std::istringstream in(flags);
+  std::string word;
+  while (in >> word) {
+    if (word == flag) return true;
+  }
+  return false;
+}
+
+// A recycled mapping carries the advice freeing every block would leave:
+// the interior of a block of 2 MiB or more that was live at teardown is
+// MADV_NOHUGEPAGE ("nh"), and a range that never held one has neither flag,
+// as in a fresh mapping.
+TEST(PageArena, RecycledArenaKeepsTheAdviceFreeLeaves) {
+  constexpr std::uint64_t kHuge = 2ull << 20;
+  constexpr std::uint64_t kPage = PageArena::kPageSize;
+  constexpr std::uint64_t kCapacity = (14ull << 20) + 9 * kPage;  // this test's
+  const void* old_base = nullptr;
+  std::uint64_t big = 0;
+  {
+    PageArena arena{kCapacity};
+    old_base = arena.at(0);
+    const auto block = arena.allocate(6ull << 20);
+    ASSERT_TRUE(block);
+    big = *block;
+    if (!has_flag(vm_flags(arena.at(big + kHuge)), "hg")) {
+      GTEST_SKIP() << "kernel without MADV_HUGEPAGE";
+    }
+  }
+  PageArena next{kCapacity};
+  ASSERT_EQ(next.at(0), old_base) << "the new arena must take the spare";
+  const std::string interior = vm_flags(next.at(big + kHuge));
+  EXPECT_TRUE(has_flag(interior, "nh")) << interior;
+  EXPECT_FALSE(has_flag(interior, "hg")) << interior;
+  const std::string untouched = vm_flags(next.at(kCapacity - kPage));
+  EXPECT_FALSE(has_flag(untouched, "nh")) << untouched;
+  EXPECT_FALSE(has_flag(untouched, "hg")) << untouched;
 }
 
 TEST(Summary, Moments) {
