@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "vphi/frontend.hpp"
 
@@ -39,9 +40,15 @@ SchemeResult measure_scheme(core::WaitScheme scheme, std::size_t size,
   auto& guest = bed.vm(0).guest_scif();
   const int epd = connect_to_card(bed, guest, port);
   if (epd < 0) return {};
-  const sim::Nanos burn_before = bed.vm(0).frontend().poll_cpu_burn();
+  // Testbeds of earlier points retired their instruments under the same
+  // label, so the burn is the delta across this point's rounds.
+  const auto burn = [] {
+    return sim::metrics::registry().counter_by_label(
+        "vphi.fe.poll_cpu_burn_ns")["vm=vm0"];
+  };
+  const sim::Nanos burn_before = burn();
   const sim::Nanos lat = measure_send_latency(guest, epd, size, kRounds);
-  const sim::Nanos burn_after = bed.vm(0).frontend().poll_cpu_burn();
+  const sim::Nanos burn_after = burn();
   guest.close(epd);
   return SchemeResult{
       sim::to_micros(lat),

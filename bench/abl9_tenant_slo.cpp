@@ -161,15 +161,19 @@ ArmResult run_arm(std::uint64_t seed, bool smoke, bool enforce) {
   // from the previous run would shift where vphi.recorder.entries_dropped
   // starts counting, breaking the same-seed snapshot identity.
   sim::flight_recorder().clear();
-  const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
+  auto& reg = sim::metrics::registry();
+  const std::uint64_t dumps_before = reg.counter_value("vphi.recorder.dumps");
+  auto alerts = reg.counter_by_label("vphi.slo.alerts");
+  const std::uint64_t steady_before = alerts["tenant=steady"];
+  const std::uint64_t noisy_before = alerts["tenant=noisy"];
   arm.fleet = sim::run_fleet(cfg);
-  arm.slo_dumps = sim::flight_recorder().dump_count() - dumps_before;
-  arm.steady_alerts = slo.alert_count(kSteady);
-  arm.noisy_alerts = slo.alert_count(kNoisy);
+  arm.slo_dumps = reg.counter_value("vphi.recorder.dumps") - dumps_before;
+  alerts = reg.counter_by_label("vphi.slo.alerts");
+  arm.steady_alerts = alerts["tenant=steady"] - steady_before;
+  arm.noisy_alerts = alerts["tenant=noisy"] - noisy_before;
   arm.steady_p99 = p99_of(policy.tenant_latencies(kSteady));
   arm.noisy_p99 = p99_of(policy.tenant_latencies(kNoisy));
   arm.jain = steady_jain(policy.completed_per_vm());
-  auto& reg = sim::metrics::registry();
   const auto completed = reg.counter_by_label("vphi.tenant.completed");
   if (auto it = completed.find("tenant=steady"); it != completed.end()) {
     arm.steady_completed = it->second;

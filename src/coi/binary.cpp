@@ -19,9 +19,4 @@ sim::Expected<KernelFn> KernelRegistry::lookup(const std::string& name) const {
   return it->second;
 }
 
-bool KernelRegistry::contains(const std::string& name) const {
-  sim::MutexLock lock(mu_);
-  return table_.count(name) > 0;
-}
-
 }  // namespace vphi::coi

@@ -60,7 +60,6 @@ class KernelRegistry {
 
   void register_kernel(const std::string& name, KernelFn fn);
   sim::Expected<KernelFn> lookup(const std::string& name) const;
-  bool contains(const std::string& name) const;
 
  private:
   mutable sim::Mutex mu_;

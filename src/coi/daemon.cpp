@@ -10,7 +10,11 @@ Daemon::Daemon(scif::Fabric& fabric, mic::Card& card, scif::NodeId card_node)
     : fabric_(&fabric),
       card_(&card),
       card_node_(card_node),
-      provider_(std::make_unique<scif::HostProvider>(fabric, card_node)) {}
+      provider_(std::make_unique<scif::HostProvider>(fabric, card_node)),
+      processes_created_("vphi.coi.processes_created",
+                         "card=" + std::to_string(card.index())),
+      functions_run_("vphi.coi.functions_run",
+                     "card=" + std::to_string(card.index())) {}
 
 Daemon::~Daemon() { stop(); }
 
@@ -129,10 +133,10 @@ void Daemon::serve_connection(int epd) {
           admitted = true;
         }
         {
-          sim::MutexLock lock(stats_mu_);
+          sim::MutexLock lock(pid_mu_);
           proc.pid = next_pid_++;
-          ++processes_created_;
         }
+        processes_created_.inc();
         have_process = true;
         break;
       }
@@ -228,10 +232,7 @@ void Daemon::serve_connection(int epd) {
         fn_proc.args = *args;
         std::string output;
         const int exit_code = run_kernel(fn_proc, actor, output);
-        {
-          sim::MutexLock lock(stats_mu_);
-          ++functions_run_;
-        }
+        functions_run_.inc();
         Encoder e;
         e.put_i64(exit_code);
         e.put_string(output);
@@ -286,16 +287,6 @@ int Daemon::run_kernel(CardProcess& proc, sim::Actor& actor,
   const int code = (*kernel)(ctx);
   output = std::move(ctx.output);
   return code;
-}
-
-std::uint64_t Daemon::processes_created() const {
-  sim::MutexLock lock(stats_mu_);
-  return processes_created_;
-}
-
-std::uint64_t Daemon::functions_run() const {
-  sim::MutexLock lock(stats_mu_);
-  return functions_run_;
 }
 
 }  // namespace vphi::coi

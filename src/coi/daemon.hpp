@@ -21,6 +21,7 @@
 #include "mic/card.hpp"
 #include "scif/host_provider.hpp"
 #include "service/job_service.hpp"
+#include "sim/metrics.hpp"
 
 namespace vphi::coi {
 
@@ -42,9 +43,6 @@ class Daemon {
   /// pays JobService::throttle_delay for the process's tenant before the
   /// kernel runs. Must be called before start(); null disables admission.
   void set_job_service(service::JobService* svc) { job_service_ = svc; }
-
-  std::uint64_t processes_created() const;
-  std::uint64_t functions_run() const;
 
  private:
   struct CardProcess {
@@ -73,10 +71,10 @@ class Daemon {
   sim::Mutex conn_mu_;
   std::vector<std::thread> connections_ VPHI_GUARDED_BY(conn_mu_);
 
-  mutable sim::Mutex stats_mu_;
-  std::uint64_t next_pid_ VPHI_GUARDED_BY(stats_mu_) = 1;
-  std::uint64_t processes_created_ VPHI_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t functions_run_ VPHI_GUARDED_BY(stats_mu_) = 0;
+  sim::Mutex pid_mu_;
+  std::uint64_t next_pid_ VPHI_GUARDED_BY(pid_mu_) = 1;
+  sim::metrics::Counter processes_created_;
+  sim::metrics::Counter functions_run_;
 };
 
 }  // namespace vphi::coi

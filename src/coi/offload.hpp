@@ -43,8 +43,6 @@ class OffloadRegion {
                                     std::vector<Clause> clauses,
                                     std::vector<std::string> extra_args);
 
-  Process& process() noexcept { return process_; }
-
  private:
   explicit OffloadRegion(Process process) : process_(std::move(process)) {}
   Process process_;

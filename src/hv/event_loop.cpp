@@ -6,6 +6,7 @@ EventLoop::EventLoop(std::string name)
     : name_(std::move(name)),
       worker_name_(name_ + "-worker"),
       loop_actor_(name_ + "-loop"),
+      handled_("vphi.hv.loop.handled", "vm=" + name_),
       loop_thread_([this] { loop_main(); }) {}
 
 EventLoop::~EventLoop() {
@@ -33,11 +34,11 @@ void EventLoop::loop_main() {
     const sim::Nanos before = loop_actor_.now();
     for (Handler& handler : batch) handler(loop_actor_);
     const sim::Nanos held = loop_actor_.now() - before;
+    handled_.inc(batch.size());
 
     {
       sim::MutexLock lock(mu_);
       blocked_time_ += held;
-      handled_ += batch.size();
       idle_ = pending_.empty();
       if (idle_) idle_cv_.notify_all();
     }
@@ -122,11 +123,6 @@ void EventLoop::stop() {
 sim::Nanos EventLoop::blocked_time() const {
   sim::MutexLock lock(mu_);
   return blocked_time_;
-}
-
-std::uint64_t EventLoop::handled() const {
-  sim::MutexLock lock(mu_);
-  return handled_;
 }
 
 std::uint64_t EventLoop::workers_spawned() const {

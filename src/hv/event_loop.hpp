@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/actor.hpp"
+#include "sim/metrics.hpp"
 #include "sim/thread_safety.hpp"
 #include "sim/time.hpp"
 
@@ -58,7 +59,6 @@ class EventLoop {
   /// Cumulative simulated time handlers held the loop (the "VM frozen"
   /// account of the paper's blocking-mode discussion).
   sim::Nanos blocked_time() const VPHI_EXCLUDES(mu_);
-  std::uint64_t handled() const VPHI_EXCLUDES(mu_);
   /// Worker threads actually started (parked-worker reuse is not counted).
   std::uint64_t workers_spawned() const VPHI_EXCLUDES(mu_);
 
@@ -77,6 +77,8 @@ class EventLoop {
   std::string name_;
   const std::string worker_name_;  ///< every worker actor's name
   sim::Actor loop_actor_;
+  /// Handlers the loop thread ran (handoffs to workers not counted).
+  sim::metrics::Counter handled_;
 
   mutable sim::Mutex mu_;
   sim::CondVar cv_;
@@ -84,7 +86,6 @@ class EventLoop {
   std::deque<Handler> pending_ VPHI_GUARDED_BY(mu_);
   bool stopping_ VPHI_GUARDED_BY(mu_) = false;
   bool idle_ VPHI_GUARDED_BY(mu_) = true;
-  std::uint64_t handled_ VPHI_GUARDED_BY(mu_) = 0;
   std::uint64_t workers_spawned_ VPHI_GUARDED_BY(mu_) = 0;
   sim::Nanos blocked_time_ VPHI_GUARDED_BY(mu_) = 0;
   sim::CondVar pool_cv_;  ///< parked workers wait here

@@ -1,7 +1,6 @@
 #include "hv/guest_kernel.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace vphi::hv {
 
@@ -202,13 +201,6 @@ bool GuestKernel::is_pinned(std::uint64_t gpa, std::uint64_t len) const {
   if (it == pinned_.begin()) return false;
   --it;
   return gpa >= it->first && gpa + len <= it->first + it->second;
-}
-
-void GuestKernel::copy_from_user(sim::Actor& actor, void* dst, const void* src,
-                                 std::uint64_t len) {
-  actor.advance(model_->copy_setup_ns +
-                sim::transfer_time(len, model_->guest_memcpy_Bps));
-  if (len > 0) std::memcpy(dst, src, len);
 }
 
 }  // namespace vphi::hv

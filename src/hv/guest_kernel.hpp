@@ -141,10 +141,6 @@ class GuestKernel {
   bool is_pinned(std::uint64_t gpa, std::uint64_t len) const
       VPHI_EXCLUDES(pin_mu_);
 
-  /// copy_from_user with guest-memcpy timing.
-  void copy_from_user(sim::Actor& actor, void* dst, const void* src,
-                      std::uint64_t len);
-
  private:
   GuestPhysMem* ram_;
   const sim::CostModel* model_;

@@ -17,7 +17,6 @@ sim::Expected<std::uint64_t> GuestPhysMem::kmalloc(std::uint64_t len) {
   } else if (len <= kKmallocMaxSize) {
     gpa = ualloc(len);
   }
-  if (!gpa) kmalloc_failures_.fetch_add(1, std::memory_order_relaxed);
   return gpa;
 }
 

@@ -12,7 +12,6 @@
 // "Implementation details").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "sim/page_arena.hpp"
@@ -53,17 +52,10 @@ class GuestPhysMem {
     return ram_.allocate(len);
   }
 
-  std::uint64_t allocated_bytes() const { return ram_.used(); }
   std::uint64_t allocation_count() const { return ram_.allocation_count(); }
-  /// kmalloc requests denied (cap exceeded, arena exhausted, or injected
-  /// ENOMEM via sim::FaultInjector).
-  std::uint64_t kmalloc_failures() const noexcept {
-    return kmalloc_failures_.load(std::memory_order_relaxed);
-  }
 
  private:
   sim::PageArena ram_;  // offset == gpa
-  std::atomic<std::uint64_t> kmalloc_failures_{0};
 };
 
 }  // namespace vphi::hv

@@ -22,8 +22,8 @@ sim::Expected<std::byte*> Mmu::access(sim::Actor& actor, std::uint64_t gva,
     for (std::uint64_t p = first_page; p <= last_page; ++p) {
       if (shadow_.insert(p).second) ++new_faults;
     }
-    fault_count_ += new_faults;
   }
+  faults_.inc(new_faults);
   actor.advance(new_faults * model_->ept_fault_ns);
   return vma->device_base + (gva - vma->gva_start);
 }
@@ -34,16 +34,6 @@ void Mmu::invalidate(std::uint64_t gva_start, std::uint64_t len) {
   const std::uint64_t last_page =
       len == 0 ? first_page : (gva_start + len - 1) / kPage;
   for (std::uint64_t p = first_page; p <= last_page; ++p) shadow_.erase(p);
-}
-
-std::uint64_t Mmu::faults() const {
-  sim::MutexLock lock(mu_);
-  return fault_count_;
-}
-
-std::uint64_t Mmu::mapped_pages() const {
-  sim::MutexLock lock(mu_);
-  return shadow_.size();
 }
 
 }  // namespace vphi::hv::kvm

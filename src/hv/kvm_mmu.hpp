@@ -11,10 +11,13 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "hv/guest_kernel.hpp"
 #include "sim/actor.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/metrics.hpp"
 #include "sim/status.hpp"
 #include "sim/thread_safety.hpp"
 
@@ -22,8 +25,9 @@ namespace vphi::hv::kvm {
 
 class Mmu {
  public:
-  Mmu(const VmaTable& vmas, const sim::CostModel& model)
-      : vmas_(&vmas), model_(&model) {}
+  /// `label` tags the fault counter ("vm=<name>").
+  Mmu(const VmaTable& vmas, const sim::CostModel& model, std::string label)
+      : vmas_(&vmas), model_(&model), faults_("vphi.hv.ept_faults", std::move(label)) {}
 
   /// Resolve a guest-virtual access at `gva` for `len` bytes. Returns the
   /// host pointer into device memory. Faults (once per page) cost
@@ -35,18 +39,16 @@ class Mmu {
   void invalidate(std::uint64_t gva_start, std::uint64_t len)
       VPHI_EXCLUDES(mu_);
 
-  std::uint64_t faults() const VPHI_EXCLUDES(mu_);
-  std::uint64_t mapped_pages() const VPHI_EXCLUDES(mu_);
-
  private:
   static constexpr std::uint64_t kPage = 4'096;
 
   const VmaTable* vmas_;
   const sim::CostModel* model_;
-  mutable sim::Mutex mu_;
+  sim::Mutex mu_;
   /// gva pages with established mappings.
   std::set<std::uint64_t> shadow_ VPHI_GUARDED_BY(mu_);
-  std::uint64_t fault_count_ VPHI_GUARDED_BY(mu_) = 0;
+  /// Pages faulted in, one per first touch (again after an invalidate).
+  sim::metrics::Counter faults_;
 };
 
 }  // namespace vphi::hv::kvm

@@ -13,7 +13,7 @@ Vm::Vm(const VmConfig& config, const sim::CostModel& model)
               virtio::VPHI_F_SCIF | virtio::VPHI_F_MMAP_PFN |
               virtio::VPHI_F_SYSFS_INFO),
       qemu_(config.name),
-      mmu_(kernel_.vmas(), model),
+      mmu_(kernel_.vmas(), model, "vm=" + config.name),
       irq_count_("vphi.hv.irqs_injected", "vm=" + config.name) {
   const std::uint16_t queues = std::max<std::uint16_t>(1, config.num_queues);
   vqs_.reserve(queues);

@@ -88,7 +88,6 @@ class Vm {
   }
   void set_irq_handler(std::uint16_t queue, IrqHandler handler)
       VPHI_EXCLUDES(irq_mu_);
-  std::uint64_t irqs_injected() const noexcept { return irq_count_.value(); }
 
   /// Tear down the transport (unblocks the backend and any guest waiters).
   void shutdown();

@@ -12,7 +12,7 @@ constexpr sim::Nanos kBootTime = 4ull * sim::kSecond;
 Card::Card(const CardConfig& config, const sim::CostModel& model)
     : config_(config),
       model_(&model),
-      link_(model),
+      link_(model, "card=" + std::to_string(config.index)),
       memory_(config.memory_backing_bytes),
       sysfs_(SysfsInfo::for_3120p(config.index)),
       scheduler_(model),

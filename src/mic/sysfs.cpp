@@ -33,10 +33,6 @@ std::optional<std::string> SysfsInfo::get(const std::string& key) const {
   return it->second;
 }
 
-bool SysfsInfo::contains(const std::string& key) const {
-  return table_.count(key) > 0;
-}
-
 std::optional<std::uint64_t> SysfsInfo::get_u64(const std::string& key) const {
   auto v = get(key);
   if (!v) return std::nullopt;
@@ -44,17 +40,6 @@ std::optional<std::uint64_t> SysfsInfo::get_u64(const std::string& key) const {
   const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
   if (end == v->c_str() || *end != '\0') return std::nullopt;
   return parsed;
-}
-
-std::string SysfsInfo::render() const {
-  std::string out;
-  for (const auto& [k, v] : table_) {
-    out += k;
-    out += ": ";
-    out += v;
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace vphi::mic

@@ -21,16 +21,12 @@ class SysfsInfo {
 
   void set(const std::string& key, std::string value);
   std::optional<std::string> get(const std::string& key) const;
-  bool contains(const std::string& key) const;
 
   /// Integer-valued attribute, or nullopt if missing/non-numeric.
   std::optional<std::uint64_t> get_u64(const std::string& key) const;
 
   /// Full table, ordered by key (stable for tests and `mic_info`).
   const std::map<std::string, std::string>& entries() const { return table_; }
-
-  /// Renders "key: value" lines the way `micinfo` prints them.
-  std::string render() const;
 
  private:
   std::map<std::string, std::string> table_;

@@ -29,9 +29,6 @@ class Scheduler {
   std::uint32_t usable_cores() const {
     return model_->mic_cores - model_->mic_reserved_cores;
   }
-  std::uint32_t hw_threads() const {
-    return usable_cores() * model_->mic_threads_per_core;
-  }
 
   /// Per-core double-precision flops/s with `resident` software threads on
   /// the core (resident >= 1). Beyond 4 threads the issue rate saturates at

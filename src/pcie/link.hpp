@@ -14,18 +14,22 @@
 //    RMA throughput (Fig. 5).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "sim/bus.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 
 namespace vphi::pcie {
 
 class Link {
  public:
-  explicit Link(const sim::CostModel& model) : model_(&model) {}
+  /// `label` tags the link's instruments ("card=0").
+  Link(const sim::CostModel& model, std::string label)
+      : model_(&model), bytes_moved_("vphi.pcie.bytes_moved", std::move(label)) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -43,7 +47,7 @@ class Link {
         model_->dma_setup_ns +
         model_->dma_transfer_ns(bytes, fragmented, prebuilt);
     auto grant = arbiter_.acquire(ready, dur);
-    bytes_moved_ += bytes;
+    bytes_moved_.inc(bytes);
     return grant;
   }
 
@@ -52,22 +56,18 @@ class Link {
   sim::BusArbiter::Grant occupy(sim::Nanos ready, sim::Nanos duration,
                                 std::uint64_t bytes) {
     auto grant = arbiter_.acquire(ready, duration);
-    bytes_moved_ += bytes;
+    bytes_moved_.inc(bytes);
     return grant;
   }
-
-  /// Total payload bytes that have crossed the link.
-  std::uint64_t bytes_moved() const noexcept { return bytes_moved_; }
 
   /// Simulated time the link has been busy (utilization accounting).
   sim::Nanos busy_total() const { return arbiter_.busy_total(); }
 
-  std::uint64_t dma_count() const { return arbiter_.grants(); }
-
  private:
   const sim::CostModel* model_;
   sim::BusArbiter arbiter_;
-  std::atomic<std::uint64_t> bytes_moved_{0};
+  /// Total payload bytes that have crossed the link.
+  sim::metrics::Counter bytes_moved_;
 };
 
 }  // namespace vphi::pcie

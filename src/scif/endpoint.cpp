@@ -660,11 +660,6 @@ Port Endpoint::port() const {
   return port_;
 }
 
-PortId Endpoint::local_id() const {
-  sim::MutexLock lock(mu_);
-  return PortId{node_->id(), port_};
-}
-
 PortId Endpoint::peer_id() const {
   sim::MutexLock lock(mu_);
   return peer_id_;

@@ -131,7 +131,6 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   // --- introspection ----------------------------------------------------------------
   State state() const;
   Port port() const;
-  PortId local_id() const;
   PortId peer_id() const;
   Node& node() noexcept { return *node_; }
   WindowTable& windows() noexcept { return windows_; }

@@ -86,7 +86,6 @@ class HostProvider final : public Provider {
   void close_all();
 
   Fabric& fabric() noexcept { return *fabric_; }
-  NodeId local_node() const noexcept { return local_node_; }
 
   /// The endpoint behind a descriptor (tests / vphi backend plumbing).
   std::shared_ptr<Endpoint> endpoint(int epd) const VPHI_EXCLUDES(mu_);

@@ -25,7 +25,6 @@ sim::Expected<Stream::WriteResult> Stream::write(const void* src,
     seg.data.assign(bytes + written, bytes + written + chunk);
     segments_.push_back(std::move(seg));
     unread_ += chunk;
-    total_written_ += chunk;
     written += chunk;
     readable_.notify_all();
   }
@@ -73,11 +72,6 @@ std::size_t Stream::window() const {
   return capacity_ - unread_;
 }
 
-sim::Nanos Stream::head_ts() const {
-  sim::MutexLock lock(mu_);
-  return segments_.empty() ? 0 : segments_.front().ts;
-}
-
 void Stream::reset() {
   {
     sim::MutexLock lock(mu_);
@@ -90,11 +84,6 @@ void Stream::reset() {
 bool Stream::is_reset() const {
   sim::MutexLock lock(mu_);
   return reset_;
-}
-
-std::uint64_t Stream::total_written() const {
-  sim::MutexLock lock(mu_);
-  return total_written_;
 }
 
 }  // namespace vphi::scif

@@ -47,15 +47,11 @@ class Stream {
   std::size_t available() const VPHI_EXCLUDES(mu_);
   /// Space a non-blocking writer could use right now.
   std::size_t window() const VPHI_EXCLUDES(mu_);
-  /// Visibility time of the oldest unread byte (0 if empty).
-  sim::Nanos head_ts() const VPHI_EXCLUDES(mu_);
 
   /// Peer closed: readers drain remaining bytes then get kConnectionReset;
   /// writers fail immediately.
   void reset() VPHI_EXCLUDES(mu_);
   bool is_reset() const VPHI_EXCLUDES(mu_);
-
-  std::uint64_t total_written() const VPHI_EXCLUDES(mu_);
 
  private:
   struct Segment {
@@ -72,7 +68,6 @@ class Stream {
   sim::CondVar writable_;
   std::deque<Segment> segments_ VPHI_GUARDED_BY(mu_);
   std::size_t unread_ VPHI_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_written_ VPHI_GUARDED_BY(mu_) = 0;
   bool reset_ VPHI_GUARDED_BY(mu_) = false;
 };
 

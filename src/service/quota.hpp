@@ -68,7 +68,6 @@ class QuotaLedger {
   /// wait for.
   sim::Nanos window_refill_ns(sim::Nanos now) const;
 
-  std::uint32_t inflight() const noexcept { return inflight_; }
   const TenantSpec& spec() const noexcept { return spec_; }
 
   static constexpr std::uint64_t kUnlimitedBytes = ~std::uint64_t{0};

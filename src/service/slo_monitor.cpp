@@ -116,8 +116,6 @@ void SloMonitor::evaluate(sim::Nanos now) {
                           fast_events >= spec_.min_events;
       if (firing && !t.alerting) {
         t.alerting = true;
-        ++t.alerts;
-        ++alerts_total_;
         t.alerts_counter.inc();
         sim::flight_recorder().dump(
             "slo burn-rate alert: tenant " + t.name + " burn_fast=" +

@@ -83,10 +83,6 @@ class SloMonitor {
   void evaluate(sim::Nanos now);
 
   const SloSpec& spec() const noexcept { return spec_; }
-  std::uint64_t alert_count() const noexcept { return alerts_total_; }
-  std::uint64_t alert_count(std::uint32_t tenant) const {
-    return tenants_[tenant]->alerts;
-  }
   bool alerting(std::uint32_t tenant) const {
     return tenants_[tenant]->alerting;
   }
@@ -129,7 +125,6 @@ class SloMonitor {
     double burn_fast = 0.0;
     double burn_slow = 0.0;
     bool alerting = false;
-    std::uint64_t alerts = 0;
     std::uint64_t bad_reported = 0;  ///< bad events already on bad_counter
   };
 
@@ -145,8 +140,6 @@ class SloMonitor {
   std::vector<std::uint32_t> vm_tenant_;
   std::vector<VmCell> cells_;  ///< one per VM
   std::vector<std::unique_ptr<TenantState>> tenants_;
-
-  std::uint64_t alerts_total_ = 0;
 };
 
 }  // namespace vphi::service

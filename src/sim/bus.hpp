@@ -29,14 +29,7 @@ class BusArbiter {
     const Nanos end = start + duration;
     free_at_ = end;
     busy_total_ += duration;
-    ++grants_;
     return {start, end};
-  }
-
-  /// Earliest time a new transfer could start.
-  Nanos free_at() const VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return free_at_;
   }
 
   /// Total simulated busy time granted so far (utilization accounting).
@@ -45,16 +38,10 @@ class BusArbiter {
     return busy_total_;
   }
 
-  std::uint64_t grants() const VPHI_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return grants_;
-  }
-
  private:
   mutable Mutex mu_;
   Nanos free_at_ VPHI_GUARDED_BY(mu_) = 0;
   Nanos busy_total_ VPHI_GUARDED_BY(mu_) = 0;
-  std::uint64_t grants_ VPHI_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace vphi::sim

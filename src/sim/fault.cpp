@@ -74,11 +74,6 @@ void FaultInjector::disarm_all() {
   armed_count_.store(0, std::memory_order_relaxed);
 }
 
-bool FaultInjector::armed(FaultSite site) const {
-  MutexLock lock(mu_);
-  return sites_[static_cast<int>(site)].armed;
-}
-
 bool FaultInjector::decide_locked(Site& s) noexcept {
   if (!s.armed) return false;
   if (s.config.max_fires != 0 && s.fires >= s.config.max_fires) return false;
@@ -127,23 +122,6 @@ bool FaultInjector::should_fire(FaultSite site, TraceId focus) noexcept {
 Nanos FaultInjector::delay_ns(FaultSite site) const noexcept {
   MutexLock lock(mu_);
   return sites_[static_cast<int>(site)].config.delay_ns;
-}
-
-std::uint64_t FaultInjector::fires(FaultSite site) const noexcept {
-  MutexLock lock(mu_);
-  return sites_[static_cast<int>(site)].fires;
-}
-
-void FaultInjector::reset_counters() {
-  MutexLock lock(mu_);
-  for (Site& s : sites_) {
-    s.hits_since_arm = 0;
-    s.fires = 0;
-  }
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    hit_counters_[i]->reset();
-    fire_counters_[i]->reset();
-  }
 }
 
 void FaultInjector::seed(std::uint64_t s) {

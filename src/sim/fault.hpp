@@ -78,7 +78,6 @@ class FaultInjector {
   /// Fire with probability p on every hit.
   void arm_probability(FaultSite site, double p) VPHI_EXCLUDES(mu_);
   void disarm_all() VPHI_EXCLUDES(mu_);
-  bool armed(FaultSite site) const VPHI_EXCLUDES(mu_);
 
   /// Consult at the fault point: records the hit and decides whether the
   /// fault fires now. Cheap (one relaxed load) when nothing is armed.
@@ -91,10 +90,6 @@ class FaultInjector {
   /// The configured injection delay for `site` (kKickDelay and friends).
   Nanos delay_ns(FaultSite site) const noexcept VPHI_EXCLUDES(mu_);
 
-  std::uint64_t fires(FaultSite site) const noexcept VPHI_EXCLUDES(mu_);
-
-  /// Zero all hit/fire counters (armed configs stay).
-  void reset_counters() VPHI_EXCLUDES(mu_);
   /// Reseed the probabilistic trigger (deterministic replay).
   void seed(std::uint64_t s) VPHI_EXCLUDES(mu_);
 

@@ -327,11 +327,6 @@ Histogram Registry::histogram_value(const std::string& name) const {
   return out;
 }
 
-std::uint64_t Registry::generation() const {
-  MutexLock lock(mu_);
-  return generation_;
-}
-
 void Registry::sample_live(
     const std::function<void(std::uint64_t, const std::vector<Counter*>&,
                              const std::vector<Gauge*>&,

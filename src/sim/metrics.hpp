@@ -4,11 +4,12 @@
 // where the old raw std::uint64_t field sat), but every instrument
 // self-registers under a stable name on construction and unregisters on
 // destruction. The registry can therefore snapshot the whole stack at any
-// moment — frontend, backend, ring, fault injector, hypervisor — without
-// the scattered per-struct accessors the bench/tooling side used to scrape
-// by hand. Same-named instruments from different instances (one Virtqueue
-// per VM, say) are summed in the snapshot, while each instance's own
-// accessor keeps its exact per-instance semantics.
+// moment — frontend, backend, ring, fault injector, hypervisor. It is the
+// one read path: tests, vphi-top, vphi-stat and bench/perf all read a
+// count by name and label, and no component keeps a getter beside it.
+// Same-named instruments from different instances (one Virtqueue per VM,
+// say) are summed in the aggregate; the label tells one instance's count
+// from another's.
 //
 // Labels add a tenant dimension on top of that: an instrument constructed
 // with a label ("vm=vm0") still contributes to the aggregate under its
@@ -105,7 +106,7 @@ class Gauge {
 /// leans on. The trade against the old mutex+Histogram path: a snapshot
 /// taken *while* records are in flight may transiently see a count/sum
 /// skew of the in-flight records, and the second moment is not tracked
-/// (Histogram never exposed variance; hop Summaries are unaffected).
+/// (neither Histogram nor Summary tracks one).
 class LatencyHistogram {
  public:
   explicit LatencyHistogram(std::string name, std::string label = {});
@@ -224,14 +225,11 @@ class Registry {
   /// + retired, labeled or not).
   Histogram histogram_value(const std::string& name) const VPHI_EXCLUDES(mu_);
 
-  /// Bumped on every instrument registration or retirement. A pointer set
-  /// captured under the lock against an unchanged generation is still
-  /// exactly the live set — the timeline sampler caches its sampling plan
-  /// on this.
-  std::uint64_t generation() const VPHI_EXCLUDES(mu_);
-
   /// Allocation-free sampling read path: runs `fn` once under the registry
-  /// lock with the live instrument lists and the current generation.
+  /// lock with the live instrument lists and the current generation, which
+  /// every registration or retirement bumps: a pointer set captured against
+  /// an unchanged generation is still exactly the live set, so the timeline
+  /// sampler caches its sampling plan on it.
   /// Instrument pointers are valid only while `fn` runs (the lock blocks
   /// retirement). Keep `fn` short — every registration waits behind it —
   /// and never register/retire instruments or re-enter the registry from
@@ -244,9 +242,9 @@ class Registry {
           fn) const VPHI_EXCLUDES(mu_);
 
   /// Test/tooling hook: drop the retired aggregates and zero every live
-  /// counter and gauge, so two identical runs produce identical snapshots.
-  /// Component-local accessors observe the zeroing — call this only between
-  /// workloads, never during one.
+  /// counter and gauge, so two identical runs produce identical snapshots
+  /// and a test fixture starts from an empty registry. Call it only
+  /// between workloads, never during one.
   void reset() VPHI_EXCLUDES(mu_);
 
  private:

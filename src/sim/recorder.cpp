@@ -160,11 +160,6 @@ FlightDump FlightRecorder::last_dump() const {
   return last_;
 }
 
-std::size_t FlightRecorder::entry_count() const {
-  MutexLock lock(mu_);
-  return count_;
-}
-
 FlightRecorder& flight_recorder() {
   static FlightRecorder* instance = new FlightRecorder();  // leaked:
   // log records may arrive from detached actors past main()'s end.

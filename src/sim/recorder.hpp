@@ -76,13 +76,8 @@ class FlightRecorder {
   FlightDump dump(std::string_view reason, TraceId focus = 0)
       VPHI_EXCLUDES(mu_);
 
-  std::uint64_t dump_count() const noexcept {
-    return dumps_.load(std::memory_order_relaxed);
-  }
   /// Copy of the most recent dump (empty FlightDump when none happened).
   FlightDump last_dump() const VPHI_EXCLUDES(mu_);
-  /// Log lines currently buffered (bounded by kCapacity).
-  std::size_t entry_count() const VPHI_EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -93,6 +88,8 @@ class FlightRecorder {
     char text[96] = {};  ///< the message, truncated
   };
 
+  /// Numbers each dump (FlightDump::seq); the count operators read is
+  /// vphi.recorder.dumps.
   std::atomic<std::uint64_t> dumps_{0};
 
   mutable Mutex mu_;

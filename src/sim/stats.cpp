@@ -8,8 +8,6 @@
 
 namespace vphi::sim {
 
-double Summary::stddev() const noexcept { return std::sqrt(variance()); }
-
 int Histogram::bucket_of(Nanos v) noexcept {
   // bucket = index of top bit + 1
   const int b = v == 0 ? 0 : static_cast<int>(std::bit_width(v));

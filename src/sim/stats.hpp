@@ -11,13 +11,12 @@
 
 namespace vphi::sim {
 
-/// Online mean/min/max/stddev accumulator.
+/// Online mean/min/max accumulator.
 class Summary {
  public:
   /// Reconstitute a summary from order-independent parts (e.g. the
   /// integer sum/count/min/max cells a lock-free histogram accumulates).
-  /// The second moment is unknown for such cells, so variance()/stddev()
-  /// of a from_parts summary report 0; mean/min/max/count are exact.
+  /// mean/min/max/count are exact.
   static Summary from_parts(std::uint64_t n, double mean, double min_v,
                             double max_v) noexcept {
     Summary s;
@@ -33,13 +32,12 @@ class Summary {
     ++n_;
     const double d = x - mean_;
     mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
     min_ = n_ == 1 ? x : std::min(min_, x);
     max_ = n_ == 1 ? x : std::max(max_, x);
   }
 
-  /// Fold another accumulator in (parallel-variance combination), as if
-  /// every sample had been add()ed here.
+  /// Fold another accumulator in, as if every sample had been add()ed
+  /// here.
   void merge(const Summary& o) noexcept {
     if (o.n_ == 0) return;
     if (n_ == 0) {
@@ -48,8 +46,6 @@ class Summary {
     }
     const double delta = o.mean_ - mean_;
     const std::uint64_t n = n_ + o.n_;
-    m2_ += o.m2_ + delta * delta * static_cast<double>(n_) *
-                       static_cast<double>(o.n_) / static_cast<double>(n);
     mean_ += delta * static_cast<double>(o.n_) / static_cast<double>(n);
     min_ = std::min(min_, o.min_);
     max_ = std::max(max_, o.max_);
@@ -60,15 +56,10 @@ class Summary {
   double mean() const noexcept { return mean_; }
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
-  double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const noexcept;
 
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

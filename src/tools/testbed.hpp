@@ -56,7 +56,6 @@ class Testbed {
 
     hv::Vm& vm() noexcept { return *vm_; }
     core::FrontendDriver& frontend() noexcept { return *frontend_; }
-    core::BackendDevice& backend() noexcept { return *backend_; }
     core::GuestScifProvider& guest_scif() noexcept { return *guest_scif_; }
 
     /// Allocate a guest user buffer (from guest RAM, no kmalloc cap) and

@@ -647,12 +647,56 @@ std::vector<MemberDecl> member_decls(std::string_view code) {
   return out;
 }
 
+/// Whether `tokens[k]` can reach a member function: a call (`name(`) or a
+/// pointer to member (`&Class::name`). A field, local or label spelled
+/// the same is neither.
+bool call_shaped(const std::vector<Token>& tokens, std::size_t k) {
+  if (k + 1 < tokens.size() && tokens[k + 1].text == "(") return true;
+  std::size_t p = k;
+  while (p >= 2 && tokens[p - 1].text == "::" && is_ident(tokens[p - 2].text)) {
+    p -= 2;
+  }
+  return p < k && p >= 1 && tokens[p - 1].text == "&";
+}
+
 }  // namespace
 
 std::vector<Finding> check_uncalled_members(const Corpus& code) {
-  // Names rule 8 keeps although only their declaration and definition
-  // name them, each with the reason.
-  static const std::map<std::string, std::string> allowed = {};
+  // Members rule 8 keeps although only their declaration, their
+  // definition and tests call them, each with the reason. A count that
+  // only a test reads is not one: register it and read the registry.
+  static const std::map<std::string, std::string> allowed = {
+      {"Card::online", "boot state the card and testbed tests assert"},
+      {"CostModel::vphi_ring_roundtrip_ns", "calibration tests pin it"},
+      {"Endpoint::peer_id", "tests check the connect handshake"},
+      {"FaultInjector::arm_probability", "probabilistic fault trigger"},
+      {"FaultInjector::seed", "replays a probabilistic fault stream"},
+      {"FlightRecorder::last_dump", "tests read the dump's text"},
+      {"FrontendDriver::pending_requests", "tests wait for zero in flight"},
+      {"FrontendDriver::probed", "tests check the probe handshake"},
+      {"FrontendDriver::quiesce", "waits out rescued chains, no sleep"},
+      {"GuestKernel::is_pinned", "tests observe the pin table"},
+      {"GuestScifProvider::map_read", "scif_mmap read path of the API"},
+      {"GuestScifProvider::map_write", "scif_mmap write path of the API"},
+      {"HostProvider::endpoint", "tests reach an endpoint's state"},
+      {"HostProvider::map_read", "scif_mmap read path of the API"},
+      {"HostProvider::map_write", "scif_mmap write path of the API"},
+      {"OffloadRegion::attach", "offload runtime entry; tests drive it"},
+      {"PageArena::used", "tests check device buffers are freed"},
+      {"Provider::map_read", "scif_mmap read path of the API"},
+      {"Provider::map_write", "scif_mmap write path of the API"},
+      {"SloMonitor::alerting", "tests check an alert's edge"},
+      {"SloMonitor::burn_fast", "tests check the burn-rate arithmetic"},
+      {"SloMonitor::burn_slow", "tests check the burn-rate arithmetic"},
+      {"SysfsInfo::get_u64", "tests check numeric sysfs attributes"},
+      {"Testbed::coi_daemon", "tests check the daemon follows config"},
+      {"Tracer::set_config", "tests pick sampling and capacity"},
+      {"Tracer::tail_stats", "tests check tail sampling's counts"},
+      {"WaitQueue::blocked_waiters", "tests wait until threads block"},
+      {"WaitQueue::sleepers", "tests wait until threads sleep"},
+      {"WaitQueue::spurious_wakeups", "tests wait for wake-all to land"},
+      {"WindowTable::rma_refs", "tests check RMA pins a window"},
+  };
 
   struct Decl {
     std::size_t file;  ///< index into `code`
@@ -661,7 +705,7 @@ std::vector<Finding> check_uncalled_members(const Corpus& code) {
   std::vector<Decl> decls;
   struct Count {
     std::size_t expected = 0;  ///< its declarations and definitions
-    std::size_t seen = 0;      ///< its tokens in all of `code`
+    std::size_t seen = 0;      ///< its call-shaped tokens outside tests/
   };
   std::map<std::string, Count, std::less<>> counts;
   std::vector<std::string> lexed;
@@ -676,9 +720,12 @@ std::vector<Finding> check_uncalled_members(const Corpus& code) {
       decls.push_back({lexed.size() - 1, std::move(d)});
     }
   }
-  for (const std::string& text : lexed) {
-    for (const Token& t : tokenize(text)) {
-      if (auto it = counts.find(t.text); it != counts.end()) ++it->second.seen;
+  for (std::size_t f = 0; f < code.size(); ++f) {
+    if (code[f].first.rfind("tests/", 0) == 0) continue;
+    const std::vector<Token> tokens = tokenize(lexed[f]);
+    for (std::size_t k = 0; k < tokens.size(); ++k) {
+      auto it = counts.find(tokens[k].text);
+      if (it != counts.end() && call_shaped(tokens, k)) ++it->second.seen;
     }
   }
 
@@ -691,8 +738,8 @@ std::vector<Finding> check_uncalled_members(const Corpus& code) {
         {"uncalled-members",
          code[file].first + ":" + std::to_string(line_of(lexed[file], d.pos)),
          "member function '" + d.qualified +
-             "' is named only where it is declared and defined across "
-             "src/, tests/, bench/ and examples/ — call it or delete it"});
+             "' is called only where it is declared and defined across "
+             "src/, bench/ and examples/ — call it or delete it"});
   }
   return findings;
 }

@@ -159,10 +159,10 @@ struct VmRow {
   std::int64_t quota_left = 0;  ///< bytes headroom gauge (0 when unlimited)
 };
 
-std::uint64_t labeled(const std::map<std::string, std::uint64_t>& m,
-                      const std::string& label) {
+template <typename T>
+T labeled(const std::map<std::string, T>& m, const std::string& label) {
   auto it = m.find(label);
-  return it == m.end() ? 0 : it->second;
+  return it == m.end() ? T{0} : it->second;
 }
 
 /// The tool's own honesty check: the per-VM breakdown and the aggregate
@@ -382,7 +382,8 @@ int run(const Options& opts) {
   // latency-derived budget the watchdog must fire — exactly once — and
   // dump the flight recorder before the driver's own timeout kicks in.
   if (opts.inject_stall) {
-    const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
+    auto& reg = sim::metrics::registry();
+    const std::uint64_t dumps_before = reg.counter_value("vphi.recorder.dumps");
     sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
     sim::Actor actor{"vm-staller", sim::Actor::AtNow{}};
     sim::ActorScope scope(actor);
@@ -391,14 +392,15 @@ int run(const Options& opts) {
     if (epd) guest.close(*epd);
     sim::fault_injector().disarm_all();
     const std::uint64_t stalls =
-        bed.vm(0).frontend().watchdog_stalls();
+        labeled(reg.counter_by_label("vphi.watchdog.stalls"), "vm=vm0");
     const std::uint64_t dumps =
-        sim::flight_recorder().dump_count() - dumps_before;
+        reg.counter_value("vphi.recorder.dumps") - dumps_before;
     std::printf("injected stall: watchdog firings=%llu recorder dumps=%llu "
                 "budget=%lld ns\n\n",
                 static_cast<unsigned long long>(stalls),
                 static_cast<unsigned long long>(dumps),
-                static_cast<long long>(bed.vm(0).frontend().watchdog_budget()));
+                static_cast<long long>(labeled(
+                    reg.gauge_by_label("vphi.watchdog.budget_ns"), "vm=vm0")));
     if (stalls != 1) {
       std::fprintf(stderr,
                    "vphi-top: expected exactly one watchdog firing, got "

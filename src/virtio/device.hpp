@@ -55,8 +55,6 @@ class DeviceStatus {
   bool has(std::uint8_t bit) const noexcept {
     return (status_.load(std::memory_order_relaxed) & bit) != 0;
   }
-  bool driver_ok() const noexcept { return has(VIRTIO_STATUS_DRIVER_OK); }
-  bool failed() const noexcept { return has(VIRTIO_STATUS_FAILED); }
 
   void reset() noexcept {
     status_.store(0, std::memory_order_relaxed);

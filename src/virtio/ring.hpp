@@ -80,15 +80,6 @@ struct Chain {
     bool device_writes = false;  ///< VIRTQ_DESC_F_WRITE
   };
   std::vector<Segment> segments;
-
-  /// Total length of device-writable segments.
-  std::uint32_t writable_bytes() const {
-    std::uint32_t n = 0;
-    for (const auto& s : segments) {
-      if (s.device_writes) n += s.len;
-    }
-    return n;
-  }
 };
 
 class Virtqueue {
@@ -186,20 +177,6 @@ class Virtqueue {
   // --- introspection / invariants ---------------------------------------------
   std::uint16_t free_descriptors() const VPHI_EXCLUDES(mu_);
   std::uint16_t avail_idx() const VPHI_EXCLUDES(mu_);
-  // Per-instance reads of the registered metrics (registry names in
-  // docs/OBSERVABILITY.md; a multi-VM snapshot sums across instances).
-  std::uint64_t kicks() const { return kick_count_.value(); }
-  /// Doorbells kick_prepare settled as lost (kKickDrop).
-  std::uint64_t dropped_kicks() const { return dropped_kicks_.value(); }
-  /// Doorbells elided because the device was already draining (EVENT_IDX).
-  std::uint64_t suppressed_kicks() const { return suppressed_kicks_.value(); }
-  /// Interrupts elided because no driver armed used_event (EVENT_IDX).
-  std::uint64_t suppressed_irqs() const { return suppressed_irqs_.value(); }
-  /// Chains whose descriptor walk was cut short by the size_ cap (cyclic or
-  /// corrupted next pointers, genuine or injected).
-  std::uint64_t poisoned_chains() const { return poisoned_chains_.value(); }
-  /// Chains whose segment list lost its tail to fault injection.
-  std::uint64_t truncated_chains() const { return truncated_chains_.value(); }
   /// True while avail entry `pos` is published but neither consumed by the
   /// device nor covered by a doorbell that reached it (or was suppressed
   /// behind one that did): the state a lost kick leaves behind. The device never scans the ring unprompted, so such a chain
@@ -245,8 +222,12 @@ class Virtqueue {
   /// Chains between add_buf and get_used.
   std::uint16_t live_chains_ VPHI_GUARDED_BY(mu_) = 0;
   sim::metrics::Counter kick_count_;
+  /// Doorbells kick_prepare settled as lost (kKickDrop).
   sim::metrics::Counter dropped_kicks_;
+  /// Chains whose descriptor walk was cut short by the size_ cap (cyclic or
+  /// corrupted next pointers, genuine or injected).
   sim::metrics::Counter poisoned_chains_;
+  /// Chains whose segment list lost its tail to fault injection.
   sim::metrics::Counter truncated_chains_;
   /// Point-in-time ring occupancy (chains in flight) and its distribution
   /// sampled at every add_buf.
@@ -269,7 +250,9 @@ class Virtqueue {
   std::uint16_t used_event_shadow_ VPHI_GUARDED_BY(mu_) = 0;
   /// Device: used_idx_ at last irq.
   std::uint16_t used_signal_point_ VPHI_GUARDED_BY(mu_) = 0;
+  /// Doorbells elided because the device was already draining.
   sim::metrics::Counter suppressed_kicks_;
+  /// Interrupts elided because no driver armed used_event.
   sim::metrics::Counter suppressed_irqs_;
 
   // --- doorbell line (kick -> pop_avail_batch) --------------------------------

@@ -766,12 +766,4 @@ void BackendDevice::execute(sim::Actor& actor, const RequestHeader& req,
   set_status(resp, sim::Status::kNotSupported);
 }
 
-// --- statistics ------------------------------------------------------------------
-
-std::uint64_t BackendDevice::op_count(Op op) const {
-  sim::MutexLock lock(mu_);
-  auto it = op_counts_.find(op);
-  return it == op_counts_.end() ? 0 : it->second.value();
-}
-
 }  // namespace vphi::core

@@ -67,31 +67,7 @@ class BackendDevice {
   /// unblocks workers stuck in accept), join workers.
   void stop();
 
-  /// This backend's host-process identity.
-  scif::HostProvider& provider() noexcept { return *provider_; }
   hv::Vm& vm() noexcept { return *vm_; }
-
-  // --- statistics ------------------------------------------------------------
-  // Per-instance reads of the registered metrics ("vphi.be.*" in the
-  // registry; see docs/OBSERVABILITY.md).
-  std::uint64_t requests_handled() const {
-    return worker_requests_.value() + blocking_requests_.value();
-  }
-  std::uint64_t worker_requests() const { return worker_requests_.value(); }
-  std::uint64_t blocking_requests() const {
-    return blocking_requests_.value();
-  }
-  std::uint64_t op_count(Op op) const VPHI_EXCLUDES(mu_);
-  /// Chains rejected before decoding: missing/short header segment, no
-  /// usable response segment, or poisoned by the ring walk.
-  std::uint64_t malformed_chains() const { return malformed_chains_.value(); }
-  /// Poisoned (cyclic/corrupted-walk) chains among the malformed ones.
-  std::uint64_t poisoned_chains() const { return poisoned_chains_.value(); }
-  /// Well-formed chains whose header failed validation against the actual
-  /// chain geometry (lying payload_len, bad op, bad poll bounds, ...).
-  std::uint64_t validation_failures() const {
-    return validation_failures_.value();
-  }
 
  private:
   /// One service thread per virtqueue: each drains its own ring on its own
@@ -144,15 +120,20 @@ class BackendDevice {
   std::vector<std::thread> service_threads_;
   std::atomic<bool> running_{false};
 
-  mutable sim::Mutex mu_;
+  sim::Mutex mu_;
   std::map<Op, sim::metrics::Counter> op_counts_ VPHI_GUARDED_BY(mu_);
   /// Tenant label ("vm=<name>") on every vphi.be.* instrument: the registry
   /// splits the backend catalogue per VM, aggregates keep their names.
   const std::string label_;
   sim::metrics::Counter worker_requests_;
   sim::metrics::Counter blocking_requests_;
+  /// Chains rejected before decoding: missing/short header segment, no
+  /// usable response segment, or poisoned (cyclic/corrupted walk; also
+  /// counted on poisoned_chains_).
   sim::metrics::Counter malformed_chains_;
   sim::metrics::Counter poisoned_chains_;
+  /// Well-formed chains whose header failed validation against the actual
+  /// chain geometry (lying payload_len, bad op, bad poll bounds, ...).
   sim::metrics::Counter validation_failures_;
 
   // Per-endpoint ordered worker queues (transfer ops in worker mode). Each

@@ -839,24 +839,6 @@ sim::Expected<FrontendDriver::TransactResult> FrontendDriver::finish(
   return result;
 }
 
-std::uint64_t FrontendDriver::op_errors(Op op) const {
-  sim::MutexLock lock(op_mu_);
-  auto it = counters_.find(op);
-  return it == counters_.end() ? 0 : it->second.errors.value();
-}
-
-std::uint64_t FrontendDriver::op_timeouts(Op op) const {
-  sim::MutexLock lock(op_mu_);
-  auto it = counters_.find(op);
-  return it == counters_.end() ? 0 : it->second.timeouts.value();
-}
-
-std::uint64_t FrontendDriver::op_retries(Op op) const {
-  sim::MutexLock lock(op_mu_);
-  auto it = counters_.find(op);
-  return it == counters_.end() ? 0 : it->second.retries.value();
-}
-
 std::size_t FrontendDriver::pending_requests() const {
   std::size_t total = 0;
   for (const auto& q : queues_) {

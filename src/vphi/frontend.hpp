@@ -187,41 +187,9 @@ class FrontendDriver {
     return static_cast<std::uint16_t>(queues_.size());
   }
 
-  // --- statistics -----------------------------------------------------------
-  // Per-instance reads of the registered metrics ("vphi.fe.*" in the
-  // registry; see docs/OBSERVABILITY.md for the catalogue).
-  std::uint64_t requests() const { return requests_.value(); }
-  std::uint64_t interrupt_waits() const { return interrupt_waits_.value(); }
-  std::uint64_t polled_waits() const { return polled_waits_.value(); }
-  /// Simulated CPU time burned spinning (polling scheme).
-  sim::Nanos poll_cpu_burn() const { return poll_cpu_burn_ns_.value(); }
-  /// Requests that hit their deadline (total and per op).
-  std::uint64_t timeouts() const { return timeouts_.value(); }
-  /// Transport-level retries issued (total and per op).
-  std::uint64_t retries() const { return retries_.value(); }
-  /// Responses rejected by frontend validation: used.len shorter than a
-  /// ResponseHeader, a status int outside sim::Status, or a payload_len
-  /// exceeding the posted response-buffer capacity.
-  std::uint64_t protocol_errors() const { return protocol_errors_.value(); }
-  std::uint64_t op_errors(Op op) const VPHI_EXCLUDES(op_mu_);
-  std::uint64_t op_timeouts(Op op) const VPHI_EXCLUDES(op_mu_);
-  std::uint64_t op_retries(Op op) const VPHI_EXCLUDES(op_mu_);
   /// In-flight requests summed over all queues (tests assert this returns
   /// to zero after faults).
   std::size_t pending_requests() const;
-  /// Completions reaped on the pipelined fast path (already delivered by a
-  /// coalesced interrupt — no sleep, no per-chunk wakeup cost).
-  std::uint64_t fast_reaps() const { return fast_reaps_.value(); }
-  /// Payload bytes staged out through / copied back from bounce buffers.
-  std::uint64_t bytes_out() const { return bytes_out_.value(); }
-  std::uint64_t bytes_in() const { return bytes_in_.value(); }
-  /// Requests the stall watchdog flagged (at most once each).
-  std::uint64_t watchdog_stalls() const { return watchdog_stalls_.value(); }
-  /// Current stall budget in simulated ns; 0 while the watchdog is unarmed.
-  sim::Nanos watchdog_budget() const { return watchdog_budget_ns_.value(); }
-  /// 1 once the watchdog has derived its first latency budget (enough
-  /// completions landed), 0 before. Flips 0 -> 1 exactly once per run.
-  bool watchdog_armed() const { return watchdog_armed_.value() != 0; }
 
   /// RAII active-call marker so the destructor can drain callers that a VM
   /// shutdown woke but that have not yet left driver code, or a layer on
@@ -394,7 +362,7 @@ class FrontendDriver {
 
   /// Per-op failure counters are cross-queue (an op can ride any queue),
   /// so they keep their own lock rather than any queue's.
-  mutable sim::Mutex op_mu_;
+  sim::Mutex op_mu_;
   std::map<Op, OpCounters> counters_ VPHI_GUARDED_BY(op_mu_);
   /// Tenant label ("vm=<name>") stamped on every instrument below, so the
   /// registry splits the vphi.fe.* catalogue per VM while the aggregates
@@ -403,10 +371,17 @@ class FrontendDriver {
   sim::metrics::Counter requests_;
   sim::metrics::Counter interrupt_waits_;
   sim::metrics::Counter polled_waits_;
+  /// Requests that hit their deadline, and transport-level retries issued.
   sim::metrics::Counter timeouts_;
   sim::metrics::Counter retries_;
+  /// Responses rejected by frontend validation: used.len shorter than a
+  /// ResponseHeader, a status int outside sim::Status, or a payload_len
+  /// exceeding the posted response-buffer capacity.
   sim::metrics::Counter protocol_errors_;
+  /// Completions reaped on the pipelined fast path (already delivered by a
+  /// coalesced interrupt — no sleep, no per-chunk wakeup cost).
   sim::metrics::Counter fast_reaps_;
+  /// Simulated CPU time burned spinning (polling scheme).
   sim::metrics::Counter poll_cpu_burn_ns_;
   /// Payload bytes staged out / copied back — the per-VM throughput basis
   /// the fairness index is computed over.
@@ -417,7 +392,9 @@ class FrontendDriver {
   /// submit-to-complete latency of every successful request.
   sim::metrics::LatencyHistogram request_latency_;
 
-  // Stall-watchdog instruments (the per-queue cache lives in QueueState).
+  // Stall-watchdog instruments (the per-queue cache lives in QueueState):
+  // requests flagged (at most once each), the current budget (0 while
+  // unarmed), and 1 once the first budget is derived.
   sim::metrics::Counter watchdog_stalls_;
   sim::metrics::Gauge watchdog_budget_ns_;
   sim::metrics::Gauge watchdog_armed_;

@@ -15,6 +15,7 @@
 #include "hv/guest_mem.hpp"
 #include "hv/kvm_mmu.hpp"
 #include "hv/vm.hpp"
+#include "metric_reads.hpp"
 #include "sim/cost_model.hpp"
 
 namespace vphi::hv {
@@ -62,7 +63,7 @@ TEST(GuestPhysMem, KmallocKfreeRecycles) {
   }
   EXPECT_EQ(ram.kmalloc(4'096).status(), Status::kNoMemory) << "RAM exhausted";
   for (auto b : blocks) EXPECT_EQ(ram.kfree(b), Status::kOk);
-  EXPECT_EQ(ram.allocated_bytes(), 0u);
+  EXPECT_EQ(ram.allocation_count(), 0u);
   EXPECT_TRUE(ram.kmalloc(kKmallocMaxSize)) << "coalesced after free";
   EXPECT_EQ(ram.kfree(123), Status::kInvalidArgument);
 }
@@ -224,28 +225,29 @@ TEST(KvmMmu, FaultOncePerPageThenCached) {
   std::vector<std::byte> dev(16'384);
   dev[5'000] = std::byte{0xAB};
   ASSERT_EQ(vmas.add(Vma{0x10000, 16'384, VM_PFNPHI, dev.data()}), Status::kOk);
-  kvm::Mmu mmu{vmas, m};
+  const LabelDeltas vm{"vm=kvm-fault-once"};
+  kvm::Mmu mmu{vmas, m, vm.label()};
 
   sim::Actor a{"guest"};
   auto p = mmu.access(a, 0x10000 + 5'000, 1);
   ASSERT_TRUE(p);
   EXPECT_EQ(**p, std::byte{0xAB}) << "resolves to the device frame";
-  EXPECT_EQ(mmu.faults(), 1u);
+  EXPECT_EQ(vm["vphi.hv.ept_faults"], 1u);
   EXPECT_EQ(a.now(), m.ept_fault_ns);
 
   // Second touch of the same page: no new fault, no fault cost.
   ASSERT_TRUE(mmu.access(a, 0x10000 + 5'001, 1));
-  EXPECT_EQ(mmu.faults(), 1u);
+  EXPECT_EQ(vm["vphi.hv.ept_faults"], 1u);
   EXPECT_EQ(a.now(), m.ept_fault_ns);
 
   // A range spanning three pages faults the two untouched ones.
   ASSERT_TRUE(mmu.access(a, 0x10000, 3 * 4'096));
-  EXPECT_EQ(mmu.faults(), 3u);
+  EXPECT_EQ(vm["vphi.hv.ept_faults"], 3u);
 }
 
 TEST(KvmMmu, UnmappedAccessFails) {
   VmaTable vmas;
-  kvm::Mmu mmu{vmas, CostModel::paper()};
+  kvm::Mmu mmu{vmas, CostModel::paper(), "vm=kvm-rejects"};
   sim::Actor a{"guest"};
   EXPECT_EQ(mmu.access(a, 0xDEAD'0000, 1).status(), Status::kBadAddress);
 }
@@ -254,7 +256,7 @@ TEST(KvmMmu, NonPfnphiVmaRejected) {
   VmaTable vmas;
   std::vector<std::byte> dev(4'096);
   ASSERT_EQ(vmas.add(Vma{0x1000, 4'096, 0, dev.data()}), Status::kOk);
-  kvm::Mmu mmu{vmas, CostModel::paper()};
+  kvm::Mmu mmu{vmas, CostModel::paper(), "vm=kvm-rejects"};
   sim::Actor a{"guest"};
   EXPECT_EQ(mmu.access(a, 0x1000, 1).status(), Status::kAccessDenied);
 }
@@ -263,14 +265,16 @@ TEST(KvmMmu, InvalidateForcesRefault) {
   VmaTable vmas;
   std::vector<std::byte> dev(4'096);
   ASSERT_EQ(vmas.add(Vma{0x1000, 4'096, VM_PFNPHI, dev.data()}), Status::kOk);
-  kvm::Mmu mmu{vmas, CostModel::paper()};
+  const LabelDeltas vm{"vm=kvm-invalidate"};
+  kvm::Mmu mmu{vmas, CostModel::paper(), vm.label()};
   sim::Actor a{"guest"};
   ASSERT_TRUE(mmu.access(a, 0x1000, 1));
-  EXPECT_EQ(mmu.mapped_pages(), 1u);
-  mmu.invalidate(0x1000, 4'096);
-  EXPECT_EQ(mmu.mapped_pages(), 0u);
   ASSERT_TRUE(mmu.access(a, 0x1000, 1));
-  EXPECT_EQ(mmu.faults(), 2u);
+  EXPECT_EQ(vm["vphi.hv.ept_faults"], 1u) << "mapped after the first touch";
+  mmu.invalidate(0x1000, 4'096);
+  EXPECT_EQ(a.now(), CostModel::paper().ept_fault_ns);
+  ASSERT_TRUE(mmu.access(a, 0x1000, 1));
+  EXPECT_EQ(vm["vphi.hv.ept_faults"], 2u);
 }
 
 // --- guest kernel services ----------------------------------------------------
@@ -296,20 +300,10 @@ TEST(GuestKernel, PinOutsideRamFails) {
   EXPECT_EQ(kernel.pin_pages(a, 1 << 20, 4'096), Status::kBadAddress);
 }
 
-TEST(GuestKernel, UserCopiesMoveDataAndChargeTime) {
-  GuestPhysMem ram{1 << 20};
-  GuestKernel kernel{ram, CostModel::paper()};
-  sim::Actor a{"guest"};
-  const char src[] = "user data";
-  char dst[sizeof(src)] = {};
-  kernel.copy_from_user(a, dst, src, sizeof(src));
-  EXPECT_STREQ(dst, src);
-  EXPECT_GE(a.now(), CostModel::paper().copy_setup_ns);
-}
-
 // --- event loop ---------------------------------------------------------------
 
 TEST(EventLoop, HandlersSerializeAndAccountBlockedTime) {
+  const LabelDeltas vm{"vm=qemu-test"};
   EventLoop loop{"qemu-test"};
   std::atomic<int> order{0};
   int first = -1, second = -1;
@@ -324,7 +318,7 @@ TEST(EventLoop, HandlersSerializeAndAccountBlockedTime) {
   loop.drain();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
-  EXPECT_EQ(loop.handled(), 2u);
+  EXPECT_EQ(vm["vphi.hv.loop.handled"], 2u);
   EXPECT_EQ(loop.blocked_time(), 1'500u);
   loop.stop();
 }
@@ -440,6 +434,7 @@ TEST(EventLoop, StopAfterPendingHandlersStillRunsThem) {
 // --- Vm container ---------------------------------------------------------------
 
 TEST(Vm, WiringAndIrqDelivery) {
+  const LabelDeltas counts{"vm=test-vm"};
   Vm vm{{.name = "test-vm", .ram_bytes = 8ull << 20, .ring_size = 16},
         CostModel::paper()};
   EXPECT_EQ(vm.ram().ram_bytes(), 8ull << 20);
@@ -449,7 +444,7 @@ TEST(Vm, WiringAndIrqDelivery) {
   vm.set_irq_handler([&](Nanos ts) { seen = ts; });
   vm.inject_irq(10'000);
   EXPECT_EQ(seen, 10'000 + CostModel::paper().irq_inject_ns);
-  EXPECT_EQ(vm.irqs_injected(), 1u);
+  EXPECT_EQ(counts["vphi.hv.irqs_injected"], 1u);
 }
 
 TEST(Vm, KickCostsVmexit) {
@@ -482,7 +477,7 @@ TEST(Vm, DeviceStatusHandshake) {
   status.set(virtio::VIRTIO_STATUS_DRIVER);
   EXPECT_TRUE(status.negotiate(status.offered_features()));
   status.set(virtio::VIRTIO_STATUS_DRIVER_OK);
-  EXPECT_TRUE(status.driver_ok());
+  EXPECT_TRUE(status.has(virtio::VIRTIO_STATUS_DRIVER_OK));
 }
 
 }  // namespace

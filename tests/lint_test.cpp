@@ -246,7 +246,9 @@ TEST(Lint, UncalledMemberFails) {
        "void Foo::used() {}\n"
        "void Foo::unused() {}  // unused() is named in a comment\n"
        "void Foo::Inner::inner_unused() { const char* s = \"unused\"; }\n"},
-      {"tests/foo_test.cpp", "Foo f{1}; f.used(); f.inline_used();\n"}};
+      {"src/a/main.cpp", "Foo f{1}; f.used(); f.inline_used();\n"},
+      // A test is not a caller: a member only tests call is flagged.
+      {"tests/foo_test.cpp", "f.unused(); f.inline_unused();\n"}};
   const auto findings = check_uncalled_members(code);
   ASSERT_EQ(findings.size(), 4u);
   for (const auto& f : findings) EXPECT_EQ(f.rule, "uncalled-members");
@@ -257,6 +259,35 @@ TEST(Lint, UncalledMemberFails) {
   EXPECT_EQ(findings[3].where, "src/a/foo.hpp:13");
   EXPECT_NE(findings[3].message.find("'Inner::inner_unused'"),
             std::string::npos);
+}
+
+TEST(Lint, UncalledMemberIgnoresSameNamedFieldsLocalsAndLabels) {
+  // Only a call (`name(`) or a pointer to member (`&Class::name`) reaches
+  // a member function; a field, a local or a label spelled the same does
+  // not keep an uncalled getter alive.
+  Corpus code = {
+      {"src/v/ring.hpp",
+       "class Ring {\n"
+       " public:\n"
+       "  int kicks() const { return kicks_; }\n"  // line 3
+       "  void pop();\n"
+       "  void drain();\n"
+       " private:\n"
+       "  int kicks_ = 0;\n"
+       "};\n"},
+      {"src/v/ring.cpp", "void Ring::pop() {}\nvoid Ring::drain() {}\n"},
+      {"src/v/stats.cpp",
+       "struct Row { int kicks = 0; };\n"
+       "void fill(Row& row, int kicks) {\n"
+       "  row.kicks = kicks;\n"
+       "  emit(\"kicks\", row.kicks);\n"
+       "}\n"
+       "auto pop_fn = &Ring::pop;\n"
+       "void go(Ring& r) { r.drain(); }\n"}};
+  const auto findings = check_uncalled_members(code);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].where, "src/v/ring.hpp:3");
+  EXPECT_NE(findings[0].message.find("'Ring::kicks'"), std::string::npos);
 }
 
 TEST(Lint, UncalledMemberCountsEveryTreeAndPoolsOverloads) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "sim/fault.hpp"
 #include "sim/json.hpp"
 #include "sim/log.hpp"
@@ -72,7 +73,8 @@ TEST(FlightRecorder, InjectedFaultDumpCarriesFocusSpanChain) {
   sim::tracer().set_enabled(true);
   sim::tracer().clear();
   sim::flight_recorder().clear();
-  const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
+  auto& reg = sim::metrics::registry();
+  const std::uint64_t dumps_before = reg.counter_value("vphi.recorder.dumps");
 
   {
     TestbedConfig cfg;
@@ -89,7 +91,7 @@ TEST(FlightRecorder, InjectedFaultDumpCarriesFocusSpanChain) {
     sim::fault_injector().disarm_all();
   }
 
-  EXPECT_GT(sim::flight_recorder().dump_count(), dumps_before);
+  EXPECT_GT(reg.counter_value("vphi.recorder.dumps"), dumps_before);
   const sim::FlightDump dump = sim::flight_recorder().last_dump();
   EXPECT_NE(dump.focus, 0u);
   EXPECT_FALSE(dump.reason.empty());
@@ -259,6 +261,9 @@ TEST(PerVmAttribution, SnapshotsIdenticalAcrossSeededRuns) {
 // not tick again while the same request stays pending or after it heals.
 
 TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
+  // The budget is a gauge, and vm0's label still holds what earlier cases'
+  // gauges left: start from an empty registry.
+  sim::metrics::registry().reset();
   TestbedConfig cfg;
   cfg.frontend.scheme = WaitScheme::kPolling;
   cfg.frontend.pipeline_window = 4;
@@ -310,9 +315,12 @@ TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
   guest.close(*epd);
   server.wait();
 
-  auto& fe = bed.vm(0).frontend();
-  const std::uint64_t stalls_before = fe.watchdog_stalls();
-  const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
+  auto& reg = sim::metrics::registry();
+  const auto stalls = [] {
+    return counter_at("vphi.watchdog.stalls", "vm=vm0");
+  };
+  const std::uint64_t stalls_before = stalls();
+  const std::uint64_t dumps_before = reg.counter_value("vphi.recorder.dumps");
 
   // Strand exactly one request: the next doorbell is swallowed, the polling
   // wait finds the chain stranded, declares it lost and syncs to its
@@ -323,15 +331,15 @@ TEST(Watchdog, FiresExactlyOncePerStalledRequest) {
   EXPECT_TRUE(epd2);
   sim::fault_injector().disarm_all();
 
-  EXPECT_EQ(fe.watchdog_stalls() - stalls_before, 1u);
-  EXPECT_GT(fe.watchdog_budget(), 0);
-  EXPECT_GT(sim::flight_recorder().dump_count(), dumps_before);
+  EXPECT_EQ(stalls() - stalls_before, 1u);
+  EXPECT_GT(gauge_at("vphi.watchdog.budget_ns", "vm=vm0"), 0);
+  EXPECT_GT(reg.counter_value("vphi.recorder.dumps"), dumps_before);
 
   // Healthy traffic afterwards must not re-fire the watchdog.
   if (epd2) guest.close(*epd2);
   auto epd3 = guest.open();
   if (epd3) guest.close(*epd3);
-  EXPECT_EQ(fe.watchdog_stalls() - stalls_before, 1u);
+  EXPECT_EQ(stalls() - stalls_before, 1u);
 }
 
 // vphi.watchdog.armed: 0 until the latency budget becomes derivable
@@ -380,18 +388,18 @@ TEST(Watchdog, ArmedGaugeFlipsExactlyOnce) {
   sim::Actor actor{"cli", sim::Actor::AtNow{}};
   sim::ActorScope scope(actor);
   auto& guest = bed.vm(0).guest_scif();
-  auto& fe = bed.vm(0).frontend();
+  const auto armed = [] { return gauge_at("vphi.watchdog.armed", "vm=vm0"); };
   auto epd = guest.open();
   ASSERT_TRUE(epd);
   ASSERT_TRUE(sim::ok(guest.connect(*epd, PortId{bed.card_node(), kPort})));
   std::vector<std::uint8_t> msg(kBytes, 0x5A);
 
-  EXPECT_FALSE(fe.watchdog_armed());
+  EXPECT_EQ(armed(), 0);
   for (std::uint32_t r = 0; r < kBelow; ++r) {
     ASSERT_TRUE(guest.send(*epd, msg.data(), msg.size(), SCIF_SEND_BLOCK));
   }
   // Below watchdog_min_samples completions: no budget, still disarmed.
-  EXPECT_FALSE(fe.watchdog_armed());
+  EXPECT_EQ(armed(), 0);
 
   for (std::uint32_t r = kBelow; r < kTotal; ++r) {
     ASSERT_TRUE(guest.send(*epd, msg.data(), msg.size(), SCIF_SEND_BLOCK));
@@ -401,7 +409,7 @@ TEST(Watchdog, ArmedGaugeFlipsExactlyOnce) {
 
   // Armed now, and pinned at exactly 1 in the snapshot even though dozens
   // more scans re-derived the budget after the flip.
-  EXPECT_TRUE(fe.watchdog_armed());
+  EXPECT_EQ(armed(), 1);
   const std::string snap = sim::metrics::registry().snapshot_json();
   EXPECT_NE(snap.find("\"vphi.watchdog.armed\":1"), std::string::npos);
   sim::metrics::registry().reset();
@@ -498,8 +506,8 @@ TEST(Watchdog, HealthyMultiQueuePollingRunNeverStalls) {
   for (auto& t : vcpus) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  auto& fe = bed.vm(0).frontend();
-  EXPECT_TRUE(fe.watchdog_armed());  // the budget was live the whole run
+  // The budget was live the whole run.
+  EXPECT_EQ(gauge_at("vphi.watchdog.armed", "vm=vm0"), 1);
   EXPECT_EQ(sim::metrics::registry().counter_value("vphi.watchdog.stalls"), 0u);
   {
     sim::Actor teardown{"mq-teardown", sim::Actor::AtNow{}};

@@ -83,7 +83,7 @@ TEST_F(ScifFixture, ConnectAcceptLifecycle) {
   EXPECT_EQ(server_ep->state(), Endpoint::State::kConnected);
   EXPECT_EQ(client_ep->peer_id().node, card_node_);
   EXPECT_EQ(server_ep->peer_id().node, kHostNode);
-  EXPECT_EQ(server_ep->peer_id().port, client_ep->local_id().port);
+  EXPECT_EQ(server_ep->peer_id().port, client_ep->port());
   EXPECT_TRUE(sim::ok(host_->close(client)));
   EXPECT_TRUE(sim::ok(card_side_->close(server)));
 }

@@ -13,6 +13,7 @@
 
 #include "coi/binary.hpp"
 #include "coi/process.hpp"
+#include "metric_reads.hpp"
 #include "service/fleet_policy.hpp"
 #include "service/job.hpp"
 #include "service/job_service.hpp"
@@ -575,6 +576,15 @@ SloSpec test_slo_spec() {
   return s;
 }
 
+/// vphi.slo.alerts as an operator reads it: the aggregate, or one
+/// tenant's. Each SloMonitor case resets the registry first.
+std::uint64_t alerts() {
+  return sim::metrics::registry().counter_value("vphi.slo.alerts");
+}
+std::uint64_t alerts(const std::string& tenant) {
+  return counter_at("vphi.slo.alerts", "tenant=" + tenant);
+}
+
 TEST(SloMonitorTest, BurnMathEdgeTriggeredFireAndClear) {
   sim::metrics::registry().reset();
   {
@@ -587,13 +597,13 @@ TEST(SloMonitorTest, BurnMathEdgeTriggeredFireAndClear) {
     EXPECT_NEAR(mon.burn_fast(0), 50.0, 1e-9);  // (1 - 0.99) isn't exact
     EXPECT_NEAR(mon.burn_slow(0), 50.0, 1e-9);
     EXPECT_TRUE(mon.alerting(0));
-    EXPECT_EQ(mon.alert_count(), 1u);
+    EXPECT_EQ(alerts(), 1u);
 
     // Still burning in bucket 2: edge-triggered, no second alert.
     for (int i = 0; i < 8; ++i) mon.record_completion(0, 5'000, 7, 1'500);
     mon.evaluate(2'000);
     EXPECT_TRUE(mon.alerting(0));
-    EXPECT_EQ(mon.alert_count(), 1u);
+    EXPECT_EQ(alerts(), 1u);
 
     // Six buckets of good-only traffic: the fast window clears at once,
     // the bad burst eventually leaves the slow window too.
@@ -606,13 +616,13 @@ TEST(SloMonitorTest, BurnMathEdgeTriggeredFireAndClear) {
     }
     EXPECT_FALSE(mon.alerting(0));
     EXPECT_DOUBLE_EQ(mon.burn_slow(0), 0.0);
-    EXPECT_EQ(mon.alert_count(), 1u);
+    EXPECT_EQ(alerts(), 1u);
 
     // A fresh burn is a fresh edge: fires again.
     for (int i = 0; i < 8; ++i) mon.record_completion(0, 5'000, 7, 8'500);
     mon.evaluate(9'000);
     EXPECT_TRUE(mon.alerting(0));
-    EXPECT_EQ(mon.alert_count(), 2u);
+    EXPECT_EQ(alerts(), 2u);
   }
   sim::metrics::registry().reset();
 }
@@ -629,7 +639,7 @@ TEST(SloMonitorTest, MinEventsGateSuppressesIdleTenantPages) {
     EXPECT_GT(mon.burn_fast(0), spec.burn_threshold);
     // ...but 4 events < min_events: a nearly idle tenant is not a page.
     EXPECT_FALSE(mon.alerting(0));
-    EXPECT_EQ(mon.alert_count(), 0u);
+    EXPECT_EQ(alerts(), 0u);
   }
   sim::metrics::registry().reset();
 }
@@ -641,7 +651,7 @@ TEST(SloMonitorTest, RejectsCountAsBadAndFireAlerts) {
     for (int i = 0; i < 8; ++i) mon.record_reject(0, 500);
     mon.evaluate(1'000);
     EXPECT_TRUE(mon.alerting(0));
-    EXPECT_EQ(mon.alert_count(0), 1u);
+    EXPECT_EQ(alerts("acme"), 1u);
     const std::string snap = sim::metrics::registry().snapshot_json();
     EXPECT_NE(snap.find("\"vphi.slo.bad\":8"), std::string::npos);
     EXPECT_NE(snap.find("\"vphi.slo.alerts\":1"), std::string::npos);
@@ -656,7 +666,10 @@ TEST(SloMonitorTest, AlertsArePerTenantWithFocusedDump) {
     // vm0 -> "steady" (healthy), vm1 -> "noisy" (every request blows the
     // latency SLO).
     SloMonitor mon{test_slo_spec(), {"steady", "noisy"}, {0, 1}};
-    const std::uint64_t dumps_before = sim::flight_recorder().dump_count();
+    const auto dumps = [] {
+      return sim::metrics::registry().counter_value("vphi.recorder.dumps");
+    };
+    const std::uint64_t dumps_before = dumps();
     for (int i = 0; i < 8; ++i) mon.record_completion(0, 500, 0, 400);
     for (int i = 0; i < 8; ++i) {
       mon.record_completion(1, 50'000, kBadTrace, 400);
@@ -664,12 +677,12 @@ TEST(SloMonitorTest, AlertsArePerTenantWithFocusedDump) {
     mon.evaluate(1'000);
     EXPECT_FALSE(mon.alerting(0));
     EXPECT_TRUE(mon.alerting(1));
-    EXPECT_EQ(mon.alert_count(0), 0u);
-    EXPECT_EQ(mon.alert_count(1), 1u);
-    EXPECT_EQ(mon.alert_count(), 1u);
+    EXPECT_EQ(alerts("steady"), 0u);
+    EXPECT_EQ(alerts("noisy"), 1u);
+    EXPECT_EQ(alerts(), 1u);
     // The page carries the evidence: one flight-recorder dump, naming the
     // offending tenant and focused on its most recent SLO-violating trace.
-    EXPECT_EQ(sim::flight_recorder().dump_count() - dumps_before, 1u);
+    EXPECT_EQ(dumps() - dumps_before, 1u);
     const sim::FlightDump dump = sim::flight_recorder().last_dump();
     EXPECT_NE(dump.reason.find("noisy"), std::string::npos);
     EXPECT_EQ(dump.focus, kBadTrace);
@@ -691,7 +704,7 @@ TEST(SloMonitorTest, LongIdleGapAdvancesAndTrimsWindows) {
     EXPECT_FALSE(mon.alerting(0));
     EXPECT_DOUBLE_EQ(mon.burn_fast(0), 0.0);
     EXPECT_DOUBLE_EQ(mon.burn_slow(0), 0.0);
-    EXPECT_EQ(mon.alert_count(), 1u);
+    EXPECT_EQ(alerts(), 1u);
   }
   sim::metrics::registry().reset();
 }

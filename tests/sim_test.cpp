@@ -100,7 +100,7 @@ TEST(Bus, UncontendedStartsAtReady) {
   const auto g = bus.acquire(100, 50);
   EXPECT_EQ(g.start, 100u);
   EXPECT_EQ(g.end, 150u);
-  EXPECT_EQ(bus.free_at(), 150u);
+  EXPECT_EQ(bus.acquire(0, 1).start, 150u) << "the next grant queues behind";
 }
 
 TEST(Bus, ContentionQueues) {
@@ -111,7 +111,7 @@ TEST(Bus, ContentionQueues) {
   EXPECT_EQ(g2.start, 100u);
   EXPECT_EQ(g2.end, 200u);
   EXPECT_EQ(bus.busy_total(), 200u);
-  EXPECT_EQ(bus.grants(), 2u);
+  EXPECT_EQ(bus.acquire(0, 1).start, 200u);
 }
 
 TEST(Bus, IdleGapNotCharged) {
@@ -135,7 +135,8 @@ TEST(Bus, ConcurrentAcquiresLinearize) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(bus.busy_total(), static_cast<Nanos>(kThreads * kPerThread * 7));
-  EXPECT_EQ(bus.free_at(), bus.busy_total()) << "back-to-back grants from t=0";
+  const Nanos busy = bus.busy_total();
+  EXPECT_EQ(bus.acquire(0, 1).start, busy) << "back-to-back grants from t=0";
 }
 
 TEST(Status, Names) {
@@ -603,7 +604,6 @@ TEST(Summary, Moments) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
 }
 
 TEST(Histogram, PercentilesMonotone) {

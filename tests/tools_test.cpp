@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <fstream>
 
+#include "metric_reads.hpp"
 #include "sim/actor.hpp"
 #include "tools/testbed.hpp"
 
@@ -56,8 +57,11 @@ TEST(Testbed, AddVmGrowsTheFleet) {
   EXPECT_EQ(bed.vm_count(), 2u);
   EXPECT_TRUE(vm1.frontend().probed());
   EXPECT_EQ(vm1.vm().name(), "vm1");
-  // Distinct backends = distinct host-process identities.
-  EXPECT_NE(&bed.vm(0).backend().provider(), &vm1.backend().provider());
+  // Distinct backends, each counted under its own VM's label.
+  const auto handled =
+      sim::metrics::registry().counter_by_label("vphi.be.requests.blocking");
+  EXPECT_EQ(handled.count("vm=vm0"), 1u);
+  EXPECT_EQ(handled.count("vm=vm1"), 1u);
 }
 
 TEST(Testbed, UserBuffersComeFromGuestRam) {
@@ -80,22 +84,23 @@ TEST(Testbed, VmRamExhaustionFailsCleanly) {
 }
 
 TEST(Testbed, StatsStartAtZeroAndCount) {
+  // Drop what earlier cases left under vm0's label, so the registry reads
+  // this bed's counts alone.
+  sim::metrics::registry().reset();
   Testbed bed{TestbedConfig{}};
-  auto& fe = bed.vm(0).frontend();
-  auto& be = bed.vm(0).backend();
-  EXPECT_EQ(fe.requests(), 0u);
-  EXPECT_EQ(be.requests_handled(), 0u);
+  const auto read = [](const char* name) { return counter_at(name, "vm=vm0"); };
+  EXPECT_EQ(read("vphi.fe.requests"), 0u);
+  EXPECT_EQ(read("vphi.be.requests.blocking"), 0u);
 
   sim::Actor a{"app", sim::Actor::AtNow{}};
   sim::ActorScope scope(a);
   auto epd = bed.vm(0).guest_scif().open();
   ASSERT_TRUE(epd);
-  EXPECT_EQ(fe.requests(), 1u);
-  EXPECT_EQ(fe.interrupt_waits(), 1u);
-  EXPECT_EQ(fe.polled_waits(), 0u);
-  EXPECT_EQ(be.requests_handled(), 1u);
-  EXPECT_EQ(be.blocking_requests(), 1u);
-  EXPECT_EQ(be.worker_requests(), 0u);
+  EXPECT_EQ(read("vphi.fe.requests"), 1u);
+  EXPECT_EQ(read("vphi.fe.interrupt_waits"), 1u);
+  EXPECT_EQ(read("vphi.fe.polled_waits"), 0u);
+  EXPECT_EQ(read("vphi.be.requests.blocking"), 1u);
+  EXPECT_EQ(read("vphi.be.requests.worker"), 0u);
 }
 
 }  // namespace

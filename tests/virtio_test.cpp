@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "tools/testbed.hpp"
@@ -49,7 +50,7 @@ std::optional<Chain> pop_one(Virtqueue& vq) {
 // or the device consuming it clears it.
 TEST(Virtqueue, StrandedUntilDoorbellDelivered) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  Virtqueue vq{8, mem.translator(), "vq=StrandedUntilDoorbellDelivered"};
   BufferRef out{0, 8};
   ASSERT_TRUE(vq.add_buf({&out, 1}, {}));
   EXPECT_TRUE(vq.stranded(0));   // published, no doorbell yet
@@ -74,7 +75,8 @@ TEST(Virtqueue, StrandedUntilDoorbellDelivered) {
 // timing, one taking a slot another vCPU freed waits for that completion.
 TEST(Virtqueue, ReuseWaitsForAnotherSubmittersCompletion) {
   FlatMem mem{4'096};
-  Virtqueue vq{2, mem.translator()};
+  Virtqueue vq{2, mem.translator(),
+               "vq=ReuseWaitsForAnotherSubmittersCompletion"};
   const sim::Actor a{"vcpu-a"};
   const sim::Actor b{"vcpu-b"};
   BufferRef out{0, 8};
@@ -95,7 +97,7 @@ TEST(Virtqueue, ReuseWaitsForAnotherSubmittersCompletion) {
 
 TEST(Virtqueue, PostPopCompleteRoundtrip) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  Virtqueue vq{8, mem.translator(), "vq=PostPopCompleteRoundtrip"};
   std::memcpy(mem.at(0), "request!", 8);
 
   BufferRef out{0, 8};
@@ -112,7 +114,7 @@ TEST(Virtqueue, PostPopCompleteRoundtrip) {
   ASSERT_EQ(chain->segments.size(), 2u);
   EXPECT_FALSE(chain->segments[0].device_writes);
   EXPECT_TRUE(chain->segments[1].device_writes);
-  EXPECT_EQ(chain->writable_bytes(), 16u);
+  EXPECT_EQ(chain->segments[1].len, 16u);
   EXPECT_EQ(std::memcmp(chain->segments[0].ptr, "request!", 8), 0);
 
   // Device writes a response in place (zero copy) and completes.
@@ -130,7 +132,7 @@ TEST(Virtqueue, PostPopCompleteRoundtrip) {
 
 TEST(Virtqueue, ExhaustionReturnsNoSpace) {
   FlatMem mem{4'096};
-  Virtqueue vq{4, mem.translator()};
+  Virtqueue vq{4, mem.translator(), "vq=ExhaustionReturnsNoSpace"};
   BufferRef r{0, 1};
   std::vector<std::uint16_t> heads;
   for (int i = 0; i < 4; ++i) {
@@ -150,7 +152,7 @@ TEST(Virtqueue, ExhaustionReturnsNoSpace) {
 
 TEST(Virtqueue, ChainTooLongRejectedAtomically) {
   FlatMem mem{4'096};
-  Virtqueue vq{4, mem.translator()};
+  Virtqueue vq{4, mem.translator(), "vq=ChainTooLongRejectedAtomically"};
   std::vector<BufferRef> refs(5, BufferRef{0, 1});
   EXPECT_EQ(vq.add_buf({refs.data(), 5}, {}).status(), sim::Status::kNoSpace);
   EXPECT_EQ(vq.free_descriptors(), 4) << "failed add leaks nothing";
@@ -159,7 +161,7 @@ TEST(Virtqueue, ChainTooLongRejectedAtomically) {
 
 TEST(Virtqueue, FifoOrderPreserved) {
   FlatMem mem{4'096};
-  Virtqueue vq{16, mem.translator()};
+  Virtqueue vq{16, mem.translator(), "vq=FifoOrderPreserved"};
   std::vector<std::uint16_t> heads;
   for (std::uint32_t i = 0; i < 5; ++i) {
     BufferRef r{i * 8, 8};
@@ -178,7 +180,7 @@ TEST(Virtqueue, FifoOrderPreserved) {
 
 TEST(Virtqueue, TranslationFailureYieldsNullSegment) {
   FlatMem mem{64};
-  Virtqueue vq{4, mem.translator()};
+  Virtqueue vq{4, mem.translator(), "vq=TranslationFailureYieldsNullSegment"};
   BufferRef bogus{1'000'000, 8};
   ASSERT_TRUE(vq.add_buf({&bogus, 1}, {}));
   vq.kick(0);
@@ -190,7 +192,7 @@ TEST(Virtqueue, TranslationFailureYieldsNullSegment) {
 
 TEST(Virtqueue, ShutdownUnblocksDevice) {
   FlatMem mem{64};
-  Virtqueue vq{4, mem.translator()};
+  Virtqueue vq{4, mem.translator(), "vq=ShutdownUnblocksDevice"};
   std::optional<Chain> got = Chain{};
   std::thread device([&] { got = pop_one(vq); });
   vq.shutdown();
@@ -200,7 +202,7 @@ TEST(Virtqueue, ShutdownUnblocksDevice) {
 
 TEST(Virtqueue, CrossThreadPipelineKeepsDataIntact) {
   FlatMem mem{1 << 16};
-  Virtqueue vq{32, mem.translator()};
+  Virtqueue vq{32, mem.translator(), "vq=CrossThreadPipelineKeepsDataIntact"};
   constexpr int kMsgs = 200;
   constexpr std::uint32_t kMsgLen = 64;
 
@@ -241,7 +243,7 @@ class RingChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RingChurnTest, DescriptorAccountingExact) {
   FlatMem mem{1 << 16};
-  Virtqueue vq{16, mem.translator()};
+  Virtqueue vq{16, mem.translator(), "vq=DescriptorAccountingExact"};
   sim::Rng rng{GetParam()};
   std::vector<std::uint16_t> outstanding;
 
@@ -281,7 +283,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RingChurnTest,
 
 TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  const LabelDeltas ring{"vq=EventIdxSuppressesKicksWhileDoorbellPending"};
+  Virtqueue vq{8, mem.translator(), ring.label()};
   vq.set_event_idx(true);
   BufferRef out{0, 8};
 
@@ -298,7 +301,7 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   auto h2 = vq.add_buf({&out, 1}, {}, 20);
   ASSERT_TRUE(h2);
   EXPECT_EQ(vq.kick_prepare(), Doorbell::kSuppressed);
-  EXPECT_EQ(vq.suppressed_kicks(), 1u);
+  EXPECT_EQ(ring["vphi.ring.kicks_suppressed"], 1u);
 
   // The suppressed chain is still drained: one wakeup, both chains.
   auto batch = vq.pop_avail_batch();
@@ -313,7 +316,7 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
   auto h3 = vq.add_buf({&out, 1}, {}, 30);
   ASSERT_TRUE(h3);
   EXPECT_EQ(vq.kick_prepare(), Doorbell::kRing);
-  EXPECT_EQ(vq.suppressed_kicks(), 1u);
+  EXPECT_EQ(ring["vphi.ring.kicks_suppressed"], 1u);
 }
 
 // EVENT_IDX suppresses every kick behind a pending doorbell, so when that
@@ -321,7 +324,8 @@ TEST(Virtqueue, EventIdxSuppressesKicksWhileDoorbellPending) {
 // a delivered kick covers them all.
 TEST(Virtqueue, EventIdxLostDoorbellStrandsTheEntriesBehindIt) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  const LabelDeltas ring{"vq=EventIdxLostDoorbellStrandsTheEntriesBehindIt"};
+  Virtqueue vq{8, mem.translator(), ring.label()};
   vq.set_event_idx(true);
   BufferRef out{0, 8};
   sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
@@ -332,8 +336,8 @@ TEST(Virtqueue, EventIdxLostDoorbellStrandsTheEntriesBehindIt) {
     ASSERT_TRUE(vq.add_buf({&out, 1}, {}, 20 + i));
     EXPECT_EQ(vq.kick_prepare(), Doorbell::kSuppressed);
   }
-  EXPECT_EQ(vq.dropped_kicks(), 1u);
-  EXPECT_EQ(vq.suppressed_kicks(), 3u);
+  EXPECT_EQ(ring["vphi.ring.kicks_dropped"], 1u);
+  EXPECT_EQ(ring["vphi.ring.kicks_suppressed"], 3u);
   for (std::uint16_t pos = 0; pos < 4; ++pos) {
     EXPECT_TRUE(vq.stranded(pos)) << "entry " << pos;
   }
@@ -367,6 +371,7 @@ TEST(Virtqueue, LostDoorbellOnASharedQueueHangsNoWaiter) {
     cfg.frontend.scheme = scheme;
     cfg.frontend.request_timeout_ns = 50'000'000;  // 50 ms simulated
     cfg.start_coi_daemon = false;
+    const LabelDeltas ring{"vm=vm0"};  // queue 0's label
     tools::Testbed bed{cfg};
     Virtqueue& vq = bed.vm(0).vm().vq();
     const std::uint16_t free_before = vq.free_descriptors();
@@ -389,7 +394,7 @@ TEST(Virtqueue, LostDoorbellOnASharedQueueHangsNoWaiter) {
     EXPECT_EQ(a.get(), 4);
     EXPECT_EQ(b.get(), 4);
     sim::fault_injector().disarm_all();
-    EXPECT_EQ(vq.dropped_kicks(), 1u);
+    EXPECT_EQ(ring["vphi.ring.kicks_dropped"], 1u);
 
     bed.vm(0).frontend().quiesce();
     EXPECT_EQ(vq.free_descriptors(), free_before);
@@ -399,7 +404,8 @@ TEST(Virtqueue, LostDoorbellOnASharedQueueHangsNoWaiter) {
 
 TEST(Virtqueue, EventIdxCoalescesInterruptsPerBatch) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  const LabelDeltas ring{"vq=EventIdxCoalescesInterruptsPerBatch"};
+  Virtqueue vq{8, mem.translator(), ring.label()};
   vq.set_event_idx(true);
   BufferRef out{0, 8};
   auto h1 = vq.add_buf({&out, 1}, {}, 0);
@@ -416,7 +422,7 @@ TEST(Virtqueue, EventIdxCoalescesInterruptsPerBatch) {
   // Second completion before the driver re-armed -> coalesced.
   ASSERT_EQ(vq.push_used(*h2, 0, 210), sim::Status::kOk);
   EXPECT_FALSE(vq.should_interrupt());
-  EXPECT_EQ(vq.suppressed_irqs(), 1u);
+  EXPECT_EQ(ring["vphi.ring.irqs_suppressed"], 1u);
 
   // One IRQ, two completions drained.
   EXPECT_TRUE(vq.get_used());
@@ -433,7 +439,7 @@ TEST(Virtqueue, EventIdxCoalescesInterruptsPerBatch) {
   ASSERT_EQ(vq.pop_avail_batch().size(), 1u);
   ASSERT_EQ(vq.push_used(*h3, 0, 400), sim::Status::kOk);
   EXPECT_TRUE(vq.should_interrupt());
-  EXPECT_EQ(vq.suppressed_irqs(), 1u);
+  EXPECT_EQ(ring["vphi.ring.irqs_suppressed"], 1u);
 }
 
 TEST(Virtqueue, ArmUsedEventReportsRacedCompletion) {
@@ -442,7 +448,7 @@ TEST(Virtqueue, ArmUsedEventReportsRacedCompletion) {
   // must report the pending entry so the driver re-drains instead of
   // sleeping through a suppressed interrupt.
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  Virtqueue vq{8, mem.translator(), "vq=ArmUsedEventReportsRacedCompletion"};
   vq.set_event_idx(true);
   BufferRef out{0, 8};
   auto h1 = vq.add_buf({&out, 1}, {}, 0);
@@ -459,7 +465,8 @@ TEST(Virtqueue, ArmUsedEventReportsRacedCompletion) {
 
 TEST(Virtqueue, EventIdxOffNeverSuppresses) {
   FlatMem mem{4'096};
-  Virtqueue vq{8, mem.translator()};
+  const LabelDeltas ring{"vq=EventIdxOffNeverSuppresses"};
+  Virtqueue vq{8, mem.translator(), ring.label()};
   BufferRef out{0, 8};
   for (int i = 0; i < 3; ++i) {
     auto h = vq.add_buf({&out, 1}, {}, 0);
@@ -475,8 +482,8 @@ TEST(Virtqueue, EventIdxOffNeverSuppresses) {
     EXPECT_TRUE(vq.get_used());
   }
   EXPECT_FALSE(vq.arm_used_event());  // no-op with EVENT_IDX off
-  EXPECT_EQ(vq.suppressed_kicks(), 0u);
-  EXPECT_EQ(vq.suppressed_irqs(), 0u);
+  EXPECT_EQ(ring["vphi.ring.kicks_suppressed"], 0u);
+  EXPECT_EQ(ring["vphi.ring.irqs_suppressed"], 0u);
 }
 
 TEST(DeviceStatus, HandshakeSucceeds) {
@@ -485,15 +492,15 @@ TEST(DeviceStatus, HandshakeSucceeds) {
   status.set(VIRTIO_STATUS_DRIVER);
   EXPECT_TRUE(status.negotiate(VIRTIO_F_VERSION_1 | VPHI_F_SCIF));
   status.set(VIRTIO_STATUS_DRIVER_OK);
-  EXPECT_TRUE(status.driver_ok());
-  EXPECT_FALSE(status.failed());
+  EXPECT_TRUE(status.has(VIRTIO_STATUS_DRIVER_OK));
+  EXPECT_FALSE(status.has(VIRTIO_STATUS_FAILED));
   EXPECT_EQ(status.accepted_features(), VIRTIO_F_VERSION_1 | VPHI_F_SCIF);
 }
 
 TEST(DeviceStatus, UnofferedFeatureFailsNegotiation) {
   DeviceStatus status{VPHI_F_SCIF};
   EXPECT_FALSE(status.negotiate(VPHI_F_SCIF | VPHI_F_MMAP_PFN));
-  EXPECT_TRUE(status.failed());
+  EXPECT_TRUE(status.has(VIRTIO_STATUS_FAILED));
 }
 
 TEST(DeviceStatus, ResetClearsState) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "scif/api.hpp"
 #include "scif/fabric.hpp"
 #include "sim/actor.hpp"
@@ -54,6 +55,8 @@ class EdgeFixture : public ::testing::Test {
     return {*epd, server.get()};
   }
 
+  /// vm0's counts since this fixture was built; made before bed_.
+  const LabelDeltas vm0_{"vm=vm0"};
   Testbed bed_;
 };
 
@@ -74,7 +77,7 @@ TEST_P(ChunkBoundaryTest, SendSizesAroundKmallocCap) {
   sim::Rng rng{size};
   rng.fill(msg.data(), msg.size());
 
-  const auto sends_before = bed_.vm(0).backend().op_count(Op::kSend);
+  const auto sends_before = vm0_["vphi.be.op.send.requests"];
   auto receiver = std::async(std::launch::async, [&, card_epd = card_epd] {
     sim::Actor a{"rx", sim::Actor::AtNow{}};
     sim::ActorScope scope(a);
@@ -89,7 +92,7 @@ TEST_P(ChunkBoundaryTest, SendSizesAroundKmallocCap) {
   EXPECT_EQ(*sent, size);
   const auto expected_chunks =
       (size + hv::kKmallocMaxSize - 1) / hv::kKmallocMaxSize;
-  EXPECT_EQ(bed_.vm(0).backend().op_count(Op::kSend) - sends_before,
+  EXPECT_EQ(vm0_["vphi.be.op.send.requests"] - sends_before,
             expected_chunks);
   EXPECT_EQ(receiver.get(), msg);
 }
@@ -112,12 +115,12 @@ TEST_F(EdgeFixture, RecvChunksLargeRequests) {
                                        SCIF_SEND_BLOCK);
     EXPECT_TRUE(r);
   });
-  const auto recvs_before = bed_.vm(0).backend().op_count(Op::kRecv);
+  const auto recvs_before = vm0_["vphi.be.op.recv.requests"];
   std::vector<std::uint8_t> got(kSize);
   auto r = guest.recv(guest_epd, got.data(), kSize, SCIF_RECV_BLOCK);
   ASSERT_TRUE(r);
   EXPECT_EQ(*r, kSize);
-  EXPECT_EQ(bed_.vm(0).backend().op_count(Op::kRecv) - recvs_before, 3u);
+  EXPECT_EQ(vm0_["vphi.be.op.recv.requests"] - recvs_before, 3u);
   EXPECT_EQ(got, msg);
   sender.get();
 }
@@ -137,7 +140,7 @@ TEST(VphiProbe, ProbeNegotiatesFeatures) {
   hv::Vm vm{{.name = "probing"}, sim::CostModel::paper()};
   FrontendDriver frontend{vm};
   EXPECT_EQ(frontend.probe(), Status::kOk);
-  EXPECT_TRUE(vm.device_status().driver_ok());
+  EXPECT_TRUE(vm.device_status().has(virtio::VIRTIO_STATUS_DRIVER_OK));
   EXPECT_TRUE(vm.device_status().accepted_features() & virtio::VPHI_F_SCIF);
 }
 
@@ -408,6 +411,7 @@ TEST(BackendValidation, OverclaimedPayloadLenRejected) {
   // header claiming payload_len = 8 KiB over a 4 KiB segment made kSend
   // read 4 KiB of unrelated host memory.
   const sim::CostModel model = sim::CostModel::paper();
+  const LabelDeltas counts{"vm=lying-guest"};
   hv::Vm vm{{.name = "lying-guest"}, model};
   scif::Fabric fabric{model};
   BackendDevice backend{vm, fabric};
@@ -419,7 +423,7 @@ TEST(BackendValidation, OverclaimedPayloadLenRejected) {
   req.payload_len = 8'192;  // twice what the chain actually carries
   const ResponseHeader resp = raw_roundtrip(vm, req, 4'096);
   EXPECT_EQ(response_status(resp), Status::kBadAddress);
-  EXPECT_GE(backend.validation_failures(), 1u);
+  EXPECT_GE(counts["vphi.be.validation_failures"], 1u);
   backend.stop();
 }
 
@@ -427,6 +431,7 @@ TEST(BackendValidation, PollCountOverflowRejected) {
   // A poll request whose nepds * sizeof(PollEpd) overflows 32-bit math used
   // to slip past the per-op bounds check.
   const sim::CostModel model = sim::CostModel::paper();
+  const LabelDeltas counts{"vm=poll-bomb"};
   hv::Vm vm{{.name = "poll-bomb"}, model};
   scif::Fabric fabric{model};
   BackendDevice backend{vm, fabric};
@@ -438,7 +443,7 @@ TEST(BackendValidation, PollCountOverflowRejected) {
   req.payload_len = 4'096;
   const ResponseHeader resp = raw_roundtrip(vm, req, 4'096);
   EXPECT_EQ(response_status(resp), Status::kInvalidArgument);
-  EXPECT_GE(backend.validation_failures(), 1u);
+  EXPECT_GE(counts["vphi.be.validation_failures"], 1u);
   backend.stop();
 }
 
@@ -453,7 +458,7 @@ TEST_F(TrustRegression, ShortUsedWriteSurfacesIoError) {
   sim::fault_injector().arm_nth(sim::FaultSite::kShortUsedWrite, 1);
   EXPECT_EQ(bed_.vm(0).guest_scif().get_node_ids().status(),
             Status::kIoError);
-  EXPECT_GE(bed_.vm(0).frontend().protocol_errors(), 1u);
+  EXPECT_GE(vm0_["vphi.fe.protocol_errors"], 1u);
 }
 
 TEST_F(TrustRegression, CyclicChainAnsweredInsteadOfHanging) {
@@ -463,8 +468,8 @@ TEST_F(TrustRegression, CyclicChainAnsweredInsteadOfHanging) {
   sim::fault_injector().arm_nth(sim::FaultSite::kCycleChain, 1);
   auto& guest = bed_.vm(0).guest_scif();
   EXPECT_EQ(guest.open().status(), Status::kIoError);
-  EXPECT_GE(bed_.vm(0).vm().vq().poisoned_chains(), 1u);
-  EXPECT_GE(bed_.vm(0).backend().poisoned_chains(), 1u);
+  EXPECT_GE(vm0_["vphi.ring.chains_poisoned"], 1u);
+  EXPECT_GE(vm0_["vphi.be.poisoned_chains"], 1u);
   // The transport survives the attack.
   EXPECT_TRUE(guest.open());
 }

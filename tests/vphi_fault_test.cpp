@@ -18,6 +18,7 @@
 #include <string>
 #include <tuple>
 
+#include "metric_reads.hpp"
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recorder.hpp"
@@ -83,7 +84,6 @@ class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
   }
 
   FrontendDriver& fe() { return bed_->vm(0).frontend(); }
-  BackendDevice& be() { return bed_->vm(0).backend(); }
   hv::Vm& vm() { return bed_->vm(0).vm(); }
   GuestScifProvider& guest() { return bed_->vm(0).guest_scif(); }
 
@@ -116,6 +116,23 @@ class FaultSweepTest : public ::testing::TestWithParam<FaultParam> {
       free_desc += vm().vq(q).free_descriptors();
     }
     return {free_desc, vm().ram().allocation_count(), fe().pending_requests()};
+  }
+
+  /// vm0's count under `name`; SetUp reset the registry, so it is this
+  /// case's alone.
+  static std::uint64_t vm0(const std::string& name) {
+    return counter_at(name, "vm=vm0");
+  }
+
+  /// A ring count summed over vm0's queues ("vm=vm0" on queue 0,
+  /// "vm=vm0,q=<i>" on the others).
+  static std::uint64_t rings(const std::string& name) {
+    std::uint64_t total = 0;
+    for (const auto& [label, v] :
+         sim::metrics::registry().counter_by_label(name)) {
+      if (label == "vm=vm0" || label.rfind("vm=vm0,", 0) == 0) total += v;
+    }
+    return total;
   }
 
   /// Sum of a gauge across every label (live + retired instruments).
@@ -153,9 +170,11 @@ TEST_P(FaultSweepTest, KmallocEnomemSurfacesCleanly) {
   const auto before = snap();
   sim::fault_injector().arm_nth(FaultSite::kKmallocNoMem, 1);
   EXPECT_EQ(guest().open().status(), Status::kNoMemory);
-  EXPECT_GE(vm().ram().kmalloc_failures(), 1u);
-  EXPECT_GE(fe().op_errors(Op::kOpen), 1u);
-  EXPECT_EQ(fe().op_retries(Op::kOpen), 0u);  // ENOMEM is not transport loss
+  EXPECT_GE(sim::metrics::registry().counter_value(
+                "vphi.fault.kmalloc-nomem.fires"),
+            1u);
+  EXPECT_GE(vm0("vphi.fe.op.open.errors"), 1u);
+  EXPECT_EQ(vm0("vphi.fe.op.open.retries"), 0u);  // ENOMEM is not transport loss
   expect_restored(before);
 }
 
@@ -164,10 +183,10 @@ TEST_P(FaultSweepTest, DroppedKickTimesOutAndRetriesIdempotent) {
   sim::fault_injector().arm_nth(FaultSite::kKickDrop, 1);
   auto epd = guest().open();
   EXPECT_TRUE(epd);  // the bounded retry heals the lost doorbell
-  EXPECT_GE(vm().vq().dropped_kicks(), 1u);
-  EXPECT_GE(fe().timeouts(), 1u);
-  EXPECT_GE(fe().op_timeouts(Op::kOpen), 1u);
-  EXPECT_GE(fe().op_retries(Op::kOpen), 1u);
+  EXPECT_GE(rings("vphi.ring.kicks_dropped"), 1u);
+  EXPECT_GE(vm0("vphi.fe.timeouts"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.open.timeouts"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.open.retries"), 1u);
   expect_restored(before);
 }
 
@@ -177,8 +196,8 @@ TEST_P(FaultSweepTest, DroppedKickFailsNonIdempotentWithTimeout) {
   const auto before = snap();
   sim::fault_injector().arm_nth(FaultSite::kKickDrop, 1);
   EXPECT_EQ(guest().close(*epd), Status::kTimedOut);
-  EXPECT_GE(fe().op_timeouts(Op::kClose), 1u);
-  EXPECT_EQ(fe().op_retries(Op::kClose), 0u);  // close must not be replayed
+  EXPECT_GE(vm0("vphi.fe.op.close.timeouts"), 1u);
+  EXPECT_EQ(vm0("vphi.fe.op.close.retries"), 0u);  // close must not be replayed
   expect_restored(before);
 }
 
@@ -191,8 +210,8 @@ TEST_P(FaultSweepTest, DelayedKickMissesDeadlineAndRetries) {
   sim::fault_injector().arm(FaultSite::kKickDelay, cfg);
   auto epd = guest().open();
   EXPECT_TRUE(epd);
-  EXPECT_GE(fe().timeouts(), 1u);
-  EXPECT_GE(fe().op_retries(Op::kOpen), 1u);
+  EXPECT_GE(vm0("vphi.fe.timeouts"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.open.retries"), 1u);
   expect_restored(before);
 }
 
@@ -200,7 +219,7 @@ TEST_P(FaultSweepTest, CorruptRequestRejectedByBackendValidator) {
   const auto before = snap();
   sim::fault_injector().arm_nth(FaultSite::kCorruptRequestHeader, 1);
   EXPECT_EQ(guest().open().status(), Status::kInvalidArgument);
-  EXPECT_GE(be().validation_failures(), 1u);
+  EXPECT_GE(vm0("vphi.be.validation_failures"), 1u);
   expect_restored(before);
 }
 
@@ -209,8 +228,8 @@ TEST_P(FaultSweepTest, CorruptResponseStatusCaughtAndRetried) {
   sim::fault_injector().arm_nth(FaultSite::kCorruptResponseStatus, 1);
   auto epd = guest().open();
   EXPECT_TRUE(epd);
-  EXPECT_GE(fe().protocol_errors(), 1u);
-  EXPECT_GE(fe().op_retries(Op::kOpen), 1u);
+  EXPECT_GE(vm0("vphi.fe.protocol_errors"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.open.retries"), 1u);
   expect_restored(before);
 }
 
@@ -230,8 +249,8 @@ TEST_P(FaultSweepTest, ShortUsedWriteCaughtAndRetried) {
   sim::fault_injector().arm_nth(FaultSite::kShortUsedWrite, 1);
   auto ids = guest().get_node_ids();
   EXPECT_TRUE(ids);  // idempotent op healed by retry
-  EXPECT_GE(fe().protocol_errors(), 1u);
-  EXPECT_GE(fe().op_retries(Op::kGetNodeIds), 1u);
+  EXPECT_GE(vm0("vphi.fe.protocol_errors"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.get_node_ids.retries"), 1u);
   expect_restored(before);
 }
 
@@ -240,9 +259,9 @@ TEST_P(FaultSweepTest, TruncatedChainRejectedAndRetried) {
   sim::fault_injector().arm_nth(FaultSite::kTruncateChain, 1);
   auto epd = guest().open();
   EXPECT_TRUE(epd);
-  EXPECT_GE(vm().vq().truncated_chains(), 1u);
-  EXPECT_GE(be().malformed_chains(), 1u);
-  EXPECT_GE(fe().protocol_errors(), 1u);  // the zero-length used entry
+  EXPECT_GE(rings("vphi.ring.chains_truncated"), 1u);
+  EXPECT_GE(vm0("vphi.be.malformed_chains"), 1u);
+  EXPECT_GE(vm0("vphi.fe.protocol_errors"), 1u);  // the zero-length used entry
   expect_restored(before);
 }
 
@@ -252,8 +271,8 @@ TEST_P(FaultSweepTest, CyclicChainAnsweredWithErrorNotSpun) {
   // A cyclic chain yields a well-formed error response, not a retry (the
   // response-level kIoError is the backend talking, not transport loss).
   EXPECT_EQ(guest().open().status(), Status::kIoError);
-  EXPECT_GE(vm().vq().poisoned_chains(), 1u);
-  EXPECT_GE(be().poisoned_chains(), 1u);
+  EXPECT_GE(rings("vphi.ring.chains_poisoned"), 1u);
+  EXPECT_GE(vm0("vphi.be.poisoned_chains"), 1u);
   expect_restored(before);
   // The transport must remain fully usable afterwards.
   EXPECT_TRUE(guest().open());
@@ -302,7 +321,7 @@ TEST_P(SgFaultTest, MisalignedSgEntryRejectedByValidator) {
   EXPECT_EQ(guest().readfrom(guest_epd_, local_off_, kWinBytes, remote_off_,
                              scif::SCIF_RMA_SYNC),
             Status::kInvalidArgument);
-  EXPECT_GE(be().validation_failures(), 1u);
+  EXPECT_GE(vm0("vphi.be.validation_failures"), 1u);
   expect_restored(before);
   // The transport (and the window) remain fully usable afterwards.
   EXPECT_EQ(guest().readfrom(guest_epd_, local_off_, kWinBytes, remote_off_,
@@ -318,7 +337,7 @@ TEST_P(SgFaultTest, OverflowingSgEntryRejectedByValidator) {
   EXPECT_EQ(guest().readfrom(guest_epd_, local_off_, kWinBytes, remote_off_,
                              scif::SCIF_RMA_SYNC),
             Status::kInvalidArgument);
-  EXPECT_GE(be().validation_failures(), 1u);
+  EXPECT_GE(vm0("vphi.be.validation_failures"), 1u);
   expect_restored(before);
   EXPECT_EQ(guest().writeto(guest_epd_, local_off_, kWinBytes, remote_off_,
                             scif::SCIF_RMA_SYNC),

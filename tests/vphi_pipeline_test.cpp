@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <future>
 #include <memory>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
@@ -40,6 +42,9 @@ class PipelineTest : public ::testing::Test {
   static constexpr std::size_t kWindow = 4;
 
   void SetUp() override {
+    // The registry reads vm0's counts by label: drop what earlier cases
+    // left there.
+    sim::metrics::registry().reset();
     TestbedConfig cfg;
     cfg.frontend.scheme = WaitScheme::kInterrupt;
     cfg.frontend.max_payload = kChunk;
@@ -58,6 +63,10 @@ class PipelineTest : public ::testing::Test {
 
   FrontendDriver& fe() { return bed_->vm(0).frontend(); }
   hv::Vm& vm() { return bed_->vm(0).vm(); }
+  /// vm0's count under `name` (one queue, so one label).
+  static std::uint64_t vm0(const std::string& name) {
+    return counter_at(name, "vm=vm0");
+  }
   GuestScifProvider& guest() { return bed_->vm(0).guest_scif(); }
 
   struct Snapshot {
@@ -142,7 +151,7 @@ TEST_F(PipelineTest, StreamOrderingPreservedAcrossWindow) {
   echo.get();
   // Both directions really chunked: >= 32 transfer requests crossed the
   // ring for this endpoint.
-  EXPECT_GE(fe().requests(), 2 * kTotal / kChunk);
+  EXPECT_GE(vm0("vphi.fe.requests"), 2 * kTotal / kChunk);
 }
 
 TEST_F(PipelineTest, ShortRecvMidWindowTruncatesToCompletedPrefix) {
@@ -228,7 +237,7 @@ TEST_F(PipelineTest, DroppedKickOnFirstChunkHealsWindow) {
   ASSERT_TRUE(sim::ok(guest().connect(*epd, PortId{bed_->card_node(), kPort})));
 
   const auto before = snap();
-  const auto kicks_suppressed_before = vm().vq().suppressed_kicks();
+  const auto kicks_suppressed_before = vm0("vphi.ring.kicks_suppressed");
   sim::fault_injector().arm_nth(FaultSite::kKickDrop, 1);
 
   std::vector<std::uint8_t> out(kTotal, 0x5B);
@@ -237,12 +246,12 @@ TEST_F(PipelineTest, DroppedKickOnFirstChunkHealsWindow) {
   // surfaces the transport timeout itself (send is not retried — it is not
   // idempotent).
   EXPECT_EQ(sent.status(), Status::kTimedOut);
-  EXPECT_GE(vm().vq().dropped_kicks(), 1u);
-  EXPECT_GE(fe().timeouts(), 1u);
-  EXPECT_GE(fe().op_timeouts(Op::kSend), 1u);
+  EXPECT_GE(vm0("vphi.ring.kicks_dropped"), 1u);
+  EXPECT_GE(vm0("vphi.fe.timeouts"), 1u);
+  EXPECT_GE(vm0("vphi.fe.op.send.timeouts"), 1u);
   // Deterministic suppression: while the (dropped) doorbell was pending the
   // device was asleep, so the sibling chunks' kicks were all elided.
-  EXPECT_GE(vm().vq().suppressed_kicks() - kicks_suppressed_before, 2u);
+  EXPECT_GE(vm0("vphi.ring.kicks_suppressed") - kicks_suppressed_before, 2u);
 
   expect_restored(before);
 
@@ -296,7 +305,7 @@ TEST_F(PipelineTest, MisalignedSgOnFirstChunkFailsReadfrom) {
 
   const auto& reg = sim::metrics::registry();
   const auto hits_before = reg.counter_value("vphi.fault.sg-misalign.hits");
-  const auto rejected_before = bed_->vm(0).backend().validation_failures();
+  const auto rejected_before = vm0("vphi.be.validation_failures");
   sim::fault_injector().arm_nth(FaultSite::kSgMisalign, 1);
   EXPECT_EQ(guest().readfrom(*epd, *local, kTotal, *remote, SCIF_RMA_SYNC),
             Status::kInvalidArgument);
@@ -304,7 +313,7 @@ TEST_F(PipelineTest, MisalignedSgOnFirstChunkFailsReadfrom) {
   EXPECT_EQ(reg.counter_value("vphi.fault.sg-misalign.hits") - hits_before,
             kWindow)
       << "one draw per chunk submitted";
-  EXPECT_EQ(bed_->vm(0).backend().validation_failures() - rejected_before,
+  EXPECT_EQ(vm0("vphi.be.validation_failures") - rejected_before,
             1u);
 
   // The window is still usable once the fault is gone.

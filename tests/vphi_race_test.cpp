@@ -184,9 +184,12 @@ TEST(VphiRace, SnapshotJsonUnderConcurrentMutation) {
 TEST(VphiRace, FlightRecorderUnderFaultStorm) {
   // Traced traffic feeds the recorder's ring from guest, backend and IRQ
   // threads while injected faults fire dump() (snapshot + render) and two
-  // observer threads concurrently dump and read last_dump()/entry_count().
+  // observer threads concurrently dump and read last_dump() and the
+  // registry's dump count.
   sim::tracer().set_enabled(true);
   sim::flight_recorder().clear();
+  auto& reg = sim::metrics::registry();
+  const std::uint64_t dumps_before = reg.counter_value("vphi.recorder.dumps");
 
   TestbedConfig config;
   config.backend_policy.classify = BackendPolicy::all_worker();
@@ -222,12 +225,12 @@ TEST(VphiRace, FlightRecorderUnderFaultStorm) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> observers;
   for (int t = 0; t < 2; ++t) {
-    observers.emplace_back([&stop] {
+    observers.emplace_back([&stop, &reg] {
       while (!stop.load(std::memory_order_relaxed)) {
         sim::flight_recorder().dump("race-storm-observer");
         const sim::FlightDump last = sim::flight_recorder().last_dump();
         EXPECT_FALSE(last.reason.empty());
-        (void)sim::flight_recorder().entry_count();
+        (void)reg.counter_value("vphi.recorder.dumps");
         std::this_thread::yield();
       }
     });
@@ -257,7 +260,7 @@ TEST(VphiRace, FlightRecorderUnderFaultStorm) {
   for (auto& e : echoes) e.get();
   sim::tracer().set_enabled(false);
   sim::tracer().clear();
-  EXPECT_GT(sim::flight_recorder().dump_count(), 0u);
+  EXPECT_GT(reg.counter_value("vphi.recorder.dumps"), dumps_before);
 }
 
 TEST(VphiRace, ProbedFlagConcurrentReadersDuringProbe) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "sim/actor.hpp"
 #include "sim/rng.hpp"
 #include "tools/micnativeloadex.hpp"
@@ -36,6 +37,7 @@ TEST(VphiStress, ManyGuestThreadsShareOneRing) {
   // concurrently; every echo must come back intact to its own thread.
   TestbedConfig config;
   config.backend_policy.classify = BackendPolicy::all_worker();
+  const LabelDeltas vm0{"vm=vm0"};
   Testbed bed{config};
 
   constexpr int kThreads = 4;
@@ -95,13 +97,14 @@ TEST(VphiStress, ManyGuestThreadsShareOneRing) {
   for (auto& g : guests) g.join();
   for (auto& e : echoes) e.get();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(bed.vm(0).backend().requests_handled(),
+  EXPECT_GE(vm0["vphi.be.requests.worker"] + vm0["vphi.be.requests.blocking"],
             static_cast<std::uint64_t>(kThreads * kRoundsPerThread * 2));
 }
 
 TEST(VphiStress, VmShutdownUnblocksPendingGuest) {
   // A guest blocked in a ring round trip must come back with kShutDown
   // when the VM is torn down underneath it (not hang).
+  const LabelDeltas vm0{"vm=vm0"};
   auto bed = std::make_unique<Testbed>(TestbedConfig{});
   auto& guest = bed->vm(0).guest_scif();
 
@@ -129,7 +132,7 @@ TEST(VphiStress, VmShutdownUnblocksPendingGuest) {
   });
   // Give the request time to reach the backend, then tear the VM down.
   auto fut = blocked_result.get_future();
-  while (bed->vm(0).backend().op_count(Op::kRecv) == 0) {
+  while (vm0["vphi.be.op.recv.requests"] == 0) {
     std::this_thread::yield();
   }
   bed.reset();  // destroys VMs: ring shutdown + endpoint close

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "metric_reads.hpp"
 #include "scif/types.hpp"
 #include "sim/actor.hpp"
 #include "sim/rng.hpp"
@@ -66,6 +67,8 @@ class VphiFixture : public ::testing::Test {
     return {*epd, server.get()};
   }
 
+  /// vm0's counts since this fixture was built; made before bed_.
+  const LabelDeltas vm0_{"vm=vm0"};
   Testbed bed_;
 };
 
@@ -75,8 +78,8 @@ TEST_F(VphiFixture, GuestOpensAndClosesEndpoint) {
   ASSERT_TRUE(epd);
   EXPECT_EQ(guest.close(*epd), Status::kOk);
   EXPECT_EQ(guest.close(*epd), Status::kBadDescriptor);
-  EXPECT_EQ(bed_.vm(0).backend().op_count(Op::kOpen), 1u);
-  EXPECT_EQ(bed_.vm(0).backend().op_count(Op::kClose), 2u);
+  EXPECT_EQ(vm0_["vphi.be.op.open.requests"], 1u);
+  EXPECT_EQ(vm0_["vphi.be.op.close.requests"], 2u);
 }
 
 TEST_F(VphiFixture, GuestConnectsToCardService) {
@@ -84,7 +87,7 @@ TEST_F(VphiFixture, GuestConnectsToCardService) {
   EXPECT_GE(guest_epd, 0);
   EXPECT_GE(card_epd, 0);
   // accept ran on a worker thread per the paper's policy.
-  EXPECT_GE(bed_.vm(0).backend().blocking_requests(), 2u);
+  EXPECT_GE(vm0_["vphi.be.requests.blocking"], 2u);
 }
 
 TEST_F(VphiFixture, SendRecvRoundtripThroughTheRing) {
@@ -126,7 +129,7 @@ TEST_F(VphiFixture, LargeTransferChunksAtKmallocMax) {
   sim::Rng rng{22};
   rng.fill(msg.data(), msg.size());
 
-  const auto sends_before = bed_.vm(0).backend().op_count(Op::kSend);
+  const auto sends_before = vm0_["vphi.be.op.send.requests"];
   auto receiver = std::async(std::launch::async, [&, card_epd = card_epd] {
     sim::Actor a{"receiver"};
     sim::ActorScope scope(a);
@@ -139,7 +142,7 @@ TEST_F(VphiFixture, LargeTransferChunksAtKmallocMax) {
   auto sent = guest.send(guest_epd, msg.data(), msg.size(), SCIF_SEND_BLOCK);
   ASSERT_TRUE(sent);
   EXPECT_EQ(*sent, total);
-  EXPECT_EQ(bed_.vm(0).backend().op_count(Op::kSend) - sends_before, 3u);
+  EXPECT_EQ(vm0_["vphi.be.op.send.requests"] - sends_before, 3u);
   EXPECT_EQ(receiver.get(), msg);
 }
 
@@ -416,15 +419,15 @@ TEST_F(VphiRmaFixture, MmapInstallsPfnphiVmaAndFaultsResolve) {
   EXPECT_EQ(bed_.vm(0).vm().kernel().vmas().count(), 1u);
 
   std::vector<std::byte> buf(16'384);
-  const auto faults_before = bed_.vm(0).vm().mmu().faults();
+  const auto faults_before = vm0_["vphi.hv.ept_faults"];
   ASSERT_EQ(guest.map_read(*mapping, 0, buf.data(), buf.size()), Status::kOk);
   EXPECT_EQ(std::memcmp(buf.data(), dev_base_, buf.size()), 0);
-  EXPECT_EQ(bed_.vm(0).vm().mmu().faults() - faults_before, 4u)
+  EXPECT_EQ(vm0_["vphi.hv.ept_faults"] - faults_before, 4u)
       << "one EPT fault per touched page";
 
   // Second read: no further faults.
   ASSERT_EQ(guest.map_read(*mapping, 0, buf.data(), buf.size()), Status::kOk);
-  EXPECT_EQ(bed_.vm(0).vm().mmu().faults() - faults_before, 4u);
+  EXPECT_EQ(vm0_["vphi.hv.ept_faults"] - faults_before, 4u);
 
   ASSERT_EQ(guest.munmap(*mapping), Status::kOk);
   EXPECT_EQ(bed_.vm(0).vm().kernel().vmas().count(), 0u);
@@ -524,16 +527,22 @@ TEST(VphiWaitSchemes, PollingBeatsInterruptLatency) {
     return app.now() - before;
   };
 
-  Testbed interrupt_bed{interrupt_config};
+  // One bed at a time: both name their VM vm0, and the registry reads a
+  // VM's counts by that label.
+  Nanos t_int = 0;
+  {
+    Testbed interrupt_bed{interrupt_config};
+    t_int = measure(interrupt_bed);
+  }
+  const LabelDeltas vm0{"vm=vm0"};
   Testbed polling_bed{polling_config};
-  const Nanos t_int = measure(interrupt_bed);
   const Nanos t_poll = measure(polling_bed);
   EXPECT_GT(t_int, t_poll) << "polling avoids the 349 us wakeup scheme";
   EXPECT_LT(sim::to_micros(t_poll), 60.0)
       << "polled latency approaches native";
-  EXPECT_GT(polling_bed.vm(0).frontend().poll_cpu_burn(), 0u)
+  EXPECT_GT(vm0["vphi.fe.poll_cpu_burn_ns"], 0u)
       << "...at the price of burned vCPU";
-  EXPECT_EQ(polling_bed.vm(0).frontend().interrupt_waits(), 0u);
+  EXPECT_EQ(vm0["vphi.fe.interrupt_waits"], 0u);
 }
 
 // A polled wait is charged the probes a real spin makes up to the used
@@ -565,10 +574,13 @@ TEST(VphiWaitSchemes, PolledLatencyIgnoresHostDelay) {
   };
   auto send_byte = [&](sim::Actor& vcpu) {
     std::uint8_t b = 0;
-    const Nanos burn_before = fe.poll_cpu_burn();
+    const auto burn = [] {
+      return counter_at("vphi.fe.poll_cpu_burn_ns", "vm=vm0");
+    };
+    const Nanos burn_before = burn();
     const Nanos before = vcpu.now();
     EXPECT_TRUE(guest.send(*epd, &b, 1, SCIF_SEND_BLOCK));
-    return Cost{vcpu.now() - before, fe.poll_cpu_burn() - burn_before};
+    return Cost{vcpu.now() - before, burn() - burn_before};
   };
 
   sim::Actor app{"app", sim::Actor::AtNow{}};
@@ -614,17 +626,16 @@ TEST(VphiWaitSchemes, HybridSwitchesOnThreshold) {
   ASSERT_TRUE(sim::ok(guest.connect(*epd, PortId{bed.card_node(), kPort})));
   const int card_epd = server.get();
 
-  auto& fe = bed.vm(0).frontend();
-  const auto polled_before = fe.polled_waits();
+  const LabelDeltas vm0{"vm=vm0"};
   std::vector<std::uint8_t> small(1'024), large(64 * 1024);
   static_assert(1'024 < FrontendDriver::kHybridThreshold &&
                 64 * 1024 >= FrontendDriver::kHybridThreshold);
   ASSERT_TRUE(guest.send(*epd, small.data(), small.size(), SCIF_SEND_BLOCK));
-  EXPECT_EQ(fe.polled_waits() - polled_before, 1u) << "small payload polls";
+  EXPECT_EQ(vm0["vphi.fe.polled_waits"], 1u) << "small payload polls";
 
-  const auto interrupts_before = fe.interrupt_waits();
+  const auto interrupts_before = vm0["vphi.fe.interrupt_waits"];
   ASSERT_TRUE(guest.send(*epd, large.data(), large.size(), SCIF_SEND_BLOCK));
-  EXPECT_EQ(fe.interrupt_waits() - interrupts_before, 1u)
+  EXPECT_EQ(vm0["vphi.fe.interrupt_waits"] - interrupts_before, 1u)
       << "large payload sleeps";
 
   std::vector<std::uint8_t> sink(small.size() + large.size());
@@ -636,6 +647,8 @@ TEST(VphiWaitSchemes, HybridSwitchesOnThreshold) {
 TEST(VphiSharing, TwoVmsShareOneCardConcurrently) {
   TestbedConfig config;
   config.num_vms = 2;
+  const LabelDeltas counts0{"vm=vm0"};
+  const LabelDeltas counts1{"vm=vm1"};
   Testbed bed{config};
 
   // One listener per VM client.
@@ -675,10 +688,14 @@ TEST(VphiSharing, TwoVmsShareOneCardConcurrently) {
   vm0.join();
   vm1.join();
 
-  // Each VM has its own backend = its own host process identity.
-  EXPECT_GE(bed.vm(0).backend().requests_handled(), 3u);
-  EXPECT_GE(bed.vm(1).backend().requests_handled(), 3u);
-  EXPECT_NE(&bed.vm(0).backend().provider(), &bed.vm(1).backend().provider());
+  // Each VM has its own backend = its own host process identity, and
+  // the registry reads each one's traffic under its own label.
+  const auto handled = [](const LabelDeltas& vm) {
+    return vm["vphi.be.requests.worker"] + vm["vphi.be.requests.blocking"];
+  };
+  EXPECT_GE(handled(counts0), 3u);
+  EXPECT_GE(handled(counts1), 3u);
+  EXPECT_EQ(counts0["vphi.fe.requests"], handled(counts0));
 }
 
 TEST(VphiSharing, TwoGuestThreadsInOneVmNeedWorkerBackend) {
@@ -694,7 +711,6 @@ TEST(VphiSharing, TwoGuestThreadsInOneVmNeedWorkerBackend) {
   config.backend_policy.classify = BackendPolicy::all_worker();
   Testbed bed{config};
   auto& guest = bed.vm(0).guest_scif();
-  auto& backend = bed.vm(0).backend();
   constexpr scif::Port kPeerPort = 5'600;
 
   // A guest listener lives on the host node: the backend's process.
@@ -705,7 +721,8 @@ TEST(VphiSharing, TwoGuestThreadsInOneVmNeedWorkerBackend) {
   ASSERT_TRUE(guest.bind(*lep, kPeerPort));
   ASSERT_TRUE(sim::ok(guest.listen(*lep, 1)));
 
-  const auto recvs_before = backend.op_count(Op::kRecv);
+  const auto recvs = [] { return counter_at("vphi.be.op.recv.requests", "vm=vm0"); };
+  const auto recvs_before = recvs();
   auto receiver = std::async(std::launch::async, [&, node = ids->self] {
     sim::Actor a{"receiver", sim::Actor::AtNow{}};
     sim::ActorScope scope(a);
@@ -725,7 +742,7 @@ TEST(VphiSharing, TwoGuestThreadsInOneVmNeedWorkerBackend) {
   EXPECT_TRUE(conn);
   if (conn) {
     // The receiver's recv reaches the backend before the send is posted.
-    while (backend.op_count(Op::kRecv) == recvs_before) {
+    while (recvs() == recvs_before) {
       std::this_thread::yield();
     }
     const int v = 7;
