@@ -39,7 +39,7 @@ Node* Fabric::node(NodeId id) noexcept {
 }
 
 void Fabric::charge_card_occupancy(const std::string& tenant,
-                                   sim::Nanos busy_ns) {
+                                   sim::Nanos busy_ns, sim::Nanos now) {
   if (busy_ns <= 0) return;
   std::shared_ptr<const OccupancyListener> listener;
   {
@@ -55,7 +55,7 @@ void Fabric::charge_card_occupancy(const std::string& tenant,
     listener = occupancy_listener_;
   }
   // Outside the lock: the listener may take the control plane's own mutex.
-  if (listener && *listener) (*listener)(tenant, busy_ns);
+  if (listener && *listener) (*listener)(tenant, busy_ns, now);
 }
 
 void Fabric::set_occupancy_listener(OccupancyListener listener) {

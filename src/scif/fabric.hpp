@@ -84,8 +84,9 @@ class Fabric {
   /// Lock order: occupancy_mu_ -> registry mu_ (first charge for a tenant
   /// constructs its labeled Counter, which self-registers, while holding
   /// occupancy_mu_; the registry never calls back out).
-  void charge_card_occupancy(const std::string& tenant, sim::Nanos busy_ns)
-      VPHI_EXCLUDES(occupancy_mu_);
+  /// `now` is the charging actor's simulated time.
+  void charge_card_occupancy(const std::string& tenant, sim::Nanos busy_ns,
+                             sim::Nanos now) VPHI_EXCLUDES(occupancy_mu_);
   /// tenant -> accumulated busy ns, for fairness computations.
   std::map<std::string, std::uint64_t> card_occupancy() const
       VPHI_EXCLUDES(occupancy_mu_);
@@ -96,8 +97,8 @@ class Fabric {
   /// *outside* occupancy_mu_ — it may take its own locks (the JobService
   /// mutex) without creating a lock-order edge against this one. Null
   /// clears it.
-  using OccupancyListener =
-      std::function<void(const std::string& tenant, sim::Nanos busy_ns)>;
+  using OccupancyListener = std::function<void(
+      const std::string& tenant, sim::Nanos busy_ns, sim::Nanos now)>;
   void set_occupancy_listener(OccupancyListener listener)
       VPHI_EXCLUDES(occupancy_mu_);
 

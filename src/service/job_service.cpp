@@ -95,8 +95,8 @@ void JobService::complete(const std::string& tenant, sim::Nanos now) {
   it->second.pub.publish(*it->second.metrics, it->second.ledger, now);
 }
 
-void JobService::on_occupancy(const std::string& tenant, sim::Nanos busy_ns) {
-  const sim::Nanos now = sim::watermark();
+void JobService::on_occupancy(const std::string& tenant, sim::Nanos busy_ns,
+                              sim::Nanos now) {
   sim::MutexLock lock(mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;

@@ -101,9 +101,9 @@ class JobService {
 
   /// Occupancy listener (wire to scif::Fabric::set_occupancy_listener):
   /// charges actual card busy time into the tenant's card-ns window at
-  /// the current watermark.
-  void on_occupancy(const std::string& tenant, sim::Nanos busy_ns)
-      VPHI_EXCLUDES(mu_);
+  /// the caller's simulated time `now`.
+  void on_occupancy(const std::string& tenant, sim::Nanos busy_ns,
+                    sim::Nanos now) VPHI_EXCLUDES(mu_);
 
   /// Delay to impose on the tenant's next card interaction: cfg.throttle_ns
   /// while its card-ns window is exhausted, else 0. Counts

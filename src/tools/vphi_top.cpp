@@ -324,8 +324,8 @@ int run(const Options& opts) {
   }
   // Mirror card-core occupancy charges into the tenants' card-ns ledgers.
   bed.fabric().set_occupancy_listener(
-      [&svc](const std::string& tenant, sim::Nanos busy_ns) {
-        svc.on_occupancy(tenant, busy_ns);
+      [&svc](const std::string& tenant, sim::Nanos busy_ns, sim::Nanos now) {
+        svc.on_occupancy(tenant, busy_ns, now);
       });
 
   std::vector<std::unique_ptr<CardSinkServer>> sinks;

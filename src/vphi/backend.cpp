@@ -453,7 +453,8 @@ void BackendDevice::process_chain(sim::Actor& actor,
     // never re-charged.
     const sim::Nanos exec_start = actor.now();
     execute(actor, req, out_payload, out_len, in_payload, in_capacity, resp);
-    fabric_->charge_card_occupancy(vm_->name(), actor.now() - exec_start);
+    fabric_->charge_card_occupancy(vm_->name(), actor.now() - exec_start,
+                                   actor.now());
     // stop() clears running_ before it closes every host endpoint, so a
     // request that reaches the provider after the close finds its
     // descriptor gone: report the teardown, not a bad guest descriptor.

@@ -300,8 +300,8 @@ TEST(JobService, ThrottleDelayWhileCardWindowExhausted) {
                                  .window_ns = 3'600 * sim::kSecond});
   const Nanos now = sim::watermark();
   EXPECT_EQ(svc.throttle_delay("acme", now), 0);
-  svc.on_occupancy("acme", 5'000);  // overdraws the 1us budget
-  EXPECT_EQ(svc.throttle_delay("acme", sim::watermark()), 75'000);
+  svc.on_occupancy("acme", 5'000, now);  // overdraws the 1us budget
+  EXPECT_EQ(svc.throttle_delay("acme", now), 75'000);
   EXPECT_EQ(svc.throttle_delay("ghost", now), 0);  // unknown: no throttle
 }
 
@@ -481,14 +481,31 @@ TEST(Occupancy, FabricListenerFeedsTheTenantCardWindow) {
                                  .card_ns_per_window = 1'000,
                                  .window_ns = 3'600 * sim::kSecond});
   bed.fabric().set_occupancy_listener(
-      [&svc](const std::string& tenant, Nanos busy) {
-        svc.on_occupancy(tenant, busy);
+      [&svc](const std::string& tenant, Nanos busy, Nanos now) {
+        svc.on_occupancy(tenant, busy, now);
       });
-  bed.fabric().charge_card_occupancy("vm0", 2'500);
-  EXPECT_EQ(svc.throttle_delay("vm0", sim::watermark()),
-            svc.config().throttle_ns);
+  const Nanos now = bed.card().card_actor().now();
+  bed.fabric().charge_card_occupancy("vm0", 2'500, now);
+  EXPECT_EQ(svc.throttle_delay("vm0", now), svc.config().throttle_ns);
   bed.fabric().set_occupancy_listener(nullptr);
-  bed.fabric().charge_card_occupancy("vm0", 1);  // no listener: no crash
+  bed.fabric().charge_card_occupancy("vm0", 1, now);  // no listener: no crash
+}
+
+TEST(JobService, OccupancyChargeLandsInTheWindowItIsStampedIn) {
+  // The charge carries the caller's simulated time, so a host thread that
+  // runs ahead cannot move it into another window. Stamped after the
+  // current window's end, it lands in the next one.
+  JobServiceConfig cfg = quiet_cfg();
+  cfg.throttle_ns = 75'000;
+  JobService svc{cfg};
+  constexpr Nanos kWindow = 3'600 * sim::kSecond;
+  svc.register_tenant(TenantSpec{
+      .name = "acme", .card_ns_per_window = 1'000, .window_ns = kWindow});
+  const Nanos later = 10 * kWindow + 5;
+  svc.on_occupancy("acme", 5'000, later);
+  EXPECT_EQ(svc.throttle_delay("acme", later), 75'000);
+  EXPECT_EQ(svc.throttle_delay("acme", later + kWindow), 0)
+      << "the window after it starts fresh";
 }
 
 class ServiceCoiFixture : public ::testing::Test {
