@@ -650,9 +650,9 @@ FleetResult run_fleet(const FleetConfig& requested) {
   finalize_result(r, outs, lat, imbalance_gauge);
   if (tl != nullptr) tl->finish_run(r.sim_end_ns);
   if (profile) {
-    // Scope-local labeled gauges: they retire immediately and fold into
-    // the snapshot's retired aggregates, so the phase breakdown shows up
-    // in snapshot_json without keeping nondeterministic wall-clock
+    // Scope-local labeled gauges: each retires at once and leaves its
+    // level in its registry cell, so the phase breakdown shows up in
+    // snapshot_json without keeping nondeterministic wall-clock
     // instruments alive past the run.
     for (std::uint32_t s = 0; s < S; ++s) {
       const std::string label = "shard=s" + std::to_string(s);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <sstream>
+#include <memory>
 
 #include "sim/actor.hpp"
 #include "sim/json.hpp"
@@ -18,11 +18,6 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-template <typename T>
-void erase_ptr(std::vector<T*>& v, T* p) {
-  v.erase(std::remove(v.begin(), v.end(), p), v.end());
-}
-
 /// "name{label}" — the labeled-breakdown key used in snapshot JSON.
 void append_labeled_key(std::string& out, const std::string& name,
                         const std::string& label) {
@@ -33,7 +28,12 @@ void append_labeled_key(std::string& out, const std::string& name,
   out += "}\":";
 }
 
-void append_histogram_json(std::string& out, const Histogram& h) {
+template <typename T>
+void append_value(std::string& out, T v) {
+  out += std::to_string(v);
+}
+
+void append_value(std::string& out, const Histogram& h) {
   out += "{\"count\":";
   out += std::to_string(h.count());
   out += ",\"mean\":";
@@ -45,6 +45,140 @@ void append_histogram_json(std::string& out, const Histogram& h) {
   out += ",\"max\":";
   append_double(out, h.max());
   out += '}';
+}
+
+std::uint64_t read(const Counter& c) { return c.value(); }
+std::int64_t read(const Gauge& g) { return g.value(); }
+Histogram read(const LatencyHistogram& h) { return h.snapshot(); }
+
+template <typename T>
+void fold(T& acc, const T& v) {
+  acc += v;
+}
+void fold(Histogram& acc, const Histogram& v) { acc.merge(v); }
+
+/// `v` with every live instrument of the cell folded in, in registration
+/// order.
+template <typename C>
+typename C::Value fold_live(typename C::Value v, const C& cell) {
+  for (const auto* i : cell.live) fold(v, read(*i));
+  return v;
+}
+
+/// What a reader sees under a cell's key (see Cell).
+template <typename C>
+typename C::Value value_of(const C& cell) {
+  return fold_live(cell.retired ? *cell.retired : typename C::Value{}, cell);
+}
+std::int64_t value_of(const GaugeCell& cell) {
+  if (cell.live.empty() && cell.retired) return *cell.retired;
+  return fold_live(std::int64_t{0}, cell);
+}
+
+template <typename V, typename Instrument>
+void retire_into(std::unique_ptr<V>& retired, const Instrument& i) {
+  if (!retired) retired = std::make_unique<V>();
+  fold(*retired, read(i));
+}
+// A level is not a sum: a retired gauge leaves its last level.
+void retire_into(std::unique_ptr<std::int64_t>& retired, const Gauge& g) {
+  if (!retired) retired = std::make_unique<std::int64_t>();
+  *retired = g.value();
+}
+
+using KeyView = std::pair<std::string_view, std::string_view>;
+
+template <typename Cells, typename Instrument>
+void enlist(Cells& cells, Instrument* i) {
+  auto it = cells.find(KeyView{i->name(), i->label()});
+  if (it == cells.end()) it = cells.try_emplace({i->name(), i->label()}).first;
+  it->second.live.push_back(i);
+}
+
+template <typename Cells, typename Instrument>
+void retire(Cells& cells, Instrument* i) {
+  auto& cell = cells.find(KeyView{i->name(), i->label()})->second;
+  std::erase(cell.live, i);
+  retire_into(cell.retired, *i);
+}
+
+/// Calls fn(label, cell) for each of `name`'s cells, in label order.
+template <typename Cells, typename Fn>
+void for_each_cell(const Cells& cells, std::string_view name, Fn fn) {
+  for (auto it = cells.lower_bound(KeyView{name, {}});
+       it != cells.end() && it->first.first == name; ++it) {
+    fn(it->first.second, it->second);
+  }
+}
+
+template <typename Cells>
+auto total_of(const Cells& cells, std::string_view name) {
+  typename Cells::mapped_type::Value total{};
+  for_each_cell(cells, name, [&](const std::string&, const auto& cell) {
+    fold(total, value_of(cell));
+  });
+  return total;
+}
+
+template <typename Cells>
+auto by_label(const Cells& cells, std::string_view name) {
+  std::map<std::string, typename Cells::mapped_type::Value> out;
+  for_each_cell(cells, name, [&](const std::string& label, const auto& cell) {
+    if (!label.empty()) out.emplace(label, value_of(cell));
+  });
+  return out;
+}
+
+/// "name":aggregate for every name, in name order.
+template <typename Cells>
+void append_totals(std::string& out, const Cells& cells) {
+  bool first = true;
+  for (auto it = cells.begin(); it != cells.end();) {
+    const std::string& name = it->first.first;
+    typename Cells::mapped_type::Value total{};
+    for (; it != cells.end() && it->first.first == name; ++it) {
+      fold(total, value_of(it->second));
+    }
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    append_json_escaped(out, name);
+    out += "\":";
+    append_value(out, total);
+  }
+}
+
+/// "name{label}":value for every labeled cell, in key order.
+template <typename Cells>
+void append_labeled(std::string& out, const Cells& cells) {
+  bool first = true;
+  for (const auto& [key, cell] : cells) {
+    if (key.second.empty()) continue;
+    if (!first) out += ',';
+    first = false;
+    append_labeled_key(out, key.first, key.second);
+    append_value(out, value_of(cell));
+  }
+}
+
+template <typename C>
+LiveRead live_read(const C& cell) {
+  return {!cell.live.empty(),
+          static_cast<double>(fold_live(typename C::Value{}, cell)), 0.0};
+}
+LiveRead live_read(const HistogramCell& cell) {
+  const Histogram h = fold_live(Histogram{}, cell);
+  return {!cell.live.empty(), static_cast<double>(h.count()),
+          h.percentile(0.99)};
+}
+
+/// Drops the cells with no live instrument and clears the rest's retired
+/// part; a cell with a live instrument keeps its node, so a sampler's
+/// handle on it stays valid.
+template <typename Cells>
+void drop_retired(Cells& cells) {
+  std::erase_if(cells, [](const auto& kv) { return kv.second.live.empty(); });
+  for (auto& [key, cell] : cells) cell.retired = {};
 }
 
 }  // namespace
@@ -100,62 +234,45 @@ Histogram LatencyHistogram::snapshot() const {
 
 void Registry::add(Counter* c) {
   MutexLock lock(mu_);
-  ++generation_;
-  counters_.push_back(c);
+  enlist(counters_, c);
 }
 
 void Registry::remove(Counter* c) {
   MutexLock lock(mu_);
-  ++generation_;
-  erase_ptr(counters_, c);
-  retired_counters_[c->name()] += c->value();
-  if (!c->label().empty()) {
-    retired_labeled_counters_[c->name()][c->label()] += c->value();
-  }
+  retire(counters_, c);
 }
 
 void Registry::add(Gauge* g) {
   MutexLock lock(mu_);
-  ++generation_;
-  gauges_.push_back(g);
+  enlist(gauges_, g);
 }
 
 void Registry::remove(Gauge* g) {
   MutexLock lock(mu_);
-  ++generation_;
-  erase_ptr(gauges_, g);
-  retired_gauges_[g->name()] += g->value();
-  if (!g->label().empty()) {
-    retired_labeled_gauges_[g->name()][g->label()] += g->value();
-  }
+  retire(gauges_, g);
 }
 
 void Registry::add(LatencyHistogram* h) {
   MutexLock lock(mu_);
-  ++generation_;
-  histograms_.push_back(h);
+  enlist(histograms_, h);
 }
 
 void Registry::remove(LatencyHistogram* h) {
   MutexLock lock(mu_);
-  ++generation_;
-  erase_ptr(histograms_, h);
-  retired_histograms_[h->name()].merge(h->snapshot());
-  if (!h->label().empty()) {
-    retired_labeled_histograms_[h->name()][h->label()].merge(h->snapshot());
-  }
+  retire(histograms_, h);
 }
 
 void Registry::reset() {
   MutexLock lock(mu_);
-  retired_counters_.clear();
-  retired_gauges_.clear();
-  retired_histograms_.clear();
-  retired_labeled_counters_.clear();
-  retired_labeled_gauges_.clear();
-  retired_labeled_histograms_.clear();
-  for (Counter* c : counters_) c->reset();
-  for (Gauge* g : gauges_) g->set(0);
+  drop_retired(counters_);
+  drop_retired(gauges_);
+  drop_retired(histograms_);
+  for (auto& [key, cell] : counters_) {
+    for (Counter* c : cell.live) c->reset();
+  }
+  for (auto& [key, cell] : gauges_) {
+    for (Gauge* g : cell.live) g->set(0);
+  }
 }
 
 std::string Registry::snapshot_json() const {
@@ -164,191 +281,72 @@ std::string Registry::snapshot_json() const {
   // reach the same watermark, so the stamp never breaks bit-identity.
   const Nanos ts = watermark();
   MutexLock lock(mu_);
-
-  std::map<std::string, std::uint64_t> counters = retired_counters_;
-  auto labeled_counters = retired_labeled_counters_;
-  for (const Counter* c : counters_) {
-    counters[c->name()] += c->value();
-    if (!c->label().empty()) {
-      labeled_counters[c->name()][c->label()] += c->value();
-    }
-  }
-
-  std::map<std::string, std::int64_t> gauges = retired_gauges_;
-  auto labeled_gauges = retired_labeled_gauges_;
-  for (const Gauge* g : gauges_) {
-    gauges[g->name()] += g->value();
-    if (!g->label().empty()) {
-      labeled_gauges[g->name()][g->label()] += g->value();
-    }
-  }
-
-  std::map<std::string, Histogram> hists = retired_histograms_;
-  auto labeled_hists = retired_labeled_histograms_;
-  for (const LatencyHistogram* h : histograms_) {
-    hists[h->name()].merge(h->snapshot());
-    if (!h->label().empty()) {
-      labeled_hists[h->name()][h->label()].merge(h->snapshot());
-    }
-  }
-
   std::string out = "{\"ts_ns\":";
   out += std::to_string(ts);
   out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, name);
-    out += "\":";
-    out += std::to_string(v);
-  }
+  append_totals(out, counters_);
   out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, name);
-    out += "\":";
-    out += std::to_string(v);
-  }
+  append_totals(out, gauges_);
   out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : hists) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, name);
-    out += "\":";
-    append_histogram_json(out, h);
-  }
+  append_totals(out, histograms_);
   out += "},\"labeled_counters\":{";
-  first = true;
-  for (const auto& [name, by_label] : labeled_counters) {
-    for (const auto& [label, v] : by_label) {
-      if (!first) out += ',';
-      first = false;
-      append_labeled_key(out, name, label);
-      out += std::to_string(v);
-    }
-  }
+  append_labeled(out, counters_);
   out += "},\"labeled_gauges\":{";
-  first = true;
-  for (const auto& [name, by_label] : labeled_gauges) {
-    for (const auto& [label, v] : by_label) {
-      if (!first) out += ',';
-      first = false;
-      append_labeled_key(out, name, label);
-      out += std::to_string(v);
-    }
-  }
+  append_labeled(out, gauges_);
   out += "},\"labeled_histograms\":{";
-  first = true;
-  for (const auto& [name, by_label] : labeled_hists) {
-    for (const auto& [label, h] : by_label) {
-      if (!first) out += ',';
-      first = false;
-      append_labeled_key(out, name, label);
-      append_histogram_json(out, h);
-    }
-  }
+  append_labeled(out, histograms_);
   out += "}}";
   return out;
 }
 
 std::uint64_t Registry::counter_value(const std::string& name) const {
   MutexLock lock(mu_);
-  std::uint64_t total = 0;
-  if (auto it = retired_counters_.find(name); it != retired_counters_.end()) {
-    total += it->second;
-  }
-  for (const Counter* c : counters_) {
-    if (c->name() == name) total += c->value();
-  }
-  return total;
+  return total_of(counters_, name);
 }
 
 std::map<std::string, std::uint64_t> Registry::counter_by_label(
     const std::string& name) const {
   MutexLock lock(mu_);
-  std::map<std::string, std::uint64_t> out;
-  if (auto it = retired_labeled_counters_.find(name);
-      it != retired_labeled_counters_.end()) {
-    out = it->second;
-  }
-  for (const Counter* c : counters_) {
-    if (c->name() == name && !c->label().empty()) out[c->label()] += c->value();
-  }
-  return out;
+  return by_label(counters_, name);
 }
 
 std::map<std::string, std::int64_t> Registry::gauge_by_label(
     const std::string& name) const {
   MutexLock lock(mu_);
-  std::map<std::string, std::int64_t> out;
-  if (auto it = retired_labeled_gauges_.find(name);
-      it != retired_labeled_gauges_.end()) {
-    out = it->second;
-  }
-  for (const Gauge* g : gauges_) {
-    if (g->name() == name && !g->label().empty()) out[g->label()] += g->value();
-  }
-  return out;
+  return by_label(gauges_, name);
 }
 
 std::map<std::string, Histogram> Registry::histogram_by_label(
     const std::string& name) const {
   MutexLock lock(mu_);
-  std::map<std::string, Histogram> out;
-  if (auto it = retired_labeled_histograms_.find(name);
-      it != retired_labeled_histograms_.end()) {
-    out = it->second;
-  }
-  for (const LatencyHistogram* h : histograms_) {
-    if (h->name() == name && !h->label().empty()) {
-      out[h->label()].merge(h->snapshot());
-    }
-  }
-  return out;
+  return by_label(histograms_, name);
 }
 
 Histogram Registry::histogram_value(const std::string& name) const {
   MutexLock lock(mu_);
-  Histogram out;
-  if (auto it = retired_histograms_.find(name);
-      it != retired_histograms_.end()) {
-    out.merge(it->second);
-  }
-  for (const LatencyHistogram* h : histograms_) {
-    if (h->name() == name) out.merge(h->snapshot());
-  }
+  return total_of(histograms_, name);
+}
+
+std::vector<LiveCell> Registry::live_cells() const {
+  MutexLock lock(mu_);
+  std::vector<LiveCell> out;
+  auto collect = [&](const auto& cells) {
+    for (const auto& [key, cell] : cells) {
+      if (!cell.live.empty()) out.push_back({key, &cell, live_read(cell)});
+    }
+  };
+  collect(counters_);
+  collect(gauges_);
+  collect(histograms_);
   return out;
 }
 
-void Registry::sample_live(
-    const std::function<void(std::uint64_t, const std::vector<Counter*>&,
-                             const std::vector<Gauge*>&,
-                             const std::vector<LatencyHistogram*>&)>& fn)
-    const {
+void Registry::read_live(std::vector<LiveCell>& cells) const {
   MutexLock lock(mu_);
-  fn(generation_, counters_, gauges_, histograms_);
-}
-
-Registry::LiveSnapshot Registry::live_snapshot() const {
-  MutexLock lock(mu_);
-  LiveSnapshot out;
-  for (const Counter* c : counters_) {
-    out.counters[{c->name(), c->label()}] += c->value();
+  for (LiveCell& c : cells) {
+    c.read = std::visit([](const auto* cell) { return live_read(*cell); },
+                        c.cell);
   }
-  for (const Gauge* g : gauges_) {
-    out.gauges[{g->name(), g->label()}] += g->value();
-  }
-  for (const LatencyHistogram* h : histograms_) {
-    out.histograms[{h->name(), h->label()}].merge(h->snapshot());
-  }
-  return out;
 }
 
 namespace {
@@ -377,31 +375,14 @@ std::vector<std::string> Registry::label_dimensions(
     const std::string& name) const {
   MutexLock lock(mu_);
   std::vector<std::string> dims;
-  auto consider = [&](const std::string& label) {
-    if (label.empty()) return;
-    dims.push_back(strip_label_values(label));
+  auto collect = [&](const auto& cells) {
+    for_each_cell(cells, name, [&](const std::string& label, const auto&) {
+      if (!label.empty()) dims.push_back(strip_label_values(label));
+    });
   };
-  for (const Counter* c : counters_) {
-    if (c->name() == name) consider(c->label());
-  }
-  for (const Gauge* g : gauges_) {
-    if (g->name() == name) consider(g->label());
-  }
-  for (const LatencyHistogram* h : histograms_) {
-    if (h->name() == name) consider(h->label());
-  }
-  if (auto it = retired_labeled_counters_.find(name);
-      it != retired_labeled_counters_.end()) {
-    for (const auto& [label, v] : it->second) consider(label);
-  }
-  if (auto it = retired_labeled_gauges_.find(name);
-      it != retired_labeled_gauges_.end()) {
-    for (const auto& [label, v] : it->second) consider(label);
-  }
-  if (auto it = retired_labeled_histograms_.find(name);
-      it != retired_labeled_histograms_.end()) {
-    for (const auto& [label, h] : it->second) consider(label);
-  }
+  collect(counters_);
+  collect(gauges_);
+  collect(histograms_);
   std::sort(dims.begin(), dims.end());
   dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
   return dims;
@@ -410,12 +391,16 @@ std::vector<std::string> Registry::label_dimensions(
 std::vector<std::string> Registry::metric_names() const {
   MutexLock lock(mu_);
   std::vector<std::string> names;
-  for (const Counter* c : counters_) names.push_back(c->name());
-  for (const Gauge* g : gauges_) names.push_back(g->name());
-  for (const LatencyHistogram* h : histograms_) names.push_back(h->name());
-  for (const auto& [name, v] : retired_counters_) names.push_back(name);
-  for (const auto& [name, v] : retired_gauges_) names.push_back(name);
-  for (const auto& [name, h] : retired_histograms_) names.push_back(name);
+  auto collect = [&](const auto& cells) {
+    for (const auto& [key, cell] : cells) {
+      if (names.empty() || names.back() != key.first) {
+        names.push_back(key.first);
+      }
+    }
+  };
+  collect(counters_);
+  collect(gauges_);
+  collect(histograms_);
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;

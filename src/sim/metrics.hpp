@@ -5,19 +5,19 @@
 // self-registers under a stable name on construction and unregisters on
 // destruction. The registry can therefore snapshot the whole stack at any
 // moment — frontend, backend, ring, fault injector, hypervisor. It is the
-// one read path: tests, vphi-top, vphi-stat and bench/perf all read a
-// count by name and label, and no component keeps a getter beside it.
-// Same-named instruments from different instances (one Virtqueue per VM,
-// say) are summed in the aggregate; the label tells one instance's count
-// from another's.
+// one read path: tests, vphi-top, vphi-stat, bench/perf and the fleet
+// timeline all read a count by name and label, and no component keeps a
+// getter beside it.
 //
-// Labels add a tenant dimension on top of that: an instrument constructed
-// with a label ("vm=vm0") still contributes to the aggregate under its
-// base name — so existing names, sums and tests are untouched — and
-// *additionally* shows up in the labeled breakdown maps. Because the
-// labeled and aggregate views read the very same atomics, a per-label sum
-// over one name always equals the aggregate exactly; there is no second
-// accounting path to drift.
+// The registry keeps one ordered map per instrument kind, keyed by
+// (name, label). A cell holds the instruments alive under its key and what
+// retired instances left there: a counter's sum, a merged histogram, a
+// gauge's last level. Every read is a walk of those maps: a label's value
+// is its cell's, and a name's aggregate is the fold over the name's cells,
+// the unlabeled one included. So a per-label sum over one name equals the
+// aggregate exactly whenever every instance is labeled; there is no second
+// accounting path to drift. Same-keyed live instances (two testbeds that
+// both name a VM vm0, say) sum in their cell.
 //
 // The full catalogue of registered names, their units and their owning
 // component lives in docs/OBSERVABILITY.md; treat those names as a stable
@@ -26,10 +26,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/stats.hpp"
@@ -54,7 +56,7 @@ class Counter {
   std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  /// For counter owners with an explicit reset surface (fault injector).
+  /// Zeroed by Registry::reset() between workloads.
   void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
   const std::string& name() const noexcept { return name_; }
@@ -157,22 +159,75 @@ class LatencyHistogram {
   Stripe stripes_[kStripes];
 };
 
+/// (name, label): the key of one registry cell. Keys order by name first,
+/// so one name's cells sit next to each other.
+using CellKey = std::pair<std::string, std::string>;
+
+/// Everything the registry holds under one (name, label) key of one
+/// instrument kind: the instruments alive under it and what retired
+/// instances left. A counter cell reads its retired sum plus its live
+/// values, and a histogram cell its retired merge with its live
+/// distributions. A gauge cell reads the sum of its live levels, and while
+/// none is live, the last level a retired instance held.
+///
+/// `retired` is allocated when the first instance retires, not with the
+/// cell, so it lands above the blocks a fleet run frees. Nothing above
+/// them lets glibc trim the heap top after every run_fleet and the next
+/// run fault it back in: 20 page faults per fleet_tenants set-up run.
+template <typename Instrument, typename V>
+struct Cell {
+  using Value = V;
+  std::vector<Instrument*> live;
+  std::unique_ptr<Value> retired;  ///< null until an instance retires
+};
+using CounterCell = Cell<Counter, std::uint64_t>;
+using GaugeCell = Cell<Gauge, std::int64_t>;
+using HistogramCell = Cell<LatencyHistogram, Histogram>;
+
+/// What a sampler reads from one cell: its live instruments alone. A
+/// retired instance's value can no longer move, so it has no delta.
+struct LiveRead {
+  bool live = false;   ///< at least one instrument under the key is alive
+  double value = 0.0;  ///< counter sum, gauge level or histogram count
+  double p99 = 0.0;    ///< histogram cells only
+};
+
+/// A sampler's handle on one cell and its latest read. The handle stays
+/// valid until reset() drops the cell, and reset() drops only cells that
+/// have no live instrument, so call it between workloads only.
+struct LiveCell {
+  CellKey key;
+  std::variant<const CounterCell*, const GaugeCell*, const HistogramCell*>
+      cell;
+  LiveRead read;
+};
+
 /// The process-global registry every instrument registers with.
 class Registry {
  public:
-  /// One-pass read of every *live* instrument, keyed (name, label) with
-  /// same-keyed instances summed / histograms merged. This is the timeline
-  /// sampler's read path: one lock acquisition per sample instead of one
-  /// per series. Retired instruments are excluded — their values can no
-  /// longer change, so they have no deltas to sample.
-  struct LiveSnapshot {
-    std::map<std::pair<std::string, std::string>, std::uint64_t> counters;
-    std::map<std::pair<std::string, std::string>, std::int64_t> gauges;
-    std::map<std::pair<std::string, std::string>, Histogram> histograms;
-  };
-  LiveSnapshot live_snapshot() const VPHI_EXCLUDES(mu_);
+  void add(Counter* c) VPHI_EXCLUDES(mu_);
+  void remove(Counter* c) VPHI_EXCLUDES(mu_);
+  void add(Gauge* g) VPHI_EXCLUDES(mu_);
+  void remove(Gauge* g) VPHI_EXCLUDES(mu_);
+  void add(LatencyHistogram* h) VPHI_EXCLUDES(mu_);
+  // remove and the readers call h->snapshot() under the registry lock;
+  // snapshot() is lock-free, so no lock-order edge exists.
+  void remove(LatencyHistogram* h) VPHI_EXCLUDES(mu_);
 
-  /// Label dimension signatures seen for a name, live or retired: each
+  /// Deterministic JSON snapshot: one object opening with "ts_ns" — the
+  /// simulated-clock watermark at the instant of the call, so two
+  /// snapshots from one run can be ordered after the fact — followed by
+  /// "counters", "gauges" and "histograms" maps (each name's aggregate
+  /// over its cells, keys sorted), plus "labeled_counters" /
+  /// "labeled_gauges" / "labeled_histograms" maps keyed "name{label}"
+  /// holding the labeled cells. Values reflect the instant of the call.
+  /// All keys are JSON-escaped.
+  std::string snapshot_json() const VPHI_EXCLUDES(mu_);
+
+  /// Sorted names of every cell, live or retired.
+  std::vector<std::string> metric_names() const VPHI_EXCLUDES(mu_);
+
+  /// Label dimension signatures of a name's cells, live or retired: each
   /// distinct label shape with the values stripped ("vm=guest0,q=1" ->
   /// "vm=,q="), sorted and de-duplicated. Empty for aggregate-only
   /// instruments. This is the catalogue format docs/OBSERVABILITY.md and
@@ -180,93 +235,61 @@ class Registry {
   std::vector<std::string> label_dimensions(const std::string& name) const
       VPHI_EXCLUDES(mu_);
 
-  void add(Counter* c) VPHI_EXCLUDES(mu_);
-  void remove(Counter* c) VPHI_EXCLUDES(mu_);
-  void add(Gauge* g) VPHI_EXCLUDES(mu_);
-  void remove(Gauge* g) VPHI_EXCLUDES(mu_);
-  void add(LatencyHistogram* h) VPHI_EXCLUDES(mu_);
-  // remove and the snapshot readers call h->snapshot() under the registry
-  // lock; snapshot() is lock-free, so no lock-order edge exists.
-  void remove(LatencyHistogram* h) VPHI_EXCLUDES(mu_);
-
-  /// Deterministic JSON snapshot: one object opening with "ts_ns" — the
-  /// simulated-clock watermark at the instant of the call, so two
-  /// snapshots from one run can be ordered after the fact — followed by
-  /// "counters", "gauges" and "histograms" maps (aggregates over every
-  /// instance, labeled or not, keys sorted, same-named live instruments
-  /// summed / histograms merged), plus "labeled_counters" /
-  /// "labeled_gauges" / "labeled_histograms" maps keyed "name{label}"
-  /// holding the per-tenant breakdown of labeled instruments. Values
-  /// reflect the instant of the call. All keys are JSON-escaped.
-  std::string snapshot_json() const VPHI_EXCLUDES(mu_);
-
-  /// Sorted, de-duplicated names of every instrument ever seen (live or
-  /// retired).
-  std::vector<std::string> metric_names() const VPHI_EXCLUDES(mu_);
-
-  /// Current total for a counter name: live instruments summed plus the
-  /// retired aggregate, labeled instances included. 0 for unknown names.
+  /// A counter name's aggregate, labeled cells included. 0 for unknown
+  /// names.
   std::uint64_t counter_value(const std::string& name) const
       VPHI_EXCLUDES(mu_);
 
-  /// Per-label breakdown of a counter name: label -> total (live +
-  /// retired). Only labeled instruments contribute; summing the values
-  /// gives the counter_value() aggregate when every instance is labeled.
+  /// A counter name's labeled cells: label -> value. Summing the values
+  /// gives counter_value() when every instance is labeled.
   std::map<std::string, std::uint64_t> counter_by_label(
       const std::string& name) const VPHI_EXCLUDES(mu_);
   /// Same for gauges.
   std::map<std::string, std::int64_t> gauge_by_label(
       const std::string& name) const VPHI_EXCLUDES(mu_);
-  /// Same for latency histograms (merged per label).
+  /// Same for latency histograms.
   std::map<std::string, Histogram> histogram_by_label(
       const std::string& name) const VPHI_EXCLUDES(mu_);
 
-  /// Merged distribution for a histogram name across every instance (live
-  /// + retired, labeled or not).
+  /// A histogram name's aggregate: every cell's distribution merged.
   Histogram histogram_value(const std::string& name) const VPHI_EXCLUDES(mu_);
 
-  /// Allocation-free sampling read path: runs `fn` once under the registry
-  /// lock with the live instrument lists and the current generation, which
-  /// every registration or retirement bumps: a pointer set captured against
-  /// an unchanged generation is still exactly the live set, so the timeline
-  /// sampler caches its sampling plan on it.
-  /// Instrument pointers are valid only while `fn` runs (the lock blocks
-  /// retirement). Keep `fn` short — every registration waits behind it —
-  /// and never register/retire instruments or re-enter the registry from
-  /// inside it.
-  void sample_live(
-      const std::function<void(std::uint64_t generation,
-                               const std::vector<Counter*>& counters,
-                               const std::vector<Gauge*>& gauges,
-                               const std::vector<LatencyHistogram*>& hists)>&
-          fn) const VPHI_EXCLUDES(mu_);
+  /// Every cell with a live instrument, read once: counter cells, then
+  /// gauge cells, then histogram cells, each in key order.
+  std::vector<LiveCell> live_cells() const VPHI_EXCLUDES(mu_);
 
-  /// Test/tooling hook: drop the retired aggregates and zero every live
-  /// counter and gauge, so two identical runs produce identical snapshots
-  /// and a test fixture starts from an empty registry. Call it only
-  /// between workloads, never during one.
+  /// Re-read each of `cells` (from live_cells()) in place under one lock
+  /// acquisition, without allocating. Keep the list short-lived: a cell
+  /// is valid only until the next reset().
+  void read_live(std::vector<LiveCell>& cells) const VPHI_EXCLUDES(mu_);
+
+  /// Test/tooling hook: drop every cell with no live instrument, and zero
+  /// the retired part of the rest and their live counters and gauges, so
+  /// two identical runs produce identical snapshots and a test fixture
+  /// starts from an empty registry. Call it only between workloads, never
+  /// during one.
   void reset() VPHI_EXCLUDES(mu_);
 
  private:
+  /// Orders keys as std::pair does, and lets a lookup pass string_views,
+  /// so registering under an existing key copies no string.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const std::string_view an = a.first;
+      const std::string_view bn = b.first;
+      return an < bn ||
+             (an == bn && std::string_view(a.second) < b.second);
+    }
+  };
+  template <typename C>
+  using Cells = std::map<CellKey, C, KeyLess>;
+
   mutable Mutex mu_;
-  std::vector<Counter*> counters_ VPHI_GUARDED_BY(mu_);
-  std::vector<Gauge*> gauges_ VPHI_GUARDED_BY(mu_);
-  std::vector<LatencyHistogram*> histograms_ VPHI_GUARDED_BY(mu_);
-  std::uint64_t generation_ VPHI_GUARDED_BY(mu_) = 0;
-  // Final values of destroyed instruments, folded in by name so snapshots
-  // taken after a Testbed tears down (bench JSON writers) still cover the
-  // whole run. Labeled instruments fold into both the aggregate map and
-  // the name -> label -> value breakdown.
-  std::map<std::string, std::uint64_t> retired_counters_
-      VPHI_GUARDED_BY(mu_);
-  std::map<std::string, std::int64_t> retired_gauges_ VPHI_GUARDED_BY(mu_);
-  std::map<std::string, Histogram> retired_histograms_ VPHI_GUARDED_BY(mu_);
-  std::map<std::string, std::map<std::string, std::uint64_t>>
-      retired_labeled_counters_ VPHI_GUARDED_BY(mu_);
-  std::map<std::string, std::map<std::string, std::int64_t>>
-      retired_labeled_gauges_ VPHI_GUARDED_BY(mu_);
-  std::map<std::string, std::map<std::string, Histogram>>
-      retired_labeled_histograms_ VPHI_GUARDED_BY(mu_);
+  Cells<CounterCell> counters_ VPHI_GUARDED_BY(mu_);
+  Cells<GaugeCell> gauges_ VPHI_GUARDED_BY(mu_);
+  Cells<HistogramCell> histograms_ VPHI_GUARDED_BY(mu_);
 };
 
 Registry& registry();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <variant>
 
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
@@ -31,14 +32,6 @@ std::string series_display_name(const std::string& name,
   return name + "{" + label + "}";
 }
 
-/// Plan-index key: name and label NUL-joined (labels never contain NUL).
-std::string plan_key(const std::string& name, const std::string& label) {
-  std::string key = name;
-  key += '\0';
-  key += label;
-  return key;
-}
-
 }  // namespace
 
 TimelineConfig TimelineConfig::from_env(Nanos default_cadence_ns) {
@@ -62,86 +55,34 @@ void Timeline::begin_run(std::uint32_t shards, Nanos start_ns) {
   series_.clear();
   series_names_.clear();
   points_.clear();
-  plan_generation_ = ~0ull;  // force a plan rebuild on the first sample
-  counter_index_.clear();
-  gauge_index_.clear();
-  hist_index_.clear();
+  cells_.clear();
   if (!enabled()) return;
 
-  // The catalogue is the set of live instruments at run start, walked in
-  // (name, label) map order — deterministic because instrument
-  // construction order is (see engine.cpp: main thread, fixed order).
-  const metrics::Registry::LiveSnapshot snap =
-      metrics::registry().live_snapshot();
-  auto add = [&](const std::string& name, const std::string& label,
-                 Source source, const char* suffix, double baseline) {
+  // The catalogue is the set of live cells at run start, counters, gauges
+  // and histograms each in (name, label) order — deterministic because
+  // instrument construction order is (see engine.cpp: main thread, fixed
+  // order).
+  cells_ = metrics::registry().live_cells();
+  auto add = [&](std::uint32_t cell, Source source, const char* suffix,
+                 double baseline) {
+    const auto& [name, label] = cells_[cell].key;
     Series s;
     s.name = series_display_name(name, label) + suffix;
-    s.reg_name = name;
-    s.reg_label = label;
     s.source = source;
+    s.cell = cell;
     s.prev = baseline;
     series_names_.push_back(s.name);
     series_.push_back(std::move(s));
-    return static_cast<std::uint32_t>(series_.size() - 1);
   };
-  std::uint32_t hist_slots = 0;
-  for (const auto& [key, v] : snap.counters) {
-    counter_index_[plan_key(key.first, key.second)] =
-        add(key.first, key.second, Source::kCounter, "",
-            static_cast<double>(v));
-  }
-  for (const auto& [key, v] : snap.gauges) {
-    gauge_index_[plan_key(key.first, key.second)] =
-        add(key.first, key.second, Source::kGauge, "",
-            static_cast<double>(v));
-  }
-  for (const auto& [key, h] : snap.histograms) {
-    const std::uint32_t count_idx =
-        add(key.first, key.second, Source::kHistCount, "#count",
-            static_cast<double>(h.count()));
-    const std::uint32_t p99_idx =
-        add(key.first, key.second, Source::kHistP99, "#p99",
-            h.percentile(0.99));
-    const std::uint32_t slot = hist_slots++;
-    hist_index_[plan_key(key.first, key.second)] = slot;
-    series_hist_slot_.resize(series_.size(), 0);
-    series_hist_slot_[count_idx] = slot;
-    series_hist_slot_[p99_idx] = slot;
-  }
-  acc_.assign(series_.size(), 0.0);
-  seen_.assign(series_.size(), 0);
-  series_hist_slot_.resize(series_.size(), 0);
-  hist_scratch_.assign(hist_slots, Histogram{});
-  hist_seen_.assign(hist_slots, 0);
-}
-
-void Timeline::rebuild_plan(
-    std::uint64_t generation,
-    const std::vector<metrics::Counter*>& counters,
-    const std::vector<metrics::Gauge*>& gauges,
-    const std::vector<metrics::LatencyHistogram*>& hists) {
-  plan_generation_ = generation;
-  plan_counters_.clear();
-  plan_gauges_.clear();
-  plan_hists_.clear();
-  std::string key;
-  for (const metrics::Counter* c : counters) {
-    key = plan_key(c->name(), c->label());
-    if (auto it = counter_index_.find(key); it != counter_index_.end()) {
-      plan_counters_.emplace_back(c, it->second);
-    }
-  }
-  for (const metrics::Gauge* g : gauges) {
-    key = plan_key(g->name(), g->label());
-    if (auto it = gauge_index_.find(key); it != gauge_index_.end()) {
-      plan_gauges_.emplace_back(g, it->second);
-    }
-  }
-  for (const metrics::LatencyHistogram* h : hists) {
-    key = plan_key(h->name(), h->label());
-    if (auto it = hist_index_.find(key); it != hist_index_.end()) {
-      plan_hists_.emplace_back(h, it->second);
+  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
+    const metrics::LiveCell& c = cells_[i];
+    if (std::holds_alternative<const metrics::HistogramCell*>(c.cell)) {
+      add(i, Source::kHistCount, "#count", c.read.value);
+      add(i, Source::kHistP99, "#p99", c.read.p99);
+    } else if (std::holds_alternative<const metrics::CounterCell*>(c.cell)) {
+      add(i, Source::kCounter, "", c.read.value);
+    } else {
+      add(i, Source::kGauge, "", c.read.value);
     }
   }
 }
@@ -176,57 +117,15 @@ void Timeline::sample(Nanos now) {
   next_sample_ = now + cfg_.cadence_ns;
   ++samples_;
   end_ns_ = now;
-  std::fill(acc_.begin(), acc_.end(), 0.0);
-  std::fill(seen_.begin(), seen_.end(), std::uint8_t{0});
-  for (Histogram& h : hist_scratch_) h = Histogram{};
-  std::fill(hist_seen_.begin(), hist_seen_.end(), std::uint8_t{0});
-  // One lock pass over cached instrument pointers — no allocation, no map
-  // rebuild. Same-keyed instances sum into one series, exactly like the
-  // registry's snapshot aggregation.
-  metrics::registry().sample_live(
-      [this](std::uint64_t generation,
-             const std::vector<metrics::Counter*>& counters,
-             const std::vector<metrics::Gauge*>& gauges,
-             const std::vector<metrics::LatencyHistogram*>& hists) {
-        if (generation != plan_generation_) {
-          rebuild_plan(generation, counters, gauges, hists);
-        }
-        for (const auto& [c, idx] : plan_counters_) {
-          acc_[idx] += static_cast<double>(c->value());
-          seen_[idx] = 1;
-        }
-        for (const auto& [g, idx] : plan_gauges_) {
-          acc_[idx] += static_cast<double>(g->value());
-          seen_[idx] = 1;
-        }
-        for (const auto& [h, slot] : plan_hists_) {
-          hist_scratch_[slot].merge(h->snapshot());
-          hist_seen_[slot] = 1;
-        }
-      });
+  metrics::registry().read_live(cells_);
   // Compare against the baselines and emit points outside the registry
   // lock, in series order (the order is part of the determinism contract).
   for (std::uint32_t i = 0; i < series_.size(); ++i) {
     Series& s = series_[i];
-    double cur = s.prev;
-    switch (s.source) {
-      case Source::kCounter:
-      case Source::kGauge:
-        if (!seen_[i]) continue;  // every instance retired mid-run
-        cur = acc_[i];
-        break;
-      case Source::kHistCount:
-      case Source::kHistP99: {
-        const std::uint32_t slot = series_hist_slot_[i];
-        if (!hist_seen_[slot]) continue;
-        cur = s.source == Source::kHistCount
-                  ? static_cast<double>(hist_scratch_[slot].count())
-                  : hist_scratch_[slot].percentile(0.99);
-        break;
-      }
-      case Source::kCustom:
-        continue;  // fed via record(), not sampled
-    }
+    if (s.source == Source::kCustom) continue;  // fed via record()
+    const metrics::LiveRead& r = cells_[s.cell].read;
+    if (!r.live) continue;  // every instance retired mid-run
+    const double cur = s.source == Source::kHistP99 ? r.p99 : r.value;
     const bool delta_kind =
         s.source == Source::kCounter || s.source == Source::kHistCount;
     if (delta_kind) {

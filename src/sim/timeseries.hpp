@@ -10,6 +10,13 @@
 // to engine epochs, values are exact, and the capture is
 // happens-before-clean under TSan without a single extra atomic.
 //
+// The series are the registry cells (sim/metrics.hpp) that had a live
+// instrument at run start. A sample re-reads those cells' live
+// instruments in one registry call under the registry lock: an instrument
+// registered mid-run under a recorded key is sampled, one under a new key
+// is not, and a series whose instruments all retired emits no further
+// point.
+//
 // Every push runs on one thread at a time (begin_run, the barrier
 // completion step, after join), so points are appended to one vector in
 // emission order: a sample emits its points in series order, and the
@@ -33,19 +40,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/stats.hpp"
+#include "sim/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace vphi::sim {
-
-namespace metrics {
-class Counter;
-class Gauge;
-class LatencyHistogram;
-}  // namespace metrics
 
 struct TimelineConfig {
   /// Simulated nanoseconds between samples; 0 disables the sampler.
@@ -76,10 +76,9 @@ class Timeline {
   bool enabled() const noexcept { return cfg_.cadence_ns > 0; }
   const TimelineConfig& config() const noexcept { return cfg_; }
 
-  /// Build the series catalogue from the live registry (capturing each
-  /// series' start-of-run baseline for deltas) and clear the points. Call
-  /// on the main thread before engine threads spawn; every instrument
-  /// alive at this point is sampled, later arrivals are not.
+  /// Build the series catalogue from the registry cells live now
+  /// (capturing each series' start-of-run baseline for deltas) and clear
+  /// the points. Call on the main thread before engine threads spawn.
   void begin_run(std::uint32_t shards, Nanos start_ns);
 
   /// Register one custom series (engine self-profiling phase timers).
@@ -118,7 +117,7 @@ class Timeline {
   std::string json() const;
 
  private:
-  /// What a series reads from the registry (kCustom reads nothing — its
+  /// What a series reads from its cell (kCustom reads nothing — its
   /// points arrive via record()).
   enum class Source : std::uint8_t {
     kCounter,    ///< delta of a counter total
@@ -130,21 +129,12 @@ class Timeline {
 
   struct Series {
     std::string name;  ///< "vphi.x{label}" (+ "#count"/"#p99" for hists)
-    std::string reg_name;   ///< registry lookup key
-    std::string reg_label;  ///< registry lookup key ("" = aggregate)
     Source source = Source::kCustom;
-    double prev = 0.0;  ///< last sampled value (delta baseline / level)
+    std::uint32_t cell = 0;  ///< index into cells_ (registry series only)
+    double prev = 0.0;       ///< last sampled value (delta baseline / level)
   };
 
   void push(std::uint32_t series, Nanos ts, double value);
-  /// Rebuild the instrument-pointer sampling plan from the live lists.
-  /// Called (rarely) from inside Registry::sample_live when the registry
-  /// generation moved; the registry lock is held, so the pointers stay
-  /// valid for the rest of the sample.
-  void rebuild_plan(std::uint64_t generation,
-                    const std::vector<metrics::Counter*>& counters,
-                    const std::vector<metrics::Gauge*>& gauges,
-                    const std::vector<metrics::LatencyHistogram*>& hists);
 
   TimelineConfig cfg_;
   std::uint32_t shards_ = 1;
@@ -156,32 +146,8 @@ class Timeline {
   std::vector<Series> series_;
   std::vector<std::string> series_names_;
   std::vector<TimelinePoint> points_;
-
-  // Sampling plan: registry-map lookups and per-sample allocations are too
-  // expensive at fleet scale (thousands of labeled instruments), so each
-  // sample reads cached instrument pointers directly. The plan is keyed on
-  // the registry generation — any registration/retirement invalidates it —
-  // and pointers are only dereferenced under the registry lock (inside
-  // Registry::sample_live), which blocks retirement.
-  std::uint64_t plan_generation_ = ~0ull;
-  std::unordered_map<std::string, std::uint32_t> counter_index_;
-  std::unordered_map<std::string, std::uint32_t> gauge_index_;
-  std::unordered_map<std::string, std::uint32_t> hist_index_;  ///< -> slot
-  std::vector<std::pair<const metrics::Counter*, std::uint32_t>>
-      plan_counters_;
-  std::vector<std::pair<const metrics::Gauge*, std::uint32_t>> plan_gauges_;
-  std::vector<std::pair<const metrics::LatencyHistogram*, std::uint32_t>>
-      plan_hists_;
-  /// Per-series accumulators, zeroed per sample; seen_ marks series at
-  /// least one live instrument fed (an untouched series keeps its prev —
-  /// a retired instrument must not read as a drop to zero).
-  std::vector<double> acc_;
-  std::vector<std::uint8_t> seen_;
-  /// Histogram series pairs (#count at slot series, #p99 right after it)
-  /// share a merged scratch histogram per slot.
-  std::vector<std::uint32_t> series_hist_slot_;
-  std::vector<Histogram> hist_scratch_;
-  std::vector<std::uint8_t> hist_seen_;
+  /// The cells begin_run recorded, with each one's latest read.
+  std::vector<metrics::LiveCell> cells_;
 };
 
 }  // namespace vphi::sim

@@ -12,16 +12,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/actor.hpp"
 #include "sim/bus.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fan_out.hpp"
+#include "sim/metrics.hpp"
 #include "sim/page_arena.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -653,6 +657,183 @@ TEST(Timeline, PointsPastTheCapAreCountedNotStored) {
   EXPECT_NE(json.find("\"points\":[[0," + std::to_string(a) + ",1],[0," +
                       std::to_string(b) + ",2.5],"),
             std::string::npos);
+}
+
+/// The integer a metrics snapshot holds under `key` ("name" for an
+/// aggregate, "name{label}" for a labeled cell); -1 when it is absent.
+long long snapshot_int(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  return at == std::string::npos ? -1
+                                 : std::stoll(json.substr(at + needle.size()));
+}
+
+TEST(Registry, RetiredGaugeReadsItsLastLevel) {
+  auto& reg = metrics::registry();
+  reg.reset();
+  const std::string name = "test.registry.gauge_level";
+  const std::string labeled = name + "{vm=vm0}";
+  {
+    metrics::Gauge first{name, "vm=vm0"};
+    first.set(1);
+  }
+  {
+    // A live instance replaces the retired level instead of adding to it.
+    metrics::Gauge second{name, "vm=vm0"};
+    second.set(1);
+    EXPECT_EQ(reg.gauge_by_label(name).at("vm=vm0"), 1);
+    const std::string json = reg.snapshot_json();
+    EXPECT_EQ(snapshot_int(json, name), 1);
+    EXPECT_EQ(snapshot_int(json, labeled), 1);
+  }
+  EXPECT_EQ(reg.gauge_by_label(name).at("vm=vm0"), 1);
+  const std::string json = reg.snapshot_json();
+  EXPECT_EQ(snapshot_int(json, name), 1);
+  EXPECT_EQ(snapshot_int(json, labeled), 1);
+}
+
+TEST(Registry, LabelSumsEqualAggregatesAcrossLiveAndRetired) {
+  auto& reg = metrics::registry();
+  reg.reset();
+  const std::string count = "test.registry.fold_count";
+  const std::string lat = "test.registry.fold_latency";
+  {
+    metrics::Counter c{count, "vm=vm0"};
+    c.inc(3);
+    metrics::Counter unlabeled{count};
+    unlabeled.inc(1);
+    metrics::LatencyHistogram h{lat, "vm=vm0"};
+    h.record(100);
+    h.record(200);
+  }
+  metrics::Counter c0{count, "vm=vm0"};
+  c0.inc(4);
+  metrics::Counter c1{count, "vm=vm1"};
+  c1.inc(5);
+  metrics::LatencyHistogram h0{lat, "vm=vm0"};
+  h0.record(300);
+  metrics::LatencyHistogram h1{lat, "vm=vm1"};
+  h1.record(400);
+  {
+    metrics::Counter c2{count, "vm=vm2"};
+    c2.inc(6);
+    metrics::LatencyHistogram h2{lat, "vm=vm2"};
+    h2.record(500);
+  }
+
+  const auto counts = reg.counter_by_label(count);
+  EXPECT_EQ(counts, (std::map<std::string, std::uint64_t>{
+                        {"vm=vm0", 7}, {"vm=vm1", 5}, {"vm=vm2", 6}}));
+  std::uint64_t label_sum = 0;
+  for (const auto& [label, v] : counts) label_sum += v;
+  // The unlabeled instance counts in the aggregate alone.
+  EXPECT_EQ(reg.counter_value(count), label_sum + 1);
+  EXPECT_EQ(snapshot_int(reg.snapshot_json(), count), 19);
+
+  const auto hists = reg.histogram_by_label(lat);
+  ASSERT_EQ(hists.size(), 3u);
+  EXPECT_EQ(hists.at("vm=vm0").count(), 3u);
+  EXPECT_EQ(hists.at("vm=vm1").count(), 1u);
+  EXPECT_EQ(hists.at("vm=vm2").count(), 1u);
+  const Histogram total = reg.histogram_value(lat);
+  EXPECT_EQ(total.count(), 5u);
+  EXPECT_EQ(total.min(), 100.0);
+  EXPECT_EQ(total.max(), 500.0);
+}
+
+TEST(Registry, RetiredKeysStayListedUntilReset) {
+  auto& reg = metrics::registry();
+  reg.reset();
+  const std::string name = "test.registry.retired_key";
+  auto listed = [&] {
+    const auto names = reg.metric_names();
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  { metrics::Counter c{name, "vm=vm0,q=1"}; }
+  EXPECT_TRUE(listed());
+  EXPECT_EQ(reg.label_dimensions(name), std::vector<std::string>{"vm=,q="});
+  reg.reset();
+  EXPECT_FALSE(listed());
+  EXPECT_TRUE(reg.label_dimensions(name).empty());
+
+  // A live key survives a reset, zeroed.
+  metrics::Counter live{name, "vm=vm1"};
+  live.inc(2);
+  reg.reset();
+  EXPECT_TRUE(listed());
+  EXPECT_EQ(reg.label_dimensions(name), std::vector<std::string>{"vm="});
+  EXPECT_EQ(reg.counter_by_label(name).at("vm=vm1"), 0u);
+}
+
+/// The (ts, value) points a timeline holds for one series.
+std::vector<std::pair<Nanos, double>> series_points(const Timeline& tl,
+                                                    const std::string& name) {
+  const auto& names = tl.series_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  const auto series = static_cast<std::uint32_t>(it - names.begin());
+  std::vector<std::pair<Nanos, double>> out;
+  for (const TimelinePoint& p : tl.points()) {
+    if (p.series == series) out.emplace_back(p.ts, p.value);
+  }
+  return out;
+}
+
+TEST(Timeline, SeriesWhoseInstrumentsAllRetireEmitsNoFurtherPoint) {
+  metrics::registry().reset();
+  using Points = std::vector<std::pair<Nanos, double>>;
+  auto count =
+      std::make_unique<metrics::Counter>("test.timeline.retiring", "vm=vm0");
+  auto level =
+      std::make_unique<metrics::Gauge>("test.timeline.retiring_level", "vm=vm0");
+  auto lat = std::make_unique<metrics::LatencyHistogram>(
+      "test.timeline.retiring_latency", "vm=vm0");
+  Timeline tl{TimelineConfig{10}};
+  tl.begin_run(1, 0);
+  count->inc(2);
+  level->set(5);
+  lat->record(1'000);
+  tl.sample(10);
+  count = nullptr;
+  level = nullptr;
+  lat = nullptr;
+  tl.sample(20);
+  tl.sample(30);
+  tl.finish_run(30);
+
+  EXPECT_EQ(tl.samples_taken(), 3u);
+  EXPECT_EQ(series_points(tl, "test.timeline.retiring{vm=vm0}"),
+            (Points{{10, 2.0}}));
+  EXPECT_EQ(series_points(tl, "test.timeline.retiring_level{vm=vm0}"),
+            (Points{{10, 5.0}}));
+  EXPECT_EQ(series_points(tl, "test.timeline.retiring_latency{vm=vm0}#count"),
+            (Points{{10, 1.0}}));
+}
+
+TEST(Timeline, InstrumentJoiningARecordedKeyMidRunIsSampled) {
+  metrics::registry().reset();
+  using Points = std::vector<std::pair<Nanos, double>>;
+  metrics::Counter first{"test.timeline.joining", "vm=vm0"};
+  first.inc(7);  // before the run: part of the baseline
+  Timeline tl{TimelineConfig{10}};
+  tl.begin_run(1, 0);
+  first.inc(1);
+  tl.sample(10);
+  metrics::Counter second{"test.timeline.joining", "vm=vm0"};
+  second.inc(4);
+  // A key begin_run did not record gets no series.
+  metrics::Counter unrecorded{"test.timeline.unrecorded", "vm=vm0"};
+  unrecorded.inc(1);
+  tl.sample(20);
+  tl.sample(30);
+  tl.finish_run(30);
+
+  EXPECT_EQ(series_points(tl, "test.timeline.joining{vm=vm0}"),
+            (Points{{10, 1.0}, {20, 4.0}}));
+  const auto& names = tl.series_names();
+  EXPECT_EQ(std::find(names.begin(), names.end(),
+                      "test.timeline.unrecorded{vm=vm0}"),
+            names.end());
 }
 
 TEST(FigureTable, PrintsAllSeriesAndRatios) {
