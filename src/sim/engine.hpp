@@ -127,9 +127,8 @@ struct FleetConfig {
   Nanos duration_ns = 20 * kMillisecond;
   std::uint64_t seed = 42;
   /// Stamp per-request span events through sim::tracer(). Off by default:
-  /// every shard appends hundreds of thousands of records to the one span
-  /// log (under its mutex), and the log keeps each of them — tail sampling
-  /// filters the views, not the recording.
+  /// every shard appends five records per request to the tracer's one ring
+  /// (under its mutex), and a long run keeps only its newest stretch.
   bool trace_requests = false;
   /// Modeled cross-shard lane capacity per (src, dst) pair: each event
   /// beyond it sent down one lane within one epoch counts as

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "sim/actor.hpp"
-#include "sim/recorder.hpp"
+#include "sim/trace.hpp"
 
 namespace vphi::sim {
 
@@ -27,7 +27,9 @@ LogLevel level_from_env() {
 std::atomic<int> g_level{static_cast<int>(level_from_env())};
 Mutex g_io_mu;
 
-const char* level_name(LogLevel l) {
+}  // namespace
+
+const char* level_letter(LogLevel l) noexcept {
   switch (l) {
     case LogLevel::kError: return "E";
     case LogLevel::kWarn: return "W";
@@ -37,8 +39,6 @@ const char* level_name(LogLevel l) {
     default: return "?";
   }
 }
-
-}  // namespace
 
 LogLevel log_level() noexcept {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
@@ -50,12 +50,13 @@ void set_log_level(LogLevel level) noexcept {
 
 void log_line(LogLevel level, std::string_view component, std::string_view msg) {
   if (static_cast<int>(log_level()) < static_cast<int>(level)) return;
-  // Every emitted line also lands in the flight recorder, stamped with the
-  // calling actor's simulated clock, so a recorder dump interleaves log
-  // lines with span events on one simulated-time axis.
-  flight_recorder().record_log(level, component, msg, this_actor().now());
+  // Every emitted line also lands in the tracer's record ring, stamped with
+  // the calling actor's simulated clock, tracing enabled or not, so a
+  // flight-recorder dump interleaves log lines with span events on one
+  // simulated-time axis.
+  tracer().record_log(level, component, msg, this_actor().now());
   MutexLock lock(g_io_mu);
-  std::fprintf(stderr, "[%s %.*s] %.*s\n", level_name(level),
+  std::fprintf(stderr, "[%s %.*s] %.*s\n", level_letter(level),
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(msg.size()), msg.data());
 }

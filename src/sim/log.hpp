@@ -17,6 +17,8 @@ enum class LogLevel : int {
 };
 
 LogLevel log_level() noexcept;
+/// One-letter tag of a level ("E", "W", ...), as log lines print it.
+const char* level_letter(LogLevel l) noexcept;
 void set_log_level(LogLevel level) noexcept;
 
 /// Emit one line (thread-safe) at the given level; no-op if filtered out.

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +15,12 @@
 #include "sim/json.hpp"
 
 namespace vphi::sim {
+
+// The ring is taken without zero-filling it, and its memory is stated in
+// docs/OBSERVABILITY.md and DESIGN.md.
+static_assert(std::is_trivially_default_constructible_v<TraceRecord>);
+static_assert(sizeof(TraceRecord) == 176);
+
 namespace {
 
 // The op span the calling thread is currently inside (see TraceOpScope).
@@ -27,14 +34,6 @@ constexpr int kTidRing = 3;
 constexpr int kTidBackend = 4;
 constexpr int kTidIrq = 5;
 constexpr int kTidCounters = 6;
-
-/// splitmix64: the healthy-chain lottery hash. Uniform over ids, cheap.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Counter-track values print as integers when integral, %.6g otherwise
 /// (same policy as the timeline JSON).
@@ -82,31 +81,16 @@ void sort_events(std::vector<TraceEv>& evs) {
                    });
 }
 
+bool is_begin(const TraceRecord& r) noexcept {
+  return r.kind == TraceRecord::Kind::kRequest ||
+         r.kind == TraceRecord::Kind::kOp;
+}
+
 template <std::size_t N>
 void copy_name(char (&dst)[N], std::string_view src) noexcept {
   const std::size_t n = std::min(src.size(), N - 1);
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-/// The tail decision for a request whose kComplete record was just read:
-/// count the outcome and return whether the chain stays in the views.
-bool keep_at_tail(const RequestTrace& req, Nanos complete_ts,
-                  const TracerConfig::Sample& s, Tracer::TailStats& tail) {
-  // events.front() is the kSubmit of the begin record; later records may
-  // be out of ts order but never precede it.
-  const Nanos latency = complete_ts - req.events.front().ts;
-  if (req.anomalous) {
-    ++tail.kept_anomalous;
-  } else if (s.latency_threshold_ns > 0 && latency >= s.latency_threshold_ns) {
-    ++tail.kept_slow;
-  } else if ((mix64(req.id) & 1023u) < s.keep_per_1024) {
-    ++tail.kept_sampled;
-  } else {
-    ++tail.dropped;
-    return false;
-  }
-  return true;
 }
 
 std::string g_trace_path;
@@ -147,79 +131,87 @@ void Tracer::set_enabled(bool on) noexcept {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-void Tracer::set_config(const TracerConfig& cfg) {
-  MutexLock lock(mu_);
-  config_ = cfg;
-}
-
-void Tracer::mark_anomaly(TraceId id) {
-  if (id == 0) return;
-  MutexLock lock(mu_);
-  anomalies_.push_back(id);
-}
-
-Tracer::TailStats Tracer::tail_stats() const {
-  MutexLock lock(mu_);
-  return group_locked().tail;
-}
-
 void Tracer::record_counter(const std::string& track, Nanos ts,
                             double value) {
   if (!enabled()) return;
+  TraceRecord r{};
+  r.kind = TraceRecord::Kind::kCounter;
+  r.ts = ts;
+  r.value = value;
+  copy_name(r.actor, this_actor().name());
   MutexLock lock(mu_);
   std::uint32_t idx = 0;
   for (; idx < counter_tracks_.size(); ++idx) {
     if (counter_tracks_[idx] == track) break;
   }
   if (idx == counter_tracks_.size()) counter_tracks_.push_back(track);
-  counter_evs_.push_back({idx, ts, value});
+  r.id = idx;
+  append_locked(r);
 }
 
-void Tracer::append(SpanRecord::Kind kind, TraceId id, TraceId parent,
-                    const char* op, SpanEvent ev, Nanos ts) {
-  SpanRecord r;
+void Tracer::record_log(LogLevel level, std::string_view component,
+                        std::string_view msg, Nanos ts) {
+  TraceRecord r{};
+  r.kind = TraceRecord::Kind::kLog;
+  r.ts = ts;
+  r.level = level;
+  copy_name(r.actor, this_actor().name());
+  copy_name(r.name, component);
+  copy_name(r.text, msg);
+  MutexLock lock(mu_);
+  append_locked(r);
+}
+
+void Tracer::append_locked(const TraceRecord& r) {
+  if (!ring_) ring_ = std::make_unique_for_overwrite<TraceRecord[]>(kCapacity);
+  if (appended_ >= kCapacity) dropped_.inc();
+  ring_[appended_++ % kCapacity] = r;
+}
+
+void Tracer::append_span(TraceRecord::Kind kind, TraceId id, TraceId parent,
+                         const char* op, SpanEvent ev, Nanos ts) {
+  TraceRecord r{};
+  r.kind = kind;
   r.id = id;
   r.parent = parent;
   r.ts = ts;
   r.event = ev;
-  r.kind = kind;
-  if (op != nullptr) copy_name(r.op, op);
+  if (op != nullptr) copy_name(r.name, op);
   copy_name(r.actor, this_actor().name());
   MutexLock lock(mu_);
-  log_.push_back(r);
+  append_locked(r);
 }
 
 TraceId Tracer::begin_op(const char* name, Nanos ts) {
   if (!enabled()) return 0;
   const TraceId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  append(SpanRecord::Kind::kOp, id, 0, name, SpanEvent::kSubmit, ts);
+  append_span(TraceRecord::Kind::kOp, id, 0, name, SpanEvent::kSubmit, ts);
   return id;
 }
 
 void Tracer::end_op(TraceId id, Nanos ts) {
   if (id == 0) return;
-  append(SpanRecord::Kind::kEvent, id, 0, nullptr, SpanEvent::kComplete, ts);
+  append_span(TraceRecord::Kind::kEvent, id, 0, nullptr, SpanEvent::kComplete,
+              ts);
 }
 
 TraceId Tracer::begin_request(const char* op_name, Nanos ts) {
   if (!enabled()) return 0;
   const TraceId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  append(SpanRecord::Kind::kRequest, id, t_current_op, op_name,
-         SpanEvent::kSubmit, ts);
+  append_span(TraceRecord::Kind::kRequest, id, t_current_op, op_name,
+              SpanEvent::kSubmit, ts);
   return id;
 }
 
 void Tracer::record(TraceId id, SpanEvent ev, Nanos ts) {
   if (id == 0) return;  // the disabled / untraced fast path
-  append(SpanRecord::Kind::kEvent, id, 0, nullptr, ev, ts);
+  append_span(TraceRecord::Kind::kEvent, id, 0, nullptr, ev, ts);
 }
 
 void Tracer::clear() {
   MutexLock lock(mu_);
-  log_.clear();
-  anomalies_.clear();
+  appended_ = 0;
   counter_tracks_.clear();
-  counter_evs_.clear();
 }
 
 Tracer::Chains Tracer::group_locked() const {
@@ -228,34 +220,25 @@ Tracer::Chains Tracer::group_locked() const {
     std::size_t index;
   };
   std::unordered_map<TraceId, Slot> where;
-  std::vector<TraceId> marked = anomalies_;
-  std::sort(marked.begin(), marked.end());
-  const TracerConfig::Sample& sample = config_.sample;
   Chains out;
-  for (const SpanRecord& r : log_) {
-    if (r.kind != SpanRecord::Kind::kEvent) {
-      const bool op = r.kind == SpanRecord::Kind::kOp;
+  for (std::uint64_t seq = oldest_locked(); seq < appended_; ++seq) {
+    const TraceRecord& r = at_locked(seq);
+    if (is_begin(r)) {
+      const bool op = r.kind == TraceRecord::Kind::kOp;
       auto& chains = op ? out.ops : out.requests;
       where.emplace(r.id, Slot{op, chains.size()});
-      chains.push_back({r.id, r.parent, r.op, {{SpanEvent::kSubmit, r.ts}}});
-      chains.back().anomalous =
-          !op && std::binary_search(marked.begin(), marked.end(), r.id);
+      chains.push_back({r.id, r.parent, r.name, {{SpanEvent::kSubmit, r.ts}}});
       continue;
     }
-    // A record whose chain did not begin since the last clear() is ignored:
-    // clear() may race with requests still in flight and that is fine.
+    if (r.kind != TraceRecord::Kind::kEvent) continue;
+    // A record whose chain's begin is not in the ring (overwritten, or
+    // begun before the last clear()) is ignored: no view shows a partial
+    // chain.
     const auto it = where.find(r.id);
     if (it == where.end()) continue;
     const auto [op, index] = it->second;
-    RequestTrace& chain = (op ? out.ops : out.requests)[index];
-    if (chain.id == 0) continue;  // already filtered at its tail
-    chain.events.push_back({r.event, r.ts});
-    if (!op && r.event == SpanEvent::kComplete && sample.tail &&
-        !keep_at_tail(chain, r.ts, sample, out.tail)) {
-      chain.id = 0;
-    }
+    (op ? out.ops : out.requests)[index].events.push_back({r.event, r.ts});
   }
-  std::erase_if(out.requests, [](const RequestTrace& r) { return r.id == 0; });
   for (auto& r : out.requests) sort_events(r.events);
   for (auto& o : out.ops) sort_events(o.events);
   return out;
@@ -289,54 +272,63 @@ std::optional<RequestTrace> Tracer::find_request(TraceId id) const {
   if (id == 0) return std::nullopt;
   MutexLock lock(mu_);
   std::vector<TraceEv> events;
-  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
-    if (it->id != id) continue;
-    if (it->kind == SpanRecord::Kind::kEvent) {
-      events.push_back({it->event, it->ts});
+  for (std::uint64_t seq = appended_; seq > oldest_locked(); --seq) {
+    const TraceRecord& r = at_locked(seq - 1);
+    if (r.id != id) continue;
+    if (r.kind == TraceRecord::Kind::kEvent) {
+      events.push_back({r.event, r.ts});
       continue;
     }
-    if (it->kind != SpanRecord::Kind::kRequest) return std::nullopt;
-    RequestTrace req{id, it->parent, it->op, std::move(events)};
-    req.events.push_back({SpanEvent::kSubmit, it->ts});
+    if (r.kind != TraceRecord::Kind::kRequest) continue;
+    RequestTrace req{id, r.parent, r.name, std::move(events)};
+    req.events.push_back({SpanEvent::kSubmit, r.ts});
     sort_events(req.events);
-    req.anomalous = std::find(anomalies_.begin(), anomalies_.end(), id) !=
-                    anomalies_.end();
     return req;
   }
   return std::nullopt;
 }
 
-std::vector<SpanRecord> Tracer::recent(std::size_t n) const {
+Tracer::Window Tracer::recent(std::size_t n) const {
   MutexLock lock(mu_);
-  const std::size_t first = log_.size() > n ? log_.size() - n : 0;
+  const std::uint64_t first =
+      std::max(oldest_locked(), appended_ > n ? appended_ - n : 0);
   // Op name of every chain in the window. A chain's begin record precedes
   // all its others, so names missing after the forward pass belong to
   // chains begun before the window: walk back until all are found.
   std::unordered_map<TraceId, const char*> op_of;
   std::size_t missing = 0;
-  for (std::size_t i = first; i < log_.size(); ++i) {
-    const SpanRecord& r = log_[i];
-    const bool begin = r.kind != SpanRecord::Kind::kEvent;
-    if (op_of.try_emplace(r.id, begin ? r.op : nullptr).second && !begin) {
+  for (std::uint64_t seq = first; seq < appended_; ++seq) {
+    const TraceRecord& r = at_locked(seq);
+    if (r.kind != TraceRecord::Kind::kEvent && !is_begin(r)) continue;
+    const bool begin = is_begin(r);
+    if (op_of.try_emplace(r.id, begin ? r.name : nullptr).second && !begin) {
       ++missing;
     }
   }
-  for (std::size_t i = first; i > 0 && missing > 0; --i) {
-    const SpanRecord& r = log_[i - 1];
-    if (r.kind == SpanRecord::Kind::kEvent) continue;
+  for (std::uint64_t seq = first; seq > oldest_locked() && missing > 0;
+       --seq) {
+    const TraceRecord& r = at_locked(seq - 1);
+    if (!is_begin(r)) continue;
     const auto it = op_of.find(r.id);
     if (it != op_of.end() && it->second == nullptr) {
-      it->second = r.op;
+      it->second = r.name;
       --missing;
     }
   }
-  std::vector<SpanRecord> out;
-  out.reserve(log_.size() - first);
-  for (std::size_t i = first; i < log_.size(); ++i) {
-    const char* op = op_of[log_[i].id];
-    if (op == nullptr) continue;  // begun before the last clear()
-    out.push_back(log_[i]);
-    copy_name(out.back().op, op);
+  Window out;
+  out.overwritten = oldest_locked();
+  out.records.reserve(appended_ - first);
+  for (std::uint64_t seq = first; seq < appended_; ++seq) {
+    const TraceRecord& r = at_locked(seq);
+    if (r.kind == TraceRecord::Kind::kCounter) continue;
+    if (r.kind == TraceRecord::Kind::kLog) {
+      out.records.push_back(r);
+      continue;
+    }
+    const char* op = op_of[r.id];
+    if (op == nullptr) continue;  // its chain's begin is gone
+    out.records.push_back(r);
+    copy_name(out.records.back().name, op);
   }
   return out;
 }
@@ -363,12 +355,15 @@ std::vector<Hop> Tracer::hop_breakdown() const {
 std::string Tracer::chrome_trace_json() const {
   Chains chains;
   std::vector<std::string> counter_tracks;
-  std::vector<CounterEv> counter_evs;
+  std::vector<TraceRecord> counters;
   {
     MutexLock lock(mu_);
     chains = group_locked();
     counter_tracks = counter_tracks_;
-    counter_evs = counter_evs_;
+    for (std::uint64_t seq = oldest_locked(); seq < appended_; ++seq) {
+      const TraceRecord& r = at_locked(seq);
+      if (r.kind == TraceRecord::Kind::kCounter) counters.push_back(r);
+    }
   }
 
   struct ChromeEv {
@@ -457,19 +452,19 @@ std::string Tracer::chrome_trace_json() const {
   // Counter tracks ("ph":"C") after the span tracks: one shared tid (the
   // track identity in Chrome is the event *name*), sorted by ts so the
   // per-tid monotonicity the trace_smoke validator checks holds.
-  if (!counter_evs.empty()) {
-    std::stable_sort(counter_evs.begin(), counter_evs.end(),
-                     [](const CounterEv& a, const CounterEv& b) {
+  if (!counters.empty()) {
+    std::stable_sort(counters.begin(), counters.end(),
+                     [](const TraceRecord& a, const TraceRecord& b) {
                        return a.ts < b.ts;
                      });
     out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
            std::to_string(kTidCounters) +
            ",\"args\":{\"name\":\"timeline counters\"}}";
-    for (const CounterEv& c : counter_evs) {
+    for (const TraceRecord& c : counters) {
       out += ",{\"pid\":1,\"tid\":" + std::to_string(kTidCounters) +
              ",\"ts\":" + std::to_string(static_cast<double>(c.ts) / 1e3) +
              ",\"ph\":\"C\",\"name\":\"";
-      append_json_escaped(out, counter_tracks[c.track]);
+      append_json_escaped(out, counter_tracks[c.id]);
       out += "\",\"args\":{\"value\":";
       append_counter_value(out, c.value);
       out += "}}";

@@ -25,10 +25,16 @@
 // parent, which is how a pipelined 64 MiB read shows up as one op umbrella
 // over four chunk requests.
 //
-// Storage: one append-only log of fixed-size SpanRecords under one mutex.
-// Recording appends and looks nothing up; every view — requests(),
-// hop_breakdown(), chrome_trace_json(), tail_stats() and the flight
-// recorder's dump window — is a read that groups the log by trace id.
+// Storage: one ring of kCapacity fixed-size TraceRecords under one mutex,
+// the only place a span, a log line (sim::log_line) or a timeline counter
+// point is stored. The ring's memory is taken at the first record and
+// never grows; when it is full the oldest record is overwritten and
+// vphi.recorder.entries_dropped counts it. Recording appends and looks
+// nothing up; every view — requests(), hop_breakdown(),
+// chrome_trace_json() and the flight recorder's dump window — is a read
+// that groups the ring by trace id. A chain's begin record is appended
+// before any of its later records, so a chain whose begin is still in the
+// ring is complete, and the views skip every chain whose begin is gone.
 //
 // Exports: hop_breakdown() aggregates per-request deltas between
 // consecutive events (the simulated analogue of the paper's fig. 4b
@@ -41,10 +47,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "sim/thread_safety.hpp"
 #include "sim/time.hpp"
@@ -76,54 +85,38 @@ struct TraceEv {
 };
 
 /// Everything recorded for one request (or one guest-level op umbrella):
-/// a read-side view grouped from the tracer's log.
+/// a read-side view grouped from the tracer's ring.
 struct RequestTrace {
   TraceId id = 0;
   TraceId parent = 0;  ///< enclosing op span, 0 if none
   std::string op;      ///< "readfrom", "send", ...
   std::vector<TraceEv> events;
-  /// Flagged by mark_anomaly() (fault dump, watchdog stall): tail-based
-  /// sampling always keeps this request's full chain.
-  bool anomalous = false;
 };
 
-/// One entry of the tracer's log, the only place a span is stored. Fixed
-/// size: recording copies names in (truncated) and allocates nothing but
-/// the log's amortized growth.
-struct SpanRecord {
+enum class LogLevel : int;
+
+/// One entry of the tracer's ring. Fixed size: recording copies names and
+/// text in (truncated) and allocates nothing after the ring's first record.
+/// No member initializers, so the ring is taken without zero-filling it.
+struct TraceRecord {
   enum class Kind : std::uint8_t {
     kRequest,  ///< begin_request: kSubmit of a request chain
     kOp,       ///< begin_op: kSubmit of an op umbrella
     kEvent,    ///< record() or end_op(): one later point of a chain
+    kLog,      ///< record_log: one emitted log line
+    kCounter,  ///< record_counter: one timeline counter point
   };
-  TraceId id = 0;
-  TraceId parent = 0;  ///< kRequest: enclosing op span, 0 if none
-  Nanos ts = 0;
-  SpanEvent event = SpanEvent::kSubmit;
-  Kind kind = Kind::kEvent;
-  char op[22] = {};     ///< op name (begin records; filled by recent())
-  char actor[24] = {};  ///< name of the actor that recorded it
-};
-
-/// Tracer policy knobs (today: tail-based retention).
-struct TracerConfig {
-  /// Tail-based sampling, a read-side filter: every view decides keep or
-  /// drop for a request's span chain at its *tail* (kComplete), when the
-  /// outcome is known. A chain is kept when the request was marked
-  /// anomalous (fault, watchdog stall), when its end-to-end latency
-  /// reached latency_threshold_ns, or when it wins the keep_per_1024
-  /// lottery; every other completed chain is left out of the views and
-  /// the exports. Chains that never complete (dropped requests) are always
-  /// retained. Op umbrellas are exempt.
-  struct Sample {
-    bool tail = false;
-    Nanos latency_threshold_ns = 0;  ///< 0 = no latency criterion
-    /// Healthy-chain retention rate out of 1024 (10 ≈ 1%). The lottery is
-    /// a hash of the trace id: statistically uniform, but which *logical*
-    /// request a given id lands on varies run to run (ids are a process-
-    /// global allocation), so healthy retention is a rate, not a set.
-    std::uint32_t keep_per_1024 = 10;
-  } sample;
+  Nanos ts;
+  TraceId id;      ///< span kinds: the chain; kCounter: counter track index
+  TraceId parent;  ///< kRequest: enclosing op span, 0 if none
+  double value;    ///< kCounter: the point's value
+  Kind kind;
+  SpanEvent event;  ///< span kinds
+  LogLevel level;   ///< kLog
+  char actor[24];   ///< name of the actor that recorded it
+  char name[16];    ///< op name (begin records; filled by recent()) or log
+                    ///< component
+  char text[96];    ///< kLog: the message
 };
 
 /// One aggregated hop of the pipeline: the latency between two consecutive
@@ -141,28 +134,19 @@ class Tracer {
   }
   void set_enabled(bool on) noexcept;
 
-  void set_config(const TracerConfig& cfg) VPHI_EXCLUDES(mu_);
-
-  /// Flag a request as anomalous so tail sampling keeps its full chain.
-  /// Called by FlightRecorder::dump for its focus request — every fault
-  /// dump and watchdog stall routes through there. No-op for id 0; ids
-  /// with no chain since the last clear() are never read.
-  void mark_anomaly(TraceId id) VPHI_EXCLUDES(mu_);
-
-  /// Tail-sampling outcome counts over the log since the last clear().
-  struct TailStats {
-    std::uint64_t kept_anomalous = 0;
-    std::uint64_t kept_slow = 0;     ///< latency >= threshold
-    std::uint64_t kept_sampled = 0;  ///< healthy, won the lottery
-    std::uint64_t dropped = 0;       ///< healthy, filtered at the tail
-  };
-  TailStats tail_stats() const VPHI_EXCLUDES(mu_);
+  /// Records the ring holds; the newest kCapacity records are kept.
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
 
   /// Append one point to a named Perfetto counter track (rendered beside
   /// the span tracks by chrome_trace_json). The timeline sampler feeds
   /// this; points must arrive in nondecreasing ts order per track.
   void record_counter(const std::string& track, Nanos ts, double value)
       VPHI_EXCLUDES(mu_);
+
+  /// Append one emitted log line (called from sim::log_line whether or not
+  /// tracing is enabled), stamped with the calling actor's name.
+  void record_log(LogLevel level, std::string_view component,
+                  std::string_view msg, Nanos ts) VPHI_EXCLUDES(mu_);
 
   /// Open a guest-level op span (scif_send, scif_readfrom, ...). Returns 0
   /// when disabled.
@@ -177,8 +161,9 @@ class Tracer {
   /// Record one span event. No-op (no lock, no allocation) when id == 0.
   void record(TraceId id, SpanEvent ev, Nanos ts) VPHI_EXCLUDES(mu_);
 
-  /// Drop everything recorded so far (ids remain unique process-wide).
-  /// Records arriving later for an id begun before the clear are ignored.
+  /// Drop every record in the ring (ids remain unique process-wide; the
+  /// ring's memory is kept). Records arriving later for an id begun before
+  /// the clear are ignored.
   void clear() VPHI_EXCLUDES(mu_);
 
   std::size_t request_count() const VPHI_EXCLUDES(mu_);
@@ -189,14 +174,19 @@ class Tracer {
   std::vector<RequestTrace> requests() const VPHI_EXCLUDES(mu_);
   /// Op umbrella spans, in allocation order.
   std::vector<RequestTrace> ops() const VPHI_EXCLUDES(mu_);
-  /// One request's chain, found by a backward walk of the log that stops
-  /// at its begin record; nullopt when no request `id` began since clear().
+  /// One request's chain, found by a backward walk of the ring that stops
+  /// at its begin record; nullopt when the ring holds no begin of `id`.
   std::optional<RequestTrace> find_request(TraceId id) const
       VPHI_EXCLUDES(mu_);
-  /// The newest `n` log records, oldest first, each with the op name of
-  /// its chain; records of chains begun before the last clear() are left
-  /// out. Feeds the flight recorder's dump window.
-  std::vector<SpanRecord> recent(std::size_t n) const VPHI_EXCLUDES(mu_);
+  /// The flight recorder's dump window: span records and log lines among
+  /// the newest `n` records, oldest first, each span record with the op
+  /// name of its chain (chains whose begin is gone are left out), and the
+  /// records the ring has overwritten since the last clear().
+  struct Window {
+    std::vector<TraceRecord> records;
+    std::uint64_t overwritten = 0;
+  };
+  Window recent(std::size_t n) const VPHI_EXCLUDES(mu_);
 
   /// Aggregate consecutive-event deltas across all traced requests, ordered
   /// by pipeline position. Within each request, events are sorted by
@@ -212,31 +202,35 @@ class Tracer {
   bool write_chrome_trace(const std::string& path) const VPHI_EXCLUDES(mu_);
 
  private:
-  struct CounterEv {
-    std::uint32_t track = 0;  ///< index into counter_tracks_
-    Nanos ts = 0;
-    double value = 0.0;
-  };
-  /// The views' common read: the log grouped into chains, tail filter
-  /// applied.
+  /// The views' common read: the ring grouped into chains.
   struct Chains {
     std::vector<RequestTrace> requests;
     std::vector<RequestTrace> ops;
-    TailStats tail;
   };
   Chains group_locked() const VPHI_REQUIRES(mu_);
-  void append(SpanRecord::Kind kind, TraceId id, TraceId parent,
-              const char* op, SpanEvent ev, Nanos ts) VPHI_EXCLUDES(mu_);
+  /// Sequence number of the oldest record still in the ring.
+  std::uint64_t oldest_locked() const VPHI_REQUIRES(mu_) {
+    return appended_ > kCapacity ? appended_ - kCapacity : 0;
+  }
+  const TraceRecord& at_locked(std::uint64_t seq) const VPHI_REQUIRES(mu_) {
+    return ring_[seq % kCapacity];
+  }
+  void append_locked(const TraceRecord& r) VPHI_REQUIRES(mu_);
+  void append_span(TraceRecord::Kind kind, TraceId id, TraceId parent,
+                   const char* op, SpanEvent ev, Nanos ts) VPHI_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   std::atomic<bool> enabled_{false};
   std::atomic<TraceId> next_id_{1};
-  /// Append-only span log since the last clear(), in record order.
-  std::vector<SpanRecord> log_ VPHI_GUARDED_BY(mu_);
-  std::vector<TraceId> anomalies_ VPHI_GUARDED_BY(mu_);
-  TracerConfig config_ VPHI_GUARDED_BY(mu_);
+  /// kCapacity slots, taken at the first record; null until then.
+  std::unique_ptr<TraceRecord[]> ring_ VPHI_GUARDED_BY(mu_)
+      VPHI_PT_GUARDED_BY(mu_);
+  /// Records appended since the last clear(); the next goes to slot
+  /// appended_ % kCapacity.
+  std::uint64_t appended_ VPHI_GUARDED_BY(mu_) = 0;
+  /// Counter track names; a kCounter record's id indexes this table.
   std::vector<std::string> counter_tracks_ VPHI_GUARDED_BY(mu_);
-  std::vector<CounterEv> counter_evs_ VPHI_GUARDED_BY(mu_);
+  metrics::Counter dropped_{"vphi.recorder.entries_dropped"};
 };
 
 Tracer& tracer();

@@ -690,8 +690,6 @@ std::vector<Finding> check_uncalled_members(const Corpus& code) {
       {"SloMonitor::burn_slow", "tests check the burn-rate arithmetic"},
       {"SysfsInfo::get_u64", "tests check numeric sysfs attributes"},
       {"Testbed::coi_daemon", "tests check the daemon follows config"},
-      {"Tracer::set_config", "tests pick sampling and capacity"},
-      {"Tracer::tail_stats", "tests check tail sampling's counts"},
       {"WaitQueue::blocked_waiters", "tests wait until threads block"},
       {"WaitQueue::sleepers", "tests wait until threads sleep"},
       {"WaitQueue::spurious_wakeups", "tests wait for wake-all to land"},

@@ -161,6 +161,42 @@ TEST(FlightRecorder, DumpWindowMergesSpansAndLogsInSimulatedTime) {
   EXPECT_NE(dump.text.find(kick_line), std::string::npos) << dump.text;
 }
 
+// A lost request's timeout dump focuses on that request: its span chain,
+// from guest submit to the stranded avail publish, heads the dump.
+
+TEST(FlightRecorder, RequestTimeoutDumpCarriesFocusSpanChain) {
+  sim::tracer().set_enabled(true);
+  sim::tracer().clear();
+  {
+    TestbedConfig cfg;
+    cfg.frontend.scheme = WaitScheme::kPolling;
+    cfg.frontend.request_timeout_ns = 50'000'000;
+    cfg.start_coi_daemon = false;
+    Testbed bed{cfg};
+
+    sim::fault_injector().arm_nth(sim::FaultSite::kKickDrop, 1);
+    auto& guest = bed.vm(0).guest_scif();
+    auto epd = guest.open();  // the bounded retry heals the lost doorbell
+    EXPECT_TRUE(epd);
+    if (epd) guest.close(*epd);
+    sim::fault_injector().disarm_all();
+  }
+  const sim::FlightDump dump = sim::flight_recorder().last_dump();
+  sim::tracer().set_enabled(false);
+  sim::tracer().clear();
+
+  EXPECT_EQ(dump.reason, "frontend timeout (lost request): op open");
+  EXPECT_NE(dump.focus, 0u);
+  const auto focus_begin = dump.text.find("--- focus span chain (op open,");
+  const auto focus_end = dump.text.find("--- recent events");
+  ASSERT_NE(focus_begin, std::string::npos) << dump.text;
+  ASSERT_NE(focus_end, std::string::npos);
+  const std::string chain =
+      dump.text.substr(focus_begin, focus_end - focus_begin);
+  EXPECT_NE(chain.find("submit"), std::string::npos) << chain;
+  EXPECT_NE(chain.find("avail_publish"), std::string::npos) << chain;
+}
+
 // ---------------------------------------------------------------------------
 // Per-VM attribution determinism: two identical seeded 4-VM runs must
 // produce byte-identical per-VM snapshots of the race-free counters. The

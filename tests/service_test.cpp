@@ -26,6 +26,7 @@
 #include "sim/metrics.hpp"
 #include "sim/recorder.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 #include "tools/testbed.hpp"
 #include "workloads/dgemm.hpp"
 
@@ -705,6 +706,54 @@ TEST(SloMonitorTest, AlertsArePerTenantWithFocusedDump) {
     EXPECT_EQ(dump.focus, kBadTrace);
   }
   sim::metrics::registry().reset();
+}
+
+// On the fleet engine with request tracing on, an SLO alert's dump focuses
+// on the tenant's latest over-budget request, and that request's span
+// chain heads the dump.
+
+TEST(SloMonitorTest, FleetAlertDumpCarriesFocusSpanChain) {
+  sim::metrics::registry().reset();
+  sim::tracer().set_enabled(true);
+  sim::tracer().clear();
+  sim::FlightDump dump;
+  {
+    sim::FleetConfig cfg = tenant_fleet();
+    cfg.trace_requests = true;
+    SloSpec spec = test_slo_spec();  // 1 us: every fleet request is bad
+    spec.period_ns = cfg.duration_ns;
+    spec.fast_window_frac = 0.05;
+    spec.slow_window_frac = 0.25;
+    std::vector<std::uint32_t> vm_tenant(cfg.vms);
+    for (std::uint32_t vm = 0; vm < cfg.vms; ++vm) vm_tenant[vm] = vm % 2;
+    SloMonitor mon{spec, {"steady", "noisy"}, vm_tenant};
+    FleetTenantPolicyConfig pc = two_tenants(false);
+    pc.slo = &mon;
+    FleetTenantPolicy policy{pc, cfg};
+    cfg.hooks = policy.hooks();
+    const std::uint64_t dumps_before =
+        sim::metrics::registry().counter_value("vphi.recorder.dumps");
+    sim::run_fleet(cfg);
+    EXPECT_GT(sim::metrics::registry().counter_value("vphi.recorder.dumps"),
+              dumps_before);
+    dump = sim::flight_recorder().last_dump();
+  }
+  sim::tracer().set_enabled(false);
+  sim::tracer().clear();
+  sim::metrics::registry().reset();
+
+  EXPECT_EQ(dump.reason.rfind("slo burn-rate alert: tenant ", 0), 0u)
+      << dump.reason;
+  EXPECT_NE(dump.focus, 0u);
+  const auto focus_begin = dump.text.find("--- focus span chain (op fleet,");
+  const auto focus_end = dump.text.find("--- recent events");
+  ASSERT_NE(focus_begin, std::string::npos) << dump.text;
+  ASSERT_NE(focus_end, std::string::npos);
+  const std::string chain =
+      dump.text.substr(focus_begin, focus_end - focus_begin);
+  EXPECT_NE(chain.find("submit"), std::string::npos) << chain;
+  EXPECT_NE(chain.find("backend_pop"), std::string::npos) << chain;
+  EXPECT_NE(chain.find("complete"), std::string::npos) << chain;
 }
 
 TEST(SloMonitorTest, LongIdleGapAdvancesAndTrimsWindows) {

@@ -574,9 +574,9 @@ TEST(FleetTimeline, EngineProfilePublishesPhaseTimers) {
 }
 
 // ---------------------------------------------------------------------------
-// Tail-based trace sampling at fleet scale
+// Request tracing at fleet scale
 
-TEST(FleetTimeline, ThousandVmTailSamplingKeepsSlowDropsHealthy) {
+TEST(FleetTimeline, ThousandVmTraceKeepsOneWholeChainPerCompletion) {
   FleetConfig cfg;
   cfg.vms = 1'000;
   cfg.shards = 8;
@@ -586,73 +586,26 @@ TEST(FleetTimeline, ThousandVmTailSamplingKeepsSlowDropsHealthy) {
   cfg.trace_requests = true;
 
   auto& reg = metrics::registry();
-  auto latency_of = [](const RequestTrace& req) -> Nanos {
-    // Same computation as the tracer's tail decision: complete ts minus
-    // the begin_request stamp at events.front().
-    Nanos complete = req.events.front().ts;
-    for (const auto& ev : req.events) {
-      if (ev.event == SpanEvent::kComplete) complete = ev.ts;
-    }
-    return complete - req.events.front().ts;
-  };
-
-  // Reference run: keep every chain, then pick a threshold at roughly the
-  // observed p98 so a small deterministic set of requests counts as slow.
   tracer().set_enabled(true);
   tracer().clear();
   reg.reset();
-  const FleetResult ref = run_fleet(cfg);
-  std::vector<Nanos> latencies;
-  for (const auto& req : tracer().requests()) {
-    if (req.op == "fleet") latencies.push_back(latency_of(req));
-  }
-  tracer().clear();
-  reg.reset();
-  ASSERT_EQ(latencies.size(), ref.completed);
-  ASSERT_GT(latencies.size(), 200u);
-  std::sort(latencies.begin(), latencies.end());
-  const Nanos threshold = latencies[latencies.size() * 98 / 100];
-  const auto slow_count = static_cast<std::uint64_t>(
-      std::count_if(latencies.begin(), latencies.end(),
-                    [&](Nanos l) { return l >= threshold; }));
-  ASSERT_GT(slow_count, 0u);
-
-  // Sampled run, same seed: every slow chain survives in full; healthy
-  // chains win the keep lottery at ~1% (10/1024).
-  TracerConfig tc;
-  tc.sample.tail = true;
-  tc.sample.latency_threshold_ns = threshold;
-  tc.sample.keep_per_1024 = 10;
-  tracer().set_config(tc);
   const FleetResult r = run_fleet(cfg);
-  const auto stats = tracer().tail_stats();
-  const auto kept = tracer().requests();
-  tracer().set_config(TracerConfig{});
+  const auto reqs = tracer().requests();
   tracer().clear();
   tracer().set_enabled(false);
   reg.reset();
 
-  EXPECT_EQ(r.completed, ref.completed);  // sampling is an observer too
-  EXPECT_EQ(stats.kept_slow, slow_count);
-  EXPECT_EQ(stats.kept_anomalous, 0u);
-  const std::uint64_t healthy = ref.completed - slow_count;
-  EXPECT_EQ(stats.kept_sampled + stats.dropped, healthy);
-  // <= 2% of healthy chains retained (lottery target is ~0.98%).
-  EXPECT_LE(static_cast<double>(stats.kept_sampled),
-            0.02 * static_cast<double>(healthy));
-  EXPECT_GT(stats.dropped, 0u);
-
-  // Every retained slow chain is complete end to end — tail sampling keeps
-  // whole chains, never prefixes.
-  std::uint64_t kept_slow_seen = 0;
-  for (const auto& req : kept) {
+  // Every completed fleet request left one chain, complete end to end.
+  std::uint64_t chains = 0;
+  for (const auto& req : reqs) {
     if (req.op != "fleet") continue;
     const EventMap m = event_map(req);
     ASSERT_TRUE(m.count(SpanEvent::kSubmit));
     ASSERT_TRUE(m.count(SpanEvent::kComplete));
-    if (latency_of(req) >= threshold) ++kept_slow_seen;
+    ++chains;
   }
-  EXPECT_EQ(kept_slow_seen, stats.kept_slow);
+  EXPECT_EQ(chains, r.completed);
+  EXPECT_GT(chains, 200u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Observability subsystem tests: request-trace span ordering (serial and
 // pipelined, worker-mode backend), the disabled-tracing fast path, metrics
-// snapshot determinism under a fault sweep, and the Histogram::percentile
-// top-bucket regression.
+// snapshot determinism under a fault sweep, the Histogram::percentile
+// top-bucket regression, the record ring's bound and the golden views.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,9 @@
 
 #include "metric_reads.hpp"
 #include "sim/fault.hpp"
+#include "sim/log.hpp"
 #include "sim/metrics.hpp"
+#include "sim/recorder.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "tools/testbed.hpp"
@@ -498,88 +500,55 @@ TEST(HistogramPercentileTest, MergeCombinesSummaries) {
 // ---------------------------------------------------------------------------
 // Tail-based trace sampling: the keep/drop decision at kComplete
 
-/// Drive one full request chain (submit at `ts`, complete at
-/// `ts + latency`) and return its trace id.
-sim::TraceId drive_chain(sim::Nanos ts, sim::Nanos latency) {
-  const sim::TraceId id = sim::tracer().begin_request("fleet", ts);
-  sim::tracer().record(id, SpanEvent::kKick, ts + 1);
-  sim::tracer().record(id, SpanEvent::kComplete, ts + latency);
-  return id;
-}
+// ---------------------------------------------------------------------------
+// The record ring is bounded: a million traced requests leave the newest
+// Tracer::kCapacity records, every overwrite is counted, and the views show
+// only whole chains. A log line lands in the same ring with tracing off.
 
-TEST(TailSampling, KeepsAnomalousAndSlowDropsMostHealthy) {
+TEST(TraceRing, MillionRequestsKeepOnlyTheNewestWholeChains) {
   auto& tr = sim::tracer();
+  auto& reg = sim::metrics::registry();
+  constexpr std::uint64_t kCapacity = sim::Tracer::kCapacity;
   tr.set_enabled(true);
   tr.clear();
-  sim::TracerConfig cfg;
-  cfg.sample.tail = true;
-  cfg.sample.latency_threshold_ns = 10'000;
-  cfg.sample.keep_per_1024 = 10;  // ~1% healthy retention
-  tr.set_config(cfg);
+  const std::uint64_t dropped_before =
+      reg.counter_value("vphi.recorder.entries_dropped");
 
-  // One anomalous chain: flagged before its tail, so the decision sees it.
-  const sim::TraceId bad = tr.begin_request("fleet", 0);
-  tr.record(bad, SpanEvent::kKick, 1);
-  tr.mark_anomaly(bad);
-  tr.record(bad, SpanEvent::kComplete, 500);
+  constexpr std::uint64_t kRequests = 1'000'000;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const auto ts = static_cast<sim::Nanos>(10 * i);
+    const sim::TraceId id = tr.begin_request("fleet", ts);
+    tr.record(id, SpanEvent::kKick, ts + 1);
+    tr.record(id, SpanEvent::kComplete, ts + 5);
+  }
+  const std::uint64_t appended = 3 * kRequests;  // submit, kick, complete
 
-  // One slow chain (latency over the threshold) and many healthy ones.
-  const sim::TraceId slow = drive_chain(1'000, 50'000);
-  constexpr int kHealthy = 4'096;
-  for (int i = 0; i < kHealthy; ++i) {
-    drive_chain(100'000 + 100 * i, 500);
+  const sim::Tracer::Window all = tr.recent(appended);
+  EXPECT_LE(all.records.size(), kCapacity);
+  EXPECT_EQ(all.overwritten, appended - kCapacity);
+  EXPECT_EQ(reg.counter_value("vphi.recorder.entries_dropped") -
+                dropped_before,
+            appended - kCapacity);
+  // The oldest record left is the tail of a chain whose begin is gone; the
+  // views skip it and keep every chain begun after it, whole.
+  const auto reqs = tr.requests();
+  EXPECT_EQ(reqs.size(), kCapacity / 3);
+  for (const auto& req : reqs) {
+    ASSERT_EQ(req.events.size(), 3u) << "request " << req.id;
+    EXPECT_EQ(req.events.front().event, SpanEvent::kSubmit);
   }
 
-  const auto stats = tr.tail_stats();
-  EXPECT_EQ(stats.kept_anomalous, 1u);
-  EXPECT_EQ(stats.kept_slow, 1u);
-  EXPECT_EQ(stats.kept_sampled + stats.dropped,
-            static_cast<std::uint64_t>(kHealthy));
-  // The lottery keeps ~1%; bound it at 3% (4096 draws, p ~= 0.0098: a 3%
-  // bound is > 12 sigma out, so this never flakes).
-  EXPECT_LE(stats.kept_sampled, static_cast<std::uint64_t>(kHealthy) * 3 / 100);
-
-  // The anomalous and slow chains' full span chains survived verbatim.
-  const auto kept = tr.requests();
-  auto find_id = [&](sim::TraceId id) {
-    for (const auto& req : kept) {
-      if (req.id == id) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(find_id(bad));
-  EXPECT_TRUE(find_id(slow));
-  EXPECT_EQ(kept.size(),
-            2 + stats.kept_sampled);  // nothing else survived the tail
-
-  tr.set_config(sim::TracerConfig{});
   tr.clear();
   tr.set_enabled(false);
-  sim::metrics::registry().reset();
-}
-
-TEST(TailSampling, IncompleteChainsAreAlwaysRetained) {
-  auto& tr = sim::tracer();
-  tr.set_enabled(true);
+  const sim::LogLevel saved_level = sim::log_level();
+  sim::set_log_level(sim::LogLevel::kWarn);
+  VPHI_LOG(kWarn, "ring-test") << "logged with tracing off";
+  sim::set_log_level(saved_level);
+  const sim::FlightDump dump = sim::flight_recorder().dump("ring bound");
   tr.clear();
-  sim::TracerConfig cfg;
-  cfg.sample.tail = true;
-  cfg.sample.keep_per_1024 = 0;  // drop every healthy completed chain
-  tr.set_config(cfg);
-
-  const sim::TraceId lost = tr.begin_request("fleet", 0);
-  tr.record(lost, SpanEvent::kKick, 1);  // never completes (dropped request)
-  drive_chain(10, 100);                  // healthy, completed -> erased
-
-  const auto kept = tr.requests();
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].id, lost);
-  EXPECT_EQ(tr.tail_stats().dropped, 1u);
-
-  tr.set_config(sim::TracerConfig{});
-  tr.clear();
-  tr.set_enabled(false);
-  sim::metrics::registry().reset();
+  EXPECT_NE(dump.text.find("ring-test: logged with tracing off"),
+            std::string::npos)
+      << dump.text;
 }
 
 // ---------------------------------------------------------------------------

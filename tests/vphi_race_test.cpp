@@ -182,8 +182,8 @@ TEST(VphiRace, SnapshotJsonUnderConcurrentMutation) {
 }
 
 TEST(VphiRace, FlightRecorderUnderFaultStorm) {
-  // Traced traffic feeds the recorder's ring from guest, backend and IRQ
-  // threads while injected faults fire dump() (snapshot + render) and two
+  // Traced traffic feeds the tracer's record ring from guest, backend and
+  // IRQ threads while injected faults fire dump() (snapshot + render) and two
   // observer threads concurrently dump and read last_dump() and the
   // registry's dump count.
   sim::tracer().set_enabled(true);
